@@ -38,12 +38,8 @@ from .newton import (
 )
 from .padic import (
     FactorRecord,
-    FpPoly,
     PadicFactorProfile,
     count_factors_of_degree,
-    fp_factor,
-    has_root_of_valuation,
-    hensel_lift,
     qp_factor_profile,
     tate_condition,
 )

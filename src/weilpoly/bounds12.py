@@ -243,9 +243,8 @@ def lemma_quantities(r) -> LemmaQuantities:
     )
 
 
-def _condition_r4(r, report: BoundsReport, cond_id: str, quantities=None):
+def _condition_r4(r, report: BoundsReport, cond_id: str, lq: LemmaQuantities):
     """poly_part + 15*theta_min <= r4 <= poly_part + 15*theta_mid."""
-    lq = quantities if quantities is not None else lemma_quantities(r)
     if not lq.cubic_all_real:
         report.add(cond_id, False, "critical-point cubic has non-real roots")
         return
@@ -262,9 +261,8 @@ def _condition_r4(r, report: BoundsReport, cond_id: str, quantities=None):
     report.add(cond_id, n_le >= 1 and n_ge >= 2)
 
 
-def _condition_r5(r, report: BoundsReport, cond_id: str, quantities=None):
+def _condition_r5(r, report: BoundsReport, cond_id: str, lq: LemmaQuantities):
     """-6*lambda2 <= r5 <= -6*lambda1 via per-critical-point comparisons."""
-    lq = quantities if quantities is not None else lemma_quantities(r)
     if not lq.quartic_all_real:
         report.add(cond_id, False, "critical points of g are not all real")
         return
@@ -308,11 +306,11 @@ def lemma_check(r) -> BoundsReport:
     if r4.sign() <= 0:
         report.add("4", False)
     else:
-        _condition_r4(rv, report, "4", quantities=lq)
+        _condition_r4(rv, report, "4", lq)
     if r5.sign() >= 0:
         report.add("5", False)
     else:
-        _condition_r5(rv, report, "5", quantities=lq)
+        _condition_r5(rv, report, "5", lq)
     return report
 
 
@@ -362,7 +360,8 @@ def corollary_bounds(a, params: WeilParams) -> BoundsReport:
     report.add("5", sign_with_radical(e5, QuadReal(-2 * m5), QuadReal(q)) > 0)
     rf = r_coefficients((a1, a2, a3, a4, a5, a6), params, tilde=False)
     rt = r_coefficients((a1, a2, a3, a4, a5, a6), params, tilde=True)
-    _both_sides(rf, rt, report, "6", _condition_r4)
+    sides = [(rf, lemma_quantities(rf)), (rt, lemma_quantities(rt))]
+    _both_sides(sides, report, "6", _condition_r4)
     left7 = QuadReal(
         Fraction(a5 + 25 * q * q * a1 + 9 * q * a3),
         Fraction(36 * q * q + 16 * q * a2 + 4 * a4),
@@ -374,18 +373,17 @@ def corollary_bounds(a, params: WeilParams) -> BoundsReport:
         q,
     )
     report.add("7", left7.sign() > 0 and right7.sign() > 0)
-    _both_sides(rf, rt, report, "8", _condition_r5)
+    _both_sides(sides, report, "8", _condition_r5)
     report.add("9", a6 * a6 < 924 ** 2 * q ** 6)
     return report
 
 
-def _both_sides(rf, rt, report: BoundsReport, cond_id: str, checker):
-    sub_f = BoundsReport()
-    checker(rf, sub_f, "x")
-    sub_t = BoundsReport()
-    checker(rt, sub_t, "x")
-    st_f = sub_f.conditions[0]
-    st_t = sub_t.conditions[0]
+def _both_sides(sides, report: BoundsReport, cond_id: str, checker):
+    """Apply checker to the (r, quantities) of f and of ftilde; both must pass."""
+    sub = BoundsReport()
+    for r, lq in sides:
+        checker(r, sub, "x", lq)
+    st_f, st_t = sub.conditions
     if st_f.status is Status.INDETERMINATE or st_t.status is Status.INDETERMINATE:
         note = st_f.note or st_t.note
         report.add(cond_id, None, note)

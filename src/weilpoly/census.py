@@ -7,15 +7,13 @@ properties over an enumeration and reports violations (which must be empty).
 The samplers generate genuine degree-12 Weil polynomials without real roots
 at scale, for the necessity property: products of integer-x quadratic blocks
 t^2 + x t + q and integer quartic blocks (from x-pairs with integer sum and
-product), plus a capped rejection-sampled stream over raw coefficient
-vectors.
+product), plus a rejection-sampled stream over raw coefficient vectors.
 """
 
 from __future__ import annotations
 
 import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, isqrt
 
 from .bounds12 import corollary_bounds, trivial_bounds
@@ -58,12 +56,11 @@ class EnumerationSpec:
         return n
 
 
-@dataclass
+@dataclass(frozen=True)
 class CensusRecord:
     a: tuple[int, ...]
     is_weil: bool
-    verdicts: dict = field(default_factory=dict)
-    elapsed: float = 0.0
+    real_roots: bool  # chi has a root at +-sqrt(q)
 
 
 def enumerate_weil(spec: EnumerationSpec, shard: tuple[int, int] | None = None):
@@ -100,7 +97,6 @@ def _scan(spec: EnumerationSpec, box, prefix):
 
 
 def _emit(spec: EnumerationSpec, a):
-    t0 = time.monotonic()
     chi = chi_from_a(a, spec.params)
     verdict = is_weil(chi, spec.params)
     if spec.weil_only and not verdict.is_weil:
@@ -113,9 +109,7 @@ def _emit(spec: EnumerationSpec, a):
         _, factors = factor_over_integers(chi)
         if len(factors) != 1 or factors[0][1] != 1:
             return
-    rec = CensusRecord(a=tuple(a), is_weil=verdict.is_weil)
-    rec.elapsed = time.monotonic() - t0
-    yield rec
+    yield CensusRecord(tuple(a), verdict.is_weil, bool(verdict.real_roots))
 
 
 def count_degree2_weil(params: WeilParams, bound: int) -> int:
@@ -153,17 +147,16 @@ def _quadratic_block_ok(s: int, c: int, q: int) -> bool:
 
 def sample_weil12_no_real_roots(params: WeilParams, count: int, seed: int):
     """Yield `count` a-vectors of genuine degree-12 Weil polynomials with no
-    real roots: block products plus a rejection-sampled stream."""
+    real roots: block products, re-verified by is_weil, interleaved with
+    rejection-sampled hits, which is_weil has already decided."""
     rng = random.Random(seed)
     q = params.q
     edge = isqrt(4 * q)
     if edge * edge == 4 * q:
         edge -= 1  # keep |x| < 2 sqrt q strictly: no real roots
     produced = 0
-    rejection_budget = count  # raw rejection trials interleaved
     while produced < count:
         mode = rng.random()
-        chi = None
         if mode < 0.45:
             xs = [rng.randint(-edge, edge) for _ in range(6)]
             chi = IntPoly([1])
@@ -193,16 +186,10 @@ def sample_weil12_no_real_roots(params: WeilParams, count: int, seed: int):
                 rng.randint(lo, hi)
                 for lo, hi in _rejection_box(q)
             )
-            cand = chi_from_a(a, params)
-            verdict = is_weil(cand, params)
-            rejection_budget -= 1
+            verdict = is_weil(chi_from_a(a, params), params)
             if verdict.is_weil and not verdict.real_roots:
-                chi = cand
-            elif rejection_budget > 0:
-                continue
-            else:
-                continue
-        if chi is None:
+                produced += 1
+                yield a
             continue
         co = chi.coeffs
         a = tuple(co[12 - i] for i in range(1, 7))
@@ -268,23 +255,21 @@ def cross_check(spec: EnumerationSpec, numeric_sample_rate: float = 0.01, seed: 
                 report["violations"].append(
                     {"a": list(rec.a), "property": "exact modulus oracle"}
                 )
-        if spec.degree == 12 and rec.is_weil:
-            verdict = is_weil(chi, spec.params)
-            if not verdict.real_roots:
-                rep = corollary_bounds(rec.a, spec.params)
-                triv = trivial_bounds(rec.a, spec.params)
-                if rep.indeterminates:
-                    report["indeterminate"].append(
-                        {"a": list(rec.a), "conditions": rep.indeterminates}
-                    )
-                if rep.failures or not triv.all_pass:
-                    report["violations"].append(
-                        {
-                            "a": list(rec.a),
-                            "property": "corollary necessity",
-                            "failed": rep.failures + triv.failures,
-                        }
-                    )
+        if spec.degree == 12 and rec.is_weil and not rec.real_roots:
+            rep = corollary_bounds(rec.a, spec.params)
+            triv = trivial_bounds(rec.a, spec.params)
+            if rep.indeterminates:
+                report["indeterminate"].append(
+                    {"a": list(rec.a), "conditions": rep.indeterminates}
+                )
+            if rep.failures or not triv.all_pass:
+                report["violations"].append(
+                    {
+                        "a": list(rec.a),
+                        "property": "corollary necessity",
+                        "failed": rep.failures + triv.failures,
+                    }
+                )
         if spec.degree == 14:
             c = classify(chi, spec.params)
             counts[c.verdict] = counts.get(c.verdict, 0) + 1

@@ -15,20 +15,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
+from .arith import is_prime, vp
 from .errors import StructuralError, UncertifiedProfileError
 from .factorint import factor_over_integers
 from .fpoly import DEFAULT_SEED
 from .newton import (
     AmbiguousCase,
+    CaseRecord,
     NoMatch,
-    PolygonCaseId,
     case_by_id,
+    load_case_table,
     newton_polygon,
     polygon_case_id,
 )
 from .padic import (
-    count_factors_of_degree,
     profile_has_root_of_valuation,
     qp_factor_profile,
     tate_condition_profile,
@@ -73,20 +75,9 @@ class Classification:
 
 def multiplicity_options(g: int) -> set[int]:
     """Admissible multiplicities e with chi = m^e for simple prime dimension g >= 3."""
-    if g < 3 or not _is_prime(g):
+    if g < 3 or not is_prime(g):
         raise StructuralError("multiplicity result needs a prime dimension >= 3")
     return {1, g}
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def power_case(a: int, b: int, g: int, params: WeilParams) -> bool:
@@ -103,19 +94,13 @@ def power_case(a: int, b: int, g: int, params: WeilParams) -> bool:
         return False
     if a == 0:
         return False
-    v = 0
-    aa = abs(a)
-    while aa % p == 0:
-        aa //= p
-        v += 1
+    v = vp(a, p)
     # a = k * p^v with p coprime to k; need v = n*s/g for an admissible s
     if (v * g) % n:
         return False
     s = v * g // n
     if s < 1 or 2 * s >= g:
         return False
-    from math import gcd
-
     return gcd(s, g) == 1
 
 
@@ -164,6 +149,18 @@ def _count_scoped(profile, d: int, n: int) -> int:
                 partial=profile,
             )
     return count
+
+
+def _candidate_cases(rec: CaseRecord) -> tuple[int, ...]:
+    """The record's id, or for a duplicate_pair record every duplicate_pair
+    record printed with the same valuation constraints."""
+    if "duplicate_pair" not in rec.flags:
+        return (rec.case_id,)
+    return tuple(
+        r.case_id
+        for r in load_case_table()
+        if "duplicate_pair" in r.flags and r.printed == rec.printed
+    )
 
 
 def evaluate_side_conditions(profile, rec, n: int) -> tuple[bool, list[str]]:
@@ -259,16 +256,13 @@ def classify(f: IntPoly, params: WeilParams, seed: int = DEFAULT_SEED) -> Classi
             table_ok=False,
             failed_conditions=tuple(failed),
         )
-    candidates = (match.case_id,)
-    if match.case_id in (25, 28):
-        candidates = (25, 28)
     if match.text_ambiguous:
         return Classification(
             "text_ambiguous",
             case_id=match.case_id,
             tate_ok=tate,
             table_ok=table_ok,
-            candidate_cases=candidates,
+            candidate_cases=_candidate_cases(rec),
             failed_conditions=tuple(failed),
         )
     return Classification(

@@ -17,20 +17,23 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
 
+from .arith import is_prime
 from .errors import ExactnessError
 from .fpoly import PrimeField, factor as fp_factor_raw, fdeg, fgcd, fdiff, ftrim
 from .hensel import hensel_lift_multi, _trunc
-from .polynomial import IntPoly
+from .polynomial import IntPoly, _mul
+
+
+def _trim(h: list) -> list:
+    """Drop trailing zero coefficients."""
+    n = len(h)
+    while n and h[n - 1] == 0:
+        n -= 1
+    return h[:n]
 
 
 def _fraction_gcd_poly(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
     """Monic gcd over Q on dense Fraction lists."""
-
-    def trim(h):
-        n = len(h)
-        while n and h[n - 1] == 0:
-            n -= 1
-        return h[:n]
 
     def rem(a, b):
         a = list(a)
@@ -41,12 +44,12 @@ def _fraction_gcd_poly(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
             off = len(a) - 1 - db
             for j in range(db + 1):
                 a[off + j] -= c * b[j]
-            a = trim(a)
+            a = _trim(a)
             if not a:
                 break
         return a
 
-    a, b = trim(list(f)), trim(list(g))
+    a, b = _trim(list(f)), _trim(list(g))
     while b:
         a, b = b, rem(a, b)
     if not a:
@@ -122,14 +125,7 @@ def discriminant(f: IntPoly):
 
 def _resultant(f: list[Fraction], g: list[Fraction]) -> Fraction:
     """Res(f, g) over Q by the remainder-sequence product formula."""
-
-    def trim(h):
-        n = len(h)
-        while n and h[n - 1] == 0:
-            n -= 1
-        return h[:n]
-
-    f, g = trim(list(f)), trim(list(g))
+    f, g = _trim(list(f)), _trim(list(g))
     if not f or not g:
         return Fraction(0)
     res = Fraction(1)
@@ -145,7 +141,7 @@ def _resultant(f: list[Fraction], g: list[Fraction]) -> Fraction:
             off = len(r) - 1 - dg
             for j in range(dg + 1):
                 r[off + j] -= c * g[j]
-            r = trim(r)
+            r = _trim(r)
         if not r:
             return Fraction(0)
         dr = len(r) - 1
@@ -177,24 +173,9 @@ def _choose_prime(f: IntPoly) -> int:
 
 def _next_prime(n: int) -> int:
     n += 1
-    while not _is_prime(n):
+    while not is_prime(n):
         n += 1
     return n
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def _zassenhaus_squarefree_monic(f: IntPoly) -> list[IntPoly]:
@@ -225,7 +206,7 @@ def _zassenhaus_squarefree_monic(f: IntPoly) -> list[IntPoly]:
             # trial factor: symmetric-residue product of the chosen lifts
             prod = [1]
             for i in S:
-                prod = _trunc(_mul_list(prod, list(lifted[i].coeffs)), pl)
+                prod = _trunc(_mul(prod, list(lifted[i].coeffs)), pl)
             cand = IntPoly(prod)
             if not cand.is_monic():
                 continue
@@ -248,17 +229,6 @@ def _zassenhaus_squarefree_monic(f: IntPoly) -> list[IntPoly]:
         prod = prod * g
     if prod != f:
         raise ExactnessError("Zassenhaus recombination failed verification")
-    return out
-
-
-def _mul_list(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
     return out
 
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import random
 
+from .arith import prime_factors
+
 DEFAULT_SEED = 1729
 
 
@@ -404,22 +406,9 @@ def is_irreducible(F, f) -> bool:
     h = fpow_mod(F, x, F.order ** n, f)
     if ftrim(F, fsub(F, h, x)):
         return False
-    for t in _prime_factors(n):
+    for t in prime_factors(n):
         h = fpow_mod(F, x, F.order ** (n // t), f)
         if fdeg(fgcd(F, fsub(F, h, x), f)) > 0:
             return False
     return True
 
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out

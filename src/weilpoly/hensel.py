@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import ExactnessError
 from .fpoly import PrimeField, fdeg, fgcd, fmul, fdivmod, fmonic, fsub, ftrim
-from .polynomial import IntPoly
+from .polynomial import IntPoly, _mul
 
 
 def _trunc(f: list[int], m: int) -> list[int]:
@@ -26,17 +26,6 @@ def _trunc(f: list[int], m: int) -> list[int]:
     while n and out[n - 1] == 0:
         n -= 1
     return out[:n]
-
-
-def _mul(f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return out
 
 
 def _add(f, g):
@@ -97,8 +86,9 @@ def hensel_lift_pair(f: IntPoly, g0: list[int], h0: list[int], p: int, k: int):
 
     g0, h0 are monic F_p coefficient lists with deg g0 + deg h0 = deg f and f
     monic.  Returns (g, h) as IntPoly with coefficients reduced mod p^k.
-    Raises ExactnessError if the seed factors are not coprime mod p or the
-    lifted product fails to reproduce f.
+    Raises ValueError if the seed factors are not coprime mod p or their
+    product is not f mod p, and ExactnessError if the lifted product fails
+    to reproduce f.
     """
     F = PrimeField(p)
     g0 = fmonic(F, ftrim(F, [c % p for c in g0]))

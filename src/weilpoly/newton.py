@@ -24,20 +24,29 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
+from .arith import vp
 from .errors import StructuralError
 from .polynomial import IntPoly
 from .weil import WeilParams
 
 
-def vp(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
-    if n == 0:
-        raise ValueError("valuation of zero")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+def lower_hull(pts: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Monotone-chain lower convex hull of points sorted by abscissa.
+
+    Collinear interior points are dropped, so every returned point is a vertex.
+    """
+    hull: list[tuple[int, int]] = []
+    for pt in pts:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            # pop if hull turns left or goes straight at (x2, y2)
+            cross = (x2 - x1) * (pt[1] - y1) - (pt[0] - x1) * (y2 - y1)
+            if cross <= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    return hull
 
 
 @dataclass(frozen=True)
@@ -72,17 +81,7 @@ def newton_polygon(f: IntPoly, p: int) -> NewtonPolygon:
     if f[0] == 0:
         raise StructuralError("constant term vanishes; factor out t-powers first")
     pts = [(i, vp(c, p)) for i, c in enumerate(f.coeffs) if c != 0]
-    hull: list[tuple[int, int]] = []
-    for pt in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # pop if hull turns left or goes straight at (x2, y2)
-            cross = (x2 - x1) * (pt[1] - y1) - (pt[0] - x1) * (y2 - y1)
-            if cross <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
+    hull = lower_hull(pts)
     segments = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         segments.append(
@@ -132,10 +131,6 @@ class AmbiguousCase:
     candidates: tuple[int, ...]
 
 
-def _parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
-
-
 @lru_cache(maxsize=1)
 def load_case_table() -> tuple[CaseRecord, ...]:
     text = resources.files("weilpoly.data").joinpath("g7_cases.txt").read_text()
@@ -158,10 +153,10 @@ def load_case_table() -> tuple[CaseRecord, ...]:
         if fields.get("printed"):
             for chunk in fields["printed"].split(";"):
                 k, rel, c = chunk.split()
-                printed.append((int(k.lstrip("a")), rel, _parse_fraction(c)))
+                printed.append((int(k.lstrip("a")), rel, Fraction(c)))
         forb = []
         if fields.get("noroot"):
-            forb = [_parse_fraction(x) for x in fields["noroot"].split(",")]
+            forb = [Fraction(x) for x in fields["noroot"].split(",")]
         fconds = []
         if fields.get("factors"):
             for chunk in fields["factors"].split(";"):

@@ -34,46 +34,14 @@ from fractions import Fraction
 from math import gcd
 
 from . import fpoly
+from .arith import vp
 from .errors import StructuralError, UncertifiedProfileError
 from .factorint import discriminant, poly_gcd
 from .fpoly import DEFAULT_SEED, ExtField, PrimeField, fdeg, fmul, ftrim
 from .hensel import hensel_lift_multi, hensel_lift_pair
-from .newton import vp
+from .newton import lower_hull
 from .polynomial import IntPoly
 from .weil import WeilParams
-
-
-@dataclass(frozen=True)
-class FpPoly:
-    """Dense polynomial over F_p, constant term first."""
-
-    coeffs: tuple[int, ...]
-    p: int
-
-    @staticmethod
-    def from_int_poly(f: IntPoly, p: int) -> "FpPoly":
-        F = PrimeField(p)
-        return FpPoly(tuple(ftrim(F, [c % p for c in f.coeffs])), p)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def fp_factor(f: FpPoly, seed: int = DEFAULT_SEED) -> list[tuple[FpPoly, int]]:
-    """Complete factorization over F_p into monic irreducibles."""
-    if not f.coeffs:
-        raise ValueError("cannot factor the zero polynomial")
-    F = PrimeField(f.p)
-    _, parts = fpoly.factor(F, list(f.coeffs), seed=seed)
-    return [(FpPoly(tuple(g), f.p), e) for g, e in parts]
-
-
-def hensel_lift(f: IntPoly, g0: FpPoly, h0: FpPoly, p: int, k: int):
-    """Lift the coprime split f = g0*h0 (mod p) to (g, h) mod p^k."""
-    if g0.p != p or h0.p != p:
-        raise ValueError("seed factors carry a different prime")
-    return hensel_lift_pair(f, list(g0.coeffs), list(h0.coeffs), p, k)
 
 
 @dataclass(frozen=True)
@@ -178,19 +146,6 @@ class _Engine:
                 pts.append((i, v))
         return pts
 
-    @staticmethod
-    def _hull(pts):
-        hull = []
-        for pt in pts:
-            while len(hull) >= 2:
-                (x1, y1), (x2, y2) = hull[-2], hull[-1]
-                if (x2 - x1) * (pt[1] - y1) - (pt[0] - x1) * (y2 - y1) <= 0:
-                    hull.pop()
-                else:
-                    break
-            hull.append(pt)
-        return hull
-
     # -- top-level analysis ------------------------------------------------------
 
     def analyze(self, g: list[int], depth: int) -> list[_Rec]:
@@ -225,7 +180,7 @@ class _Engine:
         g = self._red(g)
         n = fdeg(g)
         pts = self._points(g)
-        hull = self._hull(pts)
+        hull = lower_hull(pts)
         if self._vp(g[0]) is None:
             raise _PrecisionShort
         # integral scaling when every root valuation is >= 1
@@ -354,7 +309,7 @@ class _Engine:
                 # phi divides g mod p^K exactly at index 0: cannot happen for
                 # squarefree input at adequate precision
                 raise _PrecisionShort
-            hull = self._hull(pts)
+            hull = lower_hull(pts)
             out: list[_Rec] = []
             refine_to = None
             for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
@@ -459,19 +414,6 @@ def qp_factor_profile(
 
 
 # -- queries -------------------------------------------------------------------
-
-
-def has_root_of_valuation(f: IntPoly, p: int, v, n: int) -> bool:
-    """Does f have a Q_p root of valuation exactly v*n?
-
-    v is given in units of n.  Fractional target valuations are impossible in
-    Q_p, so they answer False without touching the profile.
-    """
-    target = Fraction(v) * n
-    if target.denominator != 1:
-        return False
-    profile = qp_factor_profile(f, p)
-    return profile_has_root_of_valuation(profile, target)
 
 
 def profile_has_root_of_valuation(profile: PadicFactorProfile, target) -> bool:

@@ -23,6 +23,18 @@ def _trim(coeffs: list) -> tuple:
     return tuple(coeffs[:n])
 
 
+def _mul(f, g) -> list[int]:
+    """Dense product of integer coefficient sequences, untrimmed."""
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return out
+
+
 def _is_zero(c) -> bool:
     if isinstance(c, QuadReal):
         return c.is_zero()
@@ -128,15 +140,7 @@ class IntPoly:
             return IntPoly([c * other for c in self.coeffs])
         if not isinstance(other, IntPoly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return IntPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPoly(out)
+        return IntPoly(_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 

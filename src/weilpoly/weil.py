@@ -17,44 +17,21 @@ companion construction and is enforced in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import comb, isqrt
 
+from .arith import is_prime, prime_factors, vp
 from .errors import ExactnessError, StructuralError
 from .polynomial import IntPoly, QuadPoly
 from .quadreal import QuadReal, is_square
 from .sturm import INF, NEG_INF, sturm_chain, sturm_count
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def factor_prime_power(q: int) -> tuple[int, int]:
     """q = p^n with p prime; raises StructuralError otherwise."""
-    if q < 2:
+    primes = prime_factors(q)
+    if len(primes) != 1:
         raise StructuralError(f"{q} is not a prime power")
-    for p in range(2, isqrt(q) + 1):
-        if q % p == 0:
-            n = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                n += 1
-            if m != 1 or not _is_prime(p):
-                raise StructuralError(f"{q} is not a prime power")
-            return p, n
-    return q, 1  # q itself prime
+    return primes[0], vp(q, primes[0])
 
 
 @dataclass(frozen=True)
@@ -65,7 +42,7 @@ class WeilParams:
     n: int
 
     def __post_init__(self):
-        if not _is_prime(self.p):
+        if not is_prime(self.p):
             raise StructuralError(f"{self.p} is not prime")
         if self.n < 1:
             raise StructuralError("n must be positive")
@@ -117,8 +94,6 @@ def companion_poly(chi: IntPoly, params: WeilParams) -> IntPoly:
     g = chi.degree // 2
     q = params.q
     c = [0] * (g + 1)
-    from math import comb
-
     for i in range(g, -1, -1):
         acc = chi[g + i]
         for k in range(i + 2, g + 1, 2):

@@ -1,0 +1,49 @@
+import pytest
+
+from weilpoly.arith import is_prime, prime_factors, vp
+from weilpoly.errors import StructuralError
+from weilpoly.weil import factor_prime_power
+
+N = range(501)
+
+
+def brute_prime_factors(n):
+    return [d for d in range(2, n + 1) if n % d == 0 and all(d % e for e in range(2, d))]
+
+
+def brute_vp(n, p):
+    return max(k for k in range(n.bit_length() + 1) if n % p ** k == 0)
+
+
+@pytest.mark.parametrize("primitive", ["is_prime", "prime_factors", "vp", "factor_prime_power"])
+def test_against_brute_force(primitive):
+    primes = [n for n in N if brute_prime_factors(n) == [n]]
+    if primitive == "is_prime":
+        assert [n for n in N if is_prime(n)] == primes
+    elif primitive == "prime_factors":
+        for n in N:
+            assert prime_factors(n) == brute_prime_factors(n), n
+    elif primitive == "vp":
+        for p in primes[:10]:
+            for n in N[1:]:
+                assert vp(n, p) == vp(-n, p) == brute_vp(n, p), (n, p)
+            with pytest.raises(ValueError):
+                vp(0, p)
+    else:
+        rejected = set()
+        for q in N:
+            ps = brute_prime_factors(q)
+            if len(ps) == 1:
+                assert factor_prime_power(q) == (ps[0], brute_vp(q, ps[0])), q
+            else:
+                with pytest.raises(StructuralError):
+                    factor_prime_power(q)
+                rejected.add(q)
+        assert {0, 1, 6, 12, 100} <= rejected
+
+
+def test_vp():
+    assert vp(48, 2) == 4
+    assert vp(-9, 3) == 2
+    with pytest.raises(ValueError):
+        vp(0, 2)

@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from weilpoly.classify7 import classify, multiplicity_options, power_case
+from weilpoly.classify7 import _candidate_cases, classify, multiplicity_options, power_case
 from weilpoly.errors import StructuralError
+from weilpoly.newton import load_case_table
 from weilpoly.padic import qp_factor_profile, tate_condition_profile
 from weilpoly.polynomial import IntPoly
 from weilpoly.weil import WeilParams, chi_from_a, is_weil
@@ -52,6 +53,12 @@ def test_classify_rejects_malformed():
     assert classify(IntPoly([1, 1]), P2).verdict == "not_degree_14"
     bad = IntPoly([1] + [0] * 13 + [1])
     assert classify(bad, P2).verdict == "not_symmetric"
+
+
+def test_duplicate_pair_candidates_come_from_the_table():
+    for rec in load_case_table():
+        expected = (25, 28) if rec.case_id in (25, 28) else (rec.case_id,)
+        assert _candidate_cases(rec) == expected
 
 
 def test_classify_not_weil():

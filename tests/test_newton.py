@@ -13,7 +13,6 @@ from weilpoly.newton import (
     newton_polygon,
     polygon_case_id,
     synthetic_valuations,
-    vp,
 )
 from weilpoly.polynomial import IntPoly
 from weilpoly.weil import WeilParams, chi_from_a
@@ -145,10 +144,3 @@ def test_duality_with_profile(rng):
         prof = qp_factor_profile(f, p)
         assert prof.slope_multiset() == np_.valuation_multiset()
         done += 1
-
-
-def test_vp():
-    assert vp(48, 2) == 4
-    assert vp(-9, 3) == 2
-    with pytest.raises(ValueError):
-        vp(0, 2)

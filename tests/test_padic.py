@@ -3,15 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from weilpoly import fpoly
 from weilpoly.errors import StructuralError
 from weilpoly.factorint import poly_gcd
 from weilpoly.fpoly import PrimeField, is_irreducible
+from weilpoly.hensel import hensel_lift_pair
 from weilpoly.padic import (
-    FpPoly,
     count_factors_of_degree,
-    fp_factor,
-    has_root_of_valuation,
-    hensel_lift,
+    profile_has_root_of_valuation,
     qp_factor_profile,
     tate_condition,
 )
@@ -23,30 +22,28 @@ def records(profile):
     return sorted((r.degree, r.slope, r.const_valuation) for r in profile.factors)
 
 
+def fp_parts(f: IntPoly, p: int):
+    """fpoly.factor's monic irreducible factors of f mod p."""
+    return fpoly.factor(PrimeField(p), [c % p for c in f.coeffs])[1]
+
+
 def test_fp_factor_examples():
-    f = FpPoly.from_int_poly(IntPoly([1, 1, 1]), 2)
-    assert fp_factor(f) == [(f, 1)]
-    parts = fp_factor(FpPoly.from_int_poly(IntPoly([1, 0, 1]), 5))
-    assert sorted(g.coeffs for g, _ in parts) == [(2, 1), (3, 1)]
-    parts = fp_factor(FpPoly.from_int_poly(IntPoly([4, 0, 3, 0, 1]), 2))
-    assert sorted((g.coeffs, e) for g, e in parts) == [((0, 1), 2), ((1, 1), 2)]
+    assert fp_parts(IntPoly([1, 1, 1]), 2) == [([1, 1, 1], 1)]
+    parts = fp_parts(IntPoly([1, 0, 1]), 5)
+    assert sorted(g for g, _ in parts) == [[2, 1], [3, 1]]
+    parts = fp_parts(IntPoly([4, 0, 3, 0, 1]), 2)
+    assert sorted((g, e) for g, e in parts) == [([0, 1], 2), ([1, 1], 2)]
 
 
 def test_hensel_exact_split():
-    g, h = hensel_lift(
-        IntPoly([-1, 0, 1]), FpPoly((2, 1), 3), FpPoly((1, 1), 3), 3, 4
-    )
+    g, h = hensel_lift_pair(IntPoly([-1, 0, 1]), [2, 1], [1, 1], 3, 4)
     assert {g, h} == {IntPoly([-1, 1]), IntPoly([1, 1])}
 
 
 def test_hensel_spec_examples():
-    g, h = hensel_lift(
-        IntPoly([2, 3, 1]), FpPoly((1, 1), 5), FpPoly((2, 1), 5), 5, 6
-    )
+    g, h = hensel_lift_pair(IntPoly([2, 3, 1]), [1, 1], [2, 1], 5, 6)
     assert {g, h} == {IntPoly([1, 1]), IntPoly([2, 1])}
-    g, h = hensel_lift(
-        IntPoly([-2, 0, 1]), FpPoly((-3 % 7, 1), 7), FpPoly((3, 1), 7), 7, 3
-    )
+    g, h = hensel_lift_pair(IntPoly([-2, 0, 1]), [-3 % 7, 1], [3, 1], 7, 3)
     root = -g[0] % 343
     assert root * root % 343 == 2
     assert root == 108 or (343 - root) == 108
@@ -54,9 +51,7 @@ def test_hensel_spec_examples():
 
 def test_hensel_non_coprime_seed_rejected():
     with pytest.raises(ValueError):
-        hensel_lift(
-            IntPoly([1, 2, 1]), FpPoly((1, 1), 3), FpPoly((1, 1), 3), 3, 4
-        )
+        hensel_lift_pair(IntPoly([1, 2, 1]), [1, 1], [1, 1], 3, 4)
 
 
 def test_profile_worked_examples():
@@ -90,7 +85,8 @@ def test_profile_t4_corrected_example():
 
 
 def test_profile_invariants(rng):
-    from weilpoly.newton import newton_polygon, vp
+    from weilpoly.arith import vp
+    from weilpoly.newton import newton_polygon
 
     done = 0
     while done < 50:
@@ -192,12 +188,16 @@ def test_phi_adic_ramified_quartic():
 
 def test_root_of_valuation():
     p = 5
-    assert not has_root_of_valuation(IntPoly([-p, 0, 1]), p, Fraction(1, 2), 1)
+
+    def has_root(f, v):
+        return profile_has_root_of_valuation(qp_factor_profile(f, p), v)
+
+    assert not has_root(IntPoly([-p, 0, 1]), Fraction(1, 2))
     f = IntPoly([-p, 1]) * IntPoly([-1, 1])
-    assert has_root_of_valuation(f, p, 1, 1)
+    assert has_root(f, 1)
     g = IntPoly([-p, 0, 1]) * IntPoly([-p, 1])
-    assert has_root_of_valuation(g, p, 1, 1)
-    assert not has_root_of_valuation(g, p, Fraction(1, 2), 1)
+    assert has_root(g, 1)
+    assert not has_root(g, Fraction(1, 2))
 
 
 def test_count_factors():
@@ -246,7 +246,7 @@ def test_unit_root_count_matches_digit_search(rng):
     """Independent oracle: certified degree-1 slope-0 records agree with a
     Hensel-liftable residue search mod p^k."""
     from weilpoly.factorint import discriminant
-    from weilpoly.newton import vp
+    from weilpoly.arith import vp
 
     done = 0
     while done < 30:
