@@ -36,13 +36,7 @@ from .newton import (
     newton_polygon,
     polygon_case_id,
 )
-from .padic import (
-    FactorRecord,
-    PadicFactorProfile,
-    count_factors_of_degree,
-    qp_factor_profile,
-    tate_condition,
-)
+from .padic import FactorRecord, PadicFactorProfile, qp_factor_profile
 from .polynomial import IntPoly, QuadPoly, poly_from_string, poly_to_string
 from .quadreal import QuadReal
 from .sturm import all_roots_real_positive, sturm_count

@@ -18,6 +18,7 @@ from math import comb, isqrt
 
 from .bounds12 import corollary_bounds, trivial_bounds
 from .classify7 import classify
+from .factorint import is_irreducible_over_z
 from .oracle import numeric_modulus_verdict, weil_oracle
 from .polynomial import IntPoly
 from .weil import WeilParams, chi_from_a, is_weil
@@ -103,12 +104,8 @@ def _emit(spec: EnumerationSpec, a):
         return
     if spec.no_real_roots and verdict.real_roots:
         return
-    if spec.irreducible_only:
-        from .factorint import factor_over_integers
-
-        _, factors = factor_over_integers(chi)
-        if len(factors) != 1 or factors[0][1] != 1:
-            return
+    if spec.irreducible_only and not is_irreducible_over_z(chi):
+        return
     yield CensusRecord(tuple(a), verdict.is_weil, bool(verdict.real_roots))
 
 

@@ -1,14 +1,15 @@
 """The degree-14 decision procedure: is f the characteristic polynomial of
 Frobenius of a simple 7-dimensional abelian variety over F_q?
 
-Pipeline: degree and symmetry checks, factorization over Z (a perfect
-seventh power of a quadratic routes to the multiplicity-7 criterion, any
-other reducible input is terminal), the Weil predicate, real-root exclusion,
-then the Newton-polygon case table and the Tate divisibility criterion,
-evaluated independently and cross-checked.  The Tate criterion is ground
-truth; the table's role is explanatory, and disagreements are first-class
-outcomes (the printed table has known transcription defects, flagged in the
-table file).
+Pipeline: degree and symmetry checks, factorization over Z (when every
+multiplicity is divisible by 7, f is the seventh power of the quadratic
+prod g^(m/7) read off the factorization and routes to the multiplicity-7
+criterion; any other reducible input is terminal), the Weil predicate,
+real-root exclusion, then the Newton-polygon case table and the Tate
+divisibility criterion, evaluated independently and cross-checked.  The
+Tate criterion is ground truth; the table's role is explanatory, and
+disagreements are first-class outcomes (the printed table has known
+transcription defects, flagged in the table file).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .errors import StructuralError, UncertifiedProfileError
 from .factorint import factor_over_integers
 from .fpoly import DEFAULT_SEED
 from .newton import (
-    AmbiguousCase,
     CaseRecord,
     NoMatch,
     case_by_id,
@@ -104,29 +104,6 @@ def power_case(a: int, b: int, g: int, params: WeilParams) -> bool:
     return gcd(s, g) == 1
 
 
-def _quadratic_seventh_root(f: IntPoly) -> tuple[int, int] | None:
-    """If f = (t^2 + a t + b)^7, return (a, b)."""
-    if f.degree != 14 or not f.is_monic():
-        return None
-    a = f[13] // 7 if f[13] % 7 == 0 else None
-    if a is None:
-        return None
-    # b from the constant term: b^7 = f(0)
-    c = f[0]
-    if c <= 0:
-        return None
-    b = round(c ** (1 / 7))
-    for cand in (b - 1, b, b + 1):
-        if cand > 0 and cand ** 7 == c:
-            b = cand
-            break
-    else:
-        return None
-    if (IntPoly([b, a, 1]) ** 7) == f:
-        return a, b
-    return None
-
-
 def _count_scoped(profile, d: int, n: int) -> int:
     """Factors of exact degree d with root valuation strictly between 0 and n.
 
@@ -189,9 +166,12 @@ def classify(f: IntPoly, params: WeilParams, seed: int = DEFAULT_SEED) -> Classi
 
     _, factors = factor_over_integers(f)
     if len(factors) > 1 or factors[0][1] > 1:
-        power = _quadratic_seventh_root(f)
-        if power is not None:
-            a, b = power
+        if all(m % 7 == 0 for _, m in factors):
+            # f = root^7 with root monic of degree 2
+            root = IntPoly.one()
+            for g, m in factors:
+                root = root * g ** (m // 7)
+            a, b = root[1], root[0]
             ok = power_case(a, b, 7, params)
             return Classification(
                 "power_case",
@@ -228,14 +208,6 @@ def classify(f: IntPoly, params: WeilParams, seed: int = DEFAULT_SEED) -> Classi
             failed_conditions=("no Newton-polygon case matches",),
             detail=f"nearest cases {list(match.nearest)}",
         )
-    if isinstance(match, AmbiguousCase):
-        return Classification(
-            "text_ambiguous",
-            tate_ok=tate,
-            candidate_cases=match.candidates,
-            detail="multiple case records share this polygon",
-        )
-
     rec = case_by_id(match.case_id)
     try:
         table_ok, failed = evaluate_side_conditions(profile, rec, params.n)

@@ -256,13 +256,6 @@ def fdiff(F, f):
     return ftrim(F, out)
 
 
-def feval(F, f, x):
-    acc = F.zero
-    for c in reversed(f):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
-
-
 def _pth_root(F, f):
     """For f with zero derivative, return g with g(x)^p = f(x^p) pattern undone."""
     p = F.char

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import ExactnessError
 from .fpoly import PrimeField, fdeg, fgcd, fmul, fdivmod, fmonic, fsub, ftrim
-from .polynomial import IntPoly, _mul
+from .polynomial import IntPoly, _divmod_monic, _mul
 
 
 def _trunc(f: list[int], m: int) -> list[int]:
@@ -40,22 +40,6 @@ def _sub(f, g):
     return [
         (f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)
     ]
-
-
-def _divmod_monic(f, g):
-    rem = list(f)
-    d = len(g) - 1
-    if len(rem) - 1 < d:
-        return [], rem
-    quot = [0] * (len(rem) - d)
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        quot[i - d] = c
-        for j in range(d + 1):
-            rem[i - d + j] -= c * g[j]
-    return quot, rem
 
 
 def hensel_step(m: int, f, g, h, s, t):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import UncertifiedProfileError
 from .factorint import factor_over_integers
-from .padic import tate_condition
+from .padic import qp_factor_profile, tate_condition_profile
 from .polynomial import IntPoly
 from .weil import WeilParams, is_weil
 
@@ -106,7 +106,9 @@ def lmfdb_reconcile(
             _, factors = factor_over_integers(poly)
             if len(factors) == 1 and factors[0][1] == 1:
                 try:
-                    if not tate_condition(poly, params):
+                    if not tate_condition_profile(
+                        qp_factor_profile(poly, params.p), params.n
+                    ):
                         report["mismatches"].append(
                             {
                                 "label": rec.get("label"),

@@ -13,8 +13,8 @@ the valuation constraints exactly as printed in the source (including the
 defective lines), the side conditions on the Q_p factorization, and a flag
 for records whose printed valuation data had to be reconstructed from the
 polygon geometry.  polygon_case_id matches the canonical signatures, which
-are pairwise distinct, so AmbiguousCase can only arise from an edited table
-file.
+load_case_table checks are pairwise distinct, so a polygon matches at most
+one record.
 """
 
 from __future__ import annotations
@@ -125,12 +125,6 @@ class NoMatch:
     nearest: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AmbiguousCase:
-    vertex_signature: tuple
-    candidates: tuple[int, ...]
-
-
 @lru_cache(maxsize=1)
 def load_case_table() -> tuple[CaseRecord, ...]:
     text = resources.files("weilpoly.data").joinpath("g7_cases.txt").read_text()
@@ -175,6 +169,8 @@ def load_case_table() -> tuple[CaseRecord, ...]:
         )
     if len(records) != 31:
         raise StructuralError(f"case table must have 31 records, found {len(records)}")
+    if len({rec.vertices for rec in records}) != len(records):
+        raise StructuralError("case table records must have distinct vertex signatures")
     return tuple(records)
 
 
@@ -206,12 +202,9 @@ def polygon_case_id(np_: NewtonPolygon, params: WeilParams):
     table = load_case_table()
     if sig is None:
         return NoMatch((), tuple())
-    hits = [rec for rec in table if rec.vertices == sig]
-    if len(hits) == 1:
-        rec = hits[0]
-        return PolygonCaseId(rec.case_id, sig, rec.text_ambiguous)
-    if len(hits) > 1:
-        return AmbiguousCase(sig, tuple(r.case_id for r in hits))
+    for rec in table:
+        if rec.vertices == sig:
+            return PolygonCaseId(rec.case_id, sig, rec.text_ambiguous)
     # nearest: cases sharing the most vertices
     scored = sorted(
         table,

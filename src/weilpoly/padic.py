@@ -36,12 +36,11 @@ from math import gcd
 from . import fpoly
 from .arith import vp
 from .errors import StructuralError, UncertifiedProfileError
-from .factorint import discriminant, poly_gcd
+from .factorint import discriminant
 from .fpoly import DEFAULT_SEED, ExtField, PrimeField, fdeg, fmul, ftrim
 from .hensel import hensel_lift_multi, hensel_lift_pair
 from .newton import lower_hull
 from .polynomial import IntPoly
-from .weil import WeilParams
 
 
 @dataclass(frozen=True)
@@ -367,14 +366,13 @@ def qp_factor_profile(
         raise StructuralError("constant term vanishes; factor out t-powers first")
     if f.lc() % p == 0:
         raise StructuralError("leading coefficient divisible by p is unsupported")
-    g = poly_gcd(f, f.derivative())
-    if g.degree > 0:
+    disc = discriminant(f)
+    if disc == 0:
         raise StructuralError(
             "input is not squarefree over Q; factor over Z first and profile "
             "each factor"
         )
-    disc = discriminant(f)
-    v_disc = vp(disc.numerator, p) - vp(disc.denominator, p) if disc != 0 else 0
+    v_disc = vp(disc.numerator, p) - vp(disc.denominator, p)
     v0 = vp(f[0], p)
     K = 2 * max(v_disc, 0) + v0 + 4
     work = f
@@ -428,24 +426,6 @@ def profile_has_root_of_valuation(profile: PadicFactorProfile, target) -> bool:
                 partial=profile,
             )
     return False
-
-
-def count_factors_of_degree(profile: PadicFactorProfile, d: int) -> int:
-    """Number of irreducible Q_p factors of exact degree d."""
-    count = sum(1 for r in profile.factors if r.certified and r.degree == d)
-    for r in profile.factors:
-        if not r.certified and d % r.granularity == 0 and r.degree >= d:
-            raise UncertifiedProfileError(
-                f"an unresolved block could contain degree-{d} factors",
-                partial=profile,
-            )
-    return count
-
-
-def tate_condition(f: IntPoly, params: WeilParams) -> bool:
-    """v_p(F(0)) divisible by n for every irreducible Q_p factor F of f."""
-    profile = qp_factor_profile(f, params.p)
-    return tate_condition_profile(profile, params.n)
 
 
 def tate_condition_profile(profile: PadicFactorProfile, n: int) -> bool:

@@ -10,6 +10,7 @@ polynomial (exact division, gcd, Sturm chains).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DomainMismatchError, StructuralError
@@ -33,6 +34,23 @@ def _mul(f, g) -> list[int]:
             for j, b in enumerate(g):
                 out[i + j] += a * b
     return out
+
+
+def _divmod_monic(f, g) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer coefficient sequences, g monic."""
+    rem = list(f)
+    d = len(g) - 1
+    if len(rem) - 1 < d:
+        return [], rem
+    quot = [0] * (len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        if c == 0:
+            continue
+        quot[i - d] = c
+        for j in range(d + 1):
+            rem[i - d + j] -= c * g[j]
+    return quot, rem
 
 
 def _is_zero(c) -> bool:
@@ -66,10 +84,6 @@ class IntPoly:
     @staticmethod
     def x() -> "IntPoly":
         return IntPoly([0, 1])
-
-    @staticmethod
-    def monomial(c: int, k: int) -> "IntPoly":
-        return IntPoly([0] * k + [c])
 
     # -- structure ------------------------------------------------------------
 
@@ -178,31 +192,14 @@ class IntPoly:
             return self
         return IntPoly([0] * k + list(self.coeffs))
 
-    def reverse(self) -> "IntPoly":
-        """t^deg * p(1/t)."""
-        return IntPoly(list(reversed(self.coeffs)))
-
     def divmod_monic(self, other: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
         """Quotient and remainder for a monic divisor; exact over Z."""
         if not other.is_monic():
             raise ValueError("divisor must be monic")
-        rem = list(self.coeffs)
-        d = other.degree
-        if len(rem) - 1 < d:
-            return IntPoly.zero(), self
-        quot = [0] * (len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            quot[i - d] = c
-            for j in range(d + 1):
-                rem[i - d + j] -= c * other.coeffs[j]
+        quot, rem = _divmod_monic(self.coeffs, other.coeffs)
         return IntPoly(quot), IntPoly(rem)
 
     def content(self) -> int:
-        from math import gcd
-
         g = 0
         for c in self.coeffs:
             g = gcd(g, abs(c))
@@ -216,12 +213,6 @@ class IntPoly:
         if self.lc() < 0:
             g = -g
         return g, IntPoly([c // g for c in self.coeffs])
-
-    def max_norm(self) -> int:
-        return max((abs(c) for c in self.coeffs), default=0)
-
-    def l1_norm(self) -> int:
-        return sum(abs(c) for c in self.coeffs)
 
     def to_quad(self, q: int | None = None) -> "QuadPoly":
         return QuadPoly([QuadReal(c) for c in self.coeffs], q=q)

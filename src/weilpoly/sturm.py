@@ -13,6 +13,7 @@ entry for a squarefree chain).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .polynomial import QuadPoly
 from .quadreal import QuadReal
@@ -25,8 +26,6 @@ def _content_normalize(p: QuadPoly) -> QuadPoly:
     """Divide by the positive rational content; signs are unchanged."""
     if p.is_zero():
         return p
-    from math import gcd
-
     num = 0
     den = 1
     for c in p.coeffs:
@@ -99,10 +98,6 @@ def sturm_count(p: QuadPoly, lo=NEG_INF, hi=INF, chain: list[QuadPoly] | None = 
     if chain is None:
         chain = sturm_chain(p)
     return _variations_right(chain, lo) - _variations_right(chain, hi)
-
-
-def count_real_roots(p: QuadPoly) -> int:
-    return sturm_count(p)
 
 
 def all_roots_real_positive(p: QuadPoly) -> bool:

@@ -43,6 +43,15 @@ def test_classify_power_cases():
     assert out.multiplicity == 7
 
 
+@pytest.mark.parametrize("p, n, a", [(3, 35, 243), (5, 28, 625), (7, 21, 343)])
+def test_classify_power_case_with_large_q(p, n, a):
+    # q^7 is far beyond a double's exact range; the quadratic is read off the
+    # factorization, not recovered from f(0)
+    params = WeilParams(p, n)
+    out = classify(IntPoly([params.q, a, 1]) ** 7, params)
+    assert out.verdict == "power_case" and out.tate_ok is True
+
+
 def test_classify_reducible():
     out = classify(IntPoly([128] + [0] * 13 + [1]), P2)
     assert out.verdict == "reducible"

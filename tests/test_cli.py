@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from weilpoly.cli import main, parse_poly_input, parse_q, UsageError
+from weilpoly.polynomial import IntPoly
 from weilpoly.weil import WeilParams
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -62,6 +63,15 @@ def test_usage_errors_exit_2(capsys):
 def test_exit_code_negative_verdict(capsys):
     assert main(["check-weil", "--q", "2", "2,3,1"]) == 1
     capsys.readouterr()
+
+
+def test_classify_power_case_with_large_q(capsys):
+    q = 2**161
+    coeffs = ",".join(str(c) for c in (IntPoly([q, 0, 1]) ** 7).coeffs)
+    assert main(["classify14", "--q", "2^161", coeffs]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["classification"]["verdict"] == "power_case"
+    assert doc["classification"]["tate_ok"] is False
 
 
 def test_enumerate_out_file(tmp_path, capsys):

@@ -85,6 +85,39 @@ def test_table_well_formed():
         assert len(rec.printed) == 7
 
 
+def test_table_with_repeated_signature_rejected(monkeypatch):
+    from importlib import resources
+
+    from weilpoly import newton
+
+    text = resources.files("weilpoly.data").joinpath("g7_cases.txt").read_text()
+    # give record 3 the vertices of record 2
+    edited = text.replace("vertices: (1,6);(4,4) |", "vertices: (1,6) |")
+    assert edited != text
+
+    class _Files:
+        def joinpath(self, name):
+            return self
+
+        def read_text(self):
+            return edited
+
+    class _Resources:
+        @staticmethod
+        def files(package):
+            return _Files()
+
+    monkeypatch.setattr(newton, "resources", _Resources)
+    load_case_table.cache_clear()
+    try:
+        with pytest.raises(StructuralError, match="distinct"):
+            load_case_table()
+    finally:
+        monkeypatch.undo()
+        load_case_table.cache_clear()
+    assert len(load_case_table()) == 31
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_generator_identity(n):
     params = WeilParams(2, n)

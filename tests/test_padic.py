@@ -4,15 +4,17 @@ from fractions import Fraction
 import pytest
 
 from weilpoly import fpoly
-from weilpoly.errors import StructuralError
+from weilpoly.classify7 import _count_scoped
+from weilpoly.errors import StructuralError, UncertifiedProfileError
 from weilpoly.factorint import poly_gcd
 from weilpoly.fpoly import PrimeField, is_irreducible
 from weilpoly.hensel import hensel_lift_pair
 from weilpoly.padic import (
-    count_factors_of_degree,
+    FactorRecord,
+    PadicFactorProfile,
     profile_has_root_of_valuation,
     qp_factor_profile,
-    tate_condition,
+    tate_condition_profile,
 )
 from weilpoly.polynomial import IntPoly
 from weilpoly.weil import WeilParams
@@ -201,25 +203,36 @@ def test_root_of_valuation():
 
 
 def test_count_factors():
+    # factors whose roots have valuation 0 or n are never counted
     p = 3
     prof = qp_factor_profile(IntPoly([p, 0, 0, 1]), p)
-    assert count_factors_of_degree(prof, 3) == 1
-    assert count_factors_of_degree(prof, 1) == 0
+    assert _count_scoped(prof, 3, 1) == 1
+    assert _count_scoped(prof, 1, 1) == 0
     prof = qp_factor_profile(IntPoly([-p, 0, 1]) * IntPoly([-1, 1]), p)
-    assert count_factors_of_degree(prof, 2) == 1
-    assert count_factors_of_degree(prof, 1) == 1
+    assert _count_scoped(prof, 2, 1) == 1
+    assert _count_scoped(prof, 1, 1) == 0  # the slope-0 root
     prof = qp_factor_profile(IntPoly([4, 0, 3, 0, 1]), 2)
-    assert count_factors_of_degree(prof, 1) == 4
+    assert _count_scoped(prof, 1, 2) == 2  # the two slope-1 roots
+    assert _count_scoped(prof, 1, 1) == 0  # slope 1 == n
+    # an unresolved block whose granularity divides d may hide degree-d factors
+    block = FactorRecord(4, Fraction(1, 2), 2, None, False, granularity=2)
+    prof = PadicFactorProfile(2, 4, 2, (block,))
+    assert _count_scoped(prof, 1, 1) == 0
+    with pytest.raises(UncertifiedProfileError):
+        _count_scoped(prof, 2, 1)
 
 
 def test_tate_condition_examples():
+    def tate_ok(f, params):
+        return tate_condition_profile(qp_factor_profile(f, params.p), params.n)
+
     P2 = WeilParams.from_q(2)
-    assert tate_condition(IntPoly([2, 0, 1]), P2)
-    assert tate_condition(IntPoly([2, 1, 1]), P2)
+    assert tate_ok(IntPoly([2, 0, 1]), P2)
+    assert tate_ok(IntPoly([2, 1, 1]), P2)
     # ordinary with p not dividing a: valuations 0 and 1, both divisible at n=1
     P4 = WeilParams(2, 2)
-    assert tate_condition(IntPoly([4, 2, 1]), P4)  # one factor, v = 2 = n
-    assert not tate_condition(IntPoly([2, 1, 1]), P4)  # v = 1 not divisible by 2
+    assert tate_ok(IntPoly([4, 2, 1]), P4)  # one factor, v = 2 = n
+    assert not tate_ok(IntPoly([2, 1, 1]), P4)  # v = 1 not divisible by 2
 
 
 def test_not_squarefree_rejected():
