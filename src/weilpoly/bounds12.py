@@ -162,7 +162,6 @@ class LemmaQuantities:
     cubic_all_real: bool
     quartic_all_real: bool
     thetas: list[CertifiedReal]
-    x_roots: list[CertifiedReal]
     betas: list[CertifiedReal]  # descending, with multiplicity expanded
     g1: QuadReal
 
@@ -172,10 +171,9 @@ def lemma_quantities(r) -> LemmaQuantities:
 
     The thetas are the values -u2*w^2 - 3*u3*w at the real roots of the
     depressed cubic (that is the value set S after eliminating the cube
-    roots with w^3 = -u2*w - u3).  The x_roots are the real roots of the
-    depressed quartic, covering both the biquadratic u3 = 0 branch and the
-    general one uniformly; the betas shift them by -g1/5 and are the
-    critical points of g.
+    roots with w^3 = -u2*w - u3).  The betas are the real roots of the
+    depressed quartic shifted by -g1/5, covering both the biquadratic u3 = 0
+    branch and the general one uniformly; they are the critical points of g.
     """
     r1, r2, r3, r4, r5, r6 = [_as_quad(v) for v in r]
     g1 = r1 * Fraction(5, 6)
@@ -217,8 +215,6 @@ def lemma_quantities(r) -> LemmaQuantities:
     n_quartic = sum(m for _, _, m in quartic_roots)
     quartic_all_real = n_quartic == 4
     quartic_sf = quartic.squarefree_part()
-    ident = QuadPoly([QuadReal(0), one], q=qq)
-    x_roots = [CertifiedReal(quartic_sf, (lo, hi), ident) for lo, hi, _ in quartic_roots]
     # G(x) = x^5 + g1 x^4 + g2 x^3 + g3 x^2 + g4 x evaluated at beta = z - g1/5
     gpoly = QuadPoly([QuadReal(0), g4, g3, g2, g1, one], q=qq)
     shifted = gpoly.compose_linear(one, -g1 * Fraction(1, 5))
@@ -237,7 +233,6 @@ def lemma_quantities(r) -> LemmaQuantities:
         cubic_all_real=cubic_all_real,
         quartic_all_real=quartic_all_real,
         thetas=thetas,
-        x_roots=x_roots,
         betas=betas,
         g1=g1,
     )
@@ -268,9 +263,7 @@ def _condition_r5(r, report: BoundsReport, cond_id: str, lq: LemmaQuantities):
         return
     r5 = _as_quad(r[4])
     c = -r5 * Fraction(1, 6)
-    if len(lq.betas) != 4:
-        report.add(cond_id, False, "critical points of g are not all real")
-        return
+    assert len(lq.betas) == 4, "four real critical points expected"
     try:
         s1 = lq.betas[0].compare(c)
         s3 = lq.betas[2].compare(c)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from .arith import is_prime
 from .bounds12 import corollary_bounds, trivial_bounds
 from .census import EnumerationSpec, cross_check, enumerate_weil
 from .classify7 import classify
@@ -167,6 +168,8 @@ def cmd_classify14(args) -> int:
 
 
 def cmd_polygon(args) -> int:
+    if not is_prime(args.p):
+        raise UsageError(f"--p {args.p} is not a prime")
     try:
         poly = poly_from_string(args.poly)
     except StructuralError as exc:
@@ -213,11 +216,16 @@ def _parse_box(text: str, g: int):
     return tuple(out)
 
 
+def _half_degree(degree: int) -> int:
+    """g = degree / 2 for a positive even degree; UsageError otherwise."""
+    if degree % 2 or degree < 2:
+        raise UsageError("degree must be a positive even integer")
+    return degree // 2
+
+
 def cmd_enumerate(args) -> int:
     params = parse_q(args.q)
-    g = args.degree // 2
-    if args.degree % 2 or g < 1:
-        raise UsageError("degree must be a positive even integer")
+    g = _half_degree(args.degree)
     box = _parse_box(args.box, g) if args.box else ()
     filters = set((args.filter or "").split(",")) - {""}
     unknown = filters - {"weil", "irreducible", "no-real-roots"}
@@ -259,7 +267,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_cross_check(args) -> int:
     params = parse_q(args.q)
-    g = args.degree // 2
+    g = _half_degree(args.degree)
     box = _parse_box(args.box, g) if args.box else ()
     spec = EnumerationSpec(
         degree=args.degree,

@@ -5,6 +5,12 @@ coefficient is nonzero (the zero polynomial has an empty tuple).  IntPoly is
 the workhorse for everything the classifiers consume; QuadPoly carries
 QuadReal coefficients sharing one radicand and is a field-coefficient
 polynomial (exact division, gcd, Sturm chains).
+
+A QuadPoly also answers sign queries at rational points with integers
+alone: it keeps a lazily built integer form, coefficient lists A, B and one
+positive D with coeffs[i] = (A[i] + B[i]*sqrt(q)) / D, and sign_at runs
+homogeneous integer Horner on it.  squarefree_part is memoised on the
+(immutable) instance, and the result is marked as its own squarefree part.
 """
 
 from __future__ import annotations
@@ -51,6 +57,18 @@ def _divmod_monic(f, g) -> tuple[list[int], list[int]]:
         for j in range(d + 1):
             rem[i - d + j] -= c * g[j]
     return quot, rem
+
+
+def _homogeneous_horner(coeffs, n: int, d: int) -> int:
+    """sum(coeffs[i] * n^i * d^(deg - i)), that is d^deg * f(n/d)."""
+    if not coeffs:
+        return 0
+    acc = coeffs[-1]
+    dpow = d
+    for c in reversed(coeffs[:-1]):
+        acc = acc * n + c * dpow
+        dpow *= d
+    return acc
 
 
 def _is_zero(c) -> bool:
@@ -224,7 +242,7 @@ class IntPoly:
 class QuadPoly:
     """Polynomial with QuadReal coefficients sharing one radicand."""
 
-    __slots__ = ("coeffs", "q")
+    __slots__ = ("coeffs", "q", "_int", "_sf")
 
     def __init__(self, coeffs: Sequence, q: int | None = None):
         vals = []
@@ -239,6 +257,8 @@ class QuadPoly:
                 q = c.q
         object.__setattr__(self, "coeffs", _trim(vals))
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "_int", None)
+        object.__setattr__(self, "_sf", None)
 
     def __setattr__(self, *_):
         raise AttributeError("QuadPoly is immutable")
@@ -338,6 +358,51 @@ class QuadPoly:
             acc = acc * x + c
         return acc
 
+    def integer_form(self) -> tuple[list[int], list[int] | None]:
+        """(A, B) with coeffs[i] = (A[i] + B[i]*sqrt(q)) / D for one D > 0;
+        B is None when every coefficient is rational."""
+        if self._int is None:
+            den = 1
+            for c in self.coeffs:
+                for part in (c.a, c.b):
+                    den = den * part.denominator // gcd(den, part.denominator)
+            a = [c.a.numerator * (den // c.a.denominator) for c in self.coeffs]
+            b = [c.b.numerator * (den // c.b.denominator) for c in self.coeffs]
+            object.__setattr__(self, "_int", (a, b if any(b) else None))
+        return self._int
+
+    def sign_at_ratio(self, n: int, d: int) -> int:
+        """Exact sign of p(n/d) for integers n and d > 0, in integers alone.
+
+        Homogeneous Horner gives d^deg * D * p(n/d) = SA + SB*sqrt(q); the
+        sign of that is settled as in QuadReal.sign.
+        """
+        a, b = self.integer_form()
+        sa = _homogeneous_horner(a, n, d)
+        sb = 0 if b is None else _homogeneous_horner(b, n, d)
+        if sb == 0:
+            return (sa > 0) - (sa < 0)
+        s_b = 1 if sb > 0 else -1
+        if sa == 0:
+            return s_b
+        s_a = 1 if sa > 0 else -1
+        if s_a == s_b:
+            return s_a
+        # opposite signs: sa^2 == sb^2 q would make sqrt(q) rational
+        return s_a if sa * sa > sb * sb * self.q else s_b
+
+    def sign_at(self, x) -> int:
+        """Exact sign of p(x) for x an int, a Fraction or a QuadReal.
+
+        Rational points take the integer path of sign_at_ratio; an
+        irrational QuadReal point is evaluated in Q(sqrt(q)).
+        """
+        if isinstance(x, QuadReal):
+            if x.b != 0:
+                return self.evaluate(x).sign()
+            x = x.a
+        return self.sign_at_ratio(x.numerator, x.denominator)
+
     def compose_linear(self, alpha, beta) -> "QuadPoly":
         """p(alpha*t + beta)."""
         q = self.q
@@ -382,12 +447,16 @@ class QuadPoly:
         return a.monic() if not a.is_zero() else a
 
     def squarefree_part(self) -> "QuadPoly":
-        if self.degree <= 0:
-            return self.monic() if not self.is_zero() else self
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
-            return self.monic()
-        return self.divmod(g)[0].monic()
+        """Monic squarefree part, computed once per instance."""
+        if self._sf is None:
+            if self.degree <= 0:
+                sf = self.monic() if not self.is_zero() else self
+            else:
+                g = self.gcd(self.derivative())
+                sf = self.monic() if g.degree <= 0 else self.divmod(g)[0].monic()
+            object.__setattr__(sf, "_sf", sf)
+            object.__setattr__(self, "_sf", sf)
+        return self._sf
 
 
 def poly_from_string(text: str) -> IntPoly:

@@ -8,6 +8,13 @@ composition law count(a,b] + count(b,c] = count(a,c] hold exactly, including
 when an endpoint is a root: the sign of a vanishing first chain entry at x is
 replaced by its sign just right of x (which equals the sign of the second
 entry for a squarefree chain).
+
+Every sign at a rational point is decided with integers alone
+(QuadPoly.sign_at, homogeneous Horner on the polynomial's integer form), and
+refine_interval bisects integer numerators over one common denominator that
+doubles at each step, converting back to Fraction only on return.  Squarefree
+parts are memoised on the QuadPoly, so the chain, the isolation and the
+callers share one.
 """
 
 from __future__ import annotations
@@ -24,18 +31,12 @@ NEG_INF = object()
 
 def _content_normalize(p: QuadPoly) -> QuadPoly:
     """Divide by the positive rational content; signs are unchanged."""
-    if p.is_zero():
+    a, b = p.integer_form()
+    g = gcd(*a, *(b or ()))
+    if g == 0:
         return p
-    num = 0
-    den = 1
-    for c in p.coeffs:
-        for part in (c.a, c.b):
-            num = gcd(num, abs(part.numerator))
-            den = den * part.denominator // gcd(den, part.denominator)
-    if num == 0:
-        return p
-    scale = Fraction(den, num)
-    return QuadPoly([c * scale for c in p.coeffs], q=p.q)
+    b = b or [0] * len(a)
+    return QuadPoly([QuadReal(x // g, y // g, p.q) for x, y in zip(a, b)], q=p.q)
 
 
 def _pseudo_rem_neg(a: QuadPoly, b: QuadPoly) -> QuadPoly:
@@ -69,7 +70,7 @@ def _sign_at(p: QuadPoly, x) -> int:
             return 0
         s = p.lc().sign()
         return s if p.degree % 2 == 0 else -s
-    return p.evaluate(x).sign()
+    return p.sign_at(x)
 
 
 def _variations_right(chain: list[QuadPoly], x) -> int:
@@ -152,7 +153,7 @@ def isolate_real_roots(p: QuadPoly) -> list[tuple[Fraction, Fraction, int]]:
             out.append((lo, hi))
             return
         mid = (lo + hi) / 2
-        if sf.evaluate(mid).is_zero():
+        if sf.sign_at(mid) == 0:
             out_mid = (mid, mid)
             left = sturm_count(sf, lo, mid, chain=chain) - 1
             right = sturm_count(sf, mid, hi, chain=chain)
@@ -197,7 +198,7 @@ def _multiplicity(p: QuadPoly, sf: QuadPoly, lo: Fraction, hi: Fraction) -> int:
             return k
         gsf = g.squarefree_part()
         if lo == hi:
-            present = gsf.evaluate(lo).is_zero()
+            present = gsf.sign_at(lo) == 0
         else:
             present = sturm_count(gsf, lo, hi) > 0
         if not present:
@@ -211,30 +212,35 @@ def refine_interval(
     """Shrink an isolating interval (lo, hi] of squarefree p below width."""
     if lo == hi:
         return lo, hi
-    s_hi = p.evaluate(hi).sign()
-    s_lo = p.evaluate(lo).sign()
+    # the bracket is (ln/den, hn/den]; every midpoint doubles den
+    den = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
+    ln = lo.numerator * (den // lo.denominator)
+    hn = hi.numerator * (den // hi.denominator)
+    s_hi = p.sign_at_ratio(hn, den)
     if s_hi == 0:
         # root is exactly hi; keep a tiny bracket for interval evaluation
         return hi, hi
-    if s_lo == 0:
+    if p.sign_at_ratio(ln, den) == 0:
         # root strictly inside (lo, hi]; nudge lo upward off the root
-        step = (hi - lo) / 2
+        step = hn - ln
         while True:
-            cand = lo + step
-            s = p.evaluate(cand).sign()
+            ln, hn, den = 2 * ln, 2 * hn, 2 * den
+            cand = ln + step
+            s = p.sign_at_ratio(cand, den)
             if s == 0:
-                return cand, cand
+                return Fraction(cand, den), Fraction(cand, den)
             if s != s_hi:
-                lo, s_lo = cand, s
+                ln = cand
                 break
-            step /= 2
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        s = p.evaluate(mid).sign()
+    w_num, w_den = width.numerator, width.denominator
+    while (hn - ln) * w_den > w_num * den:
+        mid = ln + hn
+        ln, hn, den = 2 * ln, 2 * hn, 2 * den
+        s = p.sign_at_ratio(mid, den)
         if s == 0:
-            return mid, mid
+            return Fraction(mid, den), Fraction(mid, den)
         if s == s_hi:
-            hi = mid
+            hn = mid
         else:
-            lo = mid
-    return lo, hi
+            ln = mid
+    return Fraction(ln, den), Fraction(hn, den)

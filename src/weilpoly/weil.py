@@ -273,7 +273,8 @@ def real_root_reduction(chi: IntPoly, params: WeilParams) -> RealRootReduction:
                 return RealRootReduction("square_q", factor=lin, quotient=quot)
         return RealRootReduction("no_real_root")
     rq = params.sqrt_q
-    if chi.to_quad(q).evaluate(rq).is_zero() or chi.to_quad(q).evaluate(-rq).is_zero():
+    chi_q = chi.to_quad(q)
+    if chi_q.evaluate(rq).is_zero() or chi_q.evaluate(-rq).is_zero():
         quad = IntPoly([-q, 0, 1])
         quot, rem = chi.divmod_monic(quad * quad)
         if not rem.is_zero():

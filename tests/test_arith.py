@@ -20,6 +20,12 @@ def test_against_brute_force(primitive):
     primes = [n for n in N if brute_prime_factors(n) == [n]]
     if primitive == "is_prime":
         assert [n for n in N if is_prime(n)] == primes
+        # strong pseudoprimes to the leading prime bases, and large primes
+        # that trial division cannot reach in reasonable time
+        for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+            assert not is_prime(n), n
+        assert is_prime(2**61 - 1) and is_prime(10**18 + 9)
+        assert not is_prime((10**9 + 7) * (10**9 + 9))
     elif primitive == "prime_factors":
         for n in N:
             assert prime_factors(n) == brute_prime_factors(n), n
@@ -47,3 +53,6 @@ def test_vp():
     assert vp(-9, 3) == 2
     with pytest.raises(ValueError):
         vp(0, 2)
+    for p in (0, 1, -2):
+        with pytest.raises(ValueError):
+            vp(12, p)

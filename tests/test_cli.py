@@ -1,9 +1,13 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import weilpoly
 from weilpoly.cli import main, parse_poly_input, parse_q, UsageError
 from weilpoly.polynomial import IntPoly
 from weilpoly.weil import WeilParams
@@ -56,8 +60,26 @@ def test_usage_errors_exit_2(capsys):
     assert main(["check-weil", "1,2,3"]) == 2  # no ground field
     assert main(["bounds12", "--q", "2", "--a", "1,2"]) == 2
     assert main(["enumerate", "--degree", "3", "--q", "2"]) == 2
+    assert main(["cross-check", "--degree", "0", "--q", "2"]) == 2
+    assert main(["cross-check", "--degree", "5", "--q", "2"]) == 2
+    assert main(["polygon", "--p", "0", "1,0,1"]) == 2
+    assert main(["polygon", "--p", "4", "1,0,1"]) == 2
     err = capsys.readouterr().err
     assert "error" in err
+
+
+def test_polygon_p_one_exits_2_without_hanging():
+    src = Path(weilpoly.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "weilpoly.cli", "polygon", "--p", "1", "1,0,1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "not a prime" in proc.stderr and not proc.stdout
 
 
 def test_exit_code_negative_verdict(capsys):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +72,29 @@ def test_quadpoly_gcd_and_squarefree():
     sf = p.squarefree_part()
     assert sf.degree == 2
     assert sf.evaluate(1).is_zero() and sf.evaluate(-3).is_zero()
+    # memoised on the instance; the result is its own squarefree part
+    assert p.squarefree_part() is sf
+    assert sf.squarefree_part() is sf
+
+
+small_fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 4, 9, None]),  # non-square, square, no radicand
+    st.lists(st.tuples(small_fractions, small_fractions), min_size=1, max_size=6),
+    small_fractions,
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-30, -1), st.integers(2, 7)),
+)
+def test_sign_at_matches_evaluate(q, parts, root, x_int, x_neg):
+    p = QuadPoly([QuadReal(a, b if q else 0, q) for a, b in parts], q=q)
+    with_root = p * QuadPoly([-root, 1])
+    for poly in (p, with_root):
+        for x in (x_int, x_neg, root, QuadReal(root)):
+            assert poly.sign_at(x) == poly.evaluate(x).sign()
+    assert with_root.sign_at(root) == 0
 
 
 def test_parser_roundtrip():

@@ -87,7 +87,14 @@ def test_isolation_multiplicities():
 
 def test_refine_interval_narrows():
     p = qpoly([-2, 0, 1], q=2).squarefree_part()
-    lo, hi = Fraction(1), Fraction(2)
-    lo2, hi2 = refine_interval(p, lo, hi, Fraction(1, 1 << 30))
-    assert hi2 - lo2 <= Fraction(1, 1 << 30)
-    assert float(lo2) <= 2 ** 0.5 <= float(hi2) + 1e-12
+    for lo, hi in [(Fraction(1), Fraction(2)), (Fraction(1, 3), Fraction(5, 3))]:
+        width = Fraction(1, 1 << 30)
+        lo2, hi2 = refine_interval(p, lo, hi, width)
+        assert type(lo2) is Fraction and type(hi2) is Fraction
+        assert 0 < hi2 - lo2 <= width
+        assert lo2 * lo2 < 2 < hi2 * hi2  # sqrt(2) lies strictly inside
+    # lo = 1 is itself a root, excluded from the half-open bracket (1, 5/2]
+    p3 = qpoly(expand_from_roots([1, 2, 3]))
+    lo2, hi2 = refine_interval(p3, Fraction(1), Fraction(5, 2), Fraction(1, 1 << 20))
+    assert type(lo2) is Fraction and type(hi2) is Fraction
+    assert 1 < lo2 <= 2 <= hi2 and hi2 - lo2 <= Fraction(1, 1 << 20)
