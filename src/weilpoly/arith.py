@@ -1,6 +1,6 @@
-"""Integer primitives shared across the package: primality, prime factors and
-p-adic valuations.  Standard library only and no package imports, so every
-module can depend on it.
+"""Integer primitives shared across the package: primality, prime factors,
+integer roots and p-adic valuations.  Standard library only and no package
+imports, so every module can depend on it.
 """
 
 from __future__ import annotations
@@ -59,6 +59,18 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0 and k >= 1, by integer Newton steps."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def vp(n: int, p: int) -> int:

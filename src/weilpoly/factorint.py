@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt
+from math import isqrt
 
 from .arith import is_prime
 from .errors import ExactnessError
 from .fpoly import PrimeField, factor as fp_factor_raw, fdeg, fgcd, fdiff, ftrim
 from .hensel import hensel_lift_multi, _trunc
-from .polynomial import IntPoly, _mul
+from .polynomial import IntPoly, _div_exact, _mul, _prs_step
 
 
 def _trim(h: list) -> list:
@@ -32,43 +32,15 @@ def _trim(h: list) -> list:
     return h[:n]
 
 
-def _fraction_gcd_poly(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    """Monic gcd over Q on dense Fraction lists."""
-
-    def rem(a, b):
-        a = list(a)
-        db = len(b) - 1
-        inv = 1 / b[-1]
-        while len(a) - 1 >= db and a:
-            c = a[-1] * inv
-            off = len(a) - 1 - db
-            for j in range(db + 1):
-                a[off + j] -= c * b[j]
-            a = _trim(a)
-            if not a:
-                break
-        return a
-
-    a, b = _trim(list(f)), _trim(list(g))
-    while b:
-        a, b = b, rem(a, b)
-    if not a:
-        return a
-    inv = 1 / a[-1]
-    return [c * inv for c in a]
-
-
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Primitive gcd in Z[t] (positive leading coefficient)."""
-    if f.is_zero():
-        return g.primitive()[1] if not g.is_zero() else g
-    if g.is_zero():
-        return f.primitive()[1]
-    h = _fraction_gcd_poly(f.to_fractions(), g.to_fractions())
-    den = 1
-    for c in h:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return IntPoly([int(c * den) for c in h]).primitive()[1]
+    """Primitive gcd in Z[t] (positive leading coefficient), by the
+    primitive pseudo-remainder sequence."""
+    a, b = f.coeffs, g.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _prs_step(a, b)
+    return IntPoly(a).primitive()[1]
 
 
 def squarefree_decomposition(f: IntPoly) -> list[tuple[IntPoly, int]]:
@@ -91,27 +63,10 @@ def squarefree_decomposition(f: IntPoly) -> list[tuple[IntPoly, int]]:
 
 
 def _exact_div(f: IntPoly, g: IntPoly) -> IntPoly:
-    """f / g when the division is exact over Q, result in Z[t]."""
-    fq = f.to_fractions()
-    gq = g.to_fractions()
-    if not gq:
+    """f / g when g divides f in Z[t]; raises ExactnessError otherwise."""
+    if g.is_zero():
         raise ZeroDivisionError
-    quot = [Fraction(0)] * (max(len(fq) - len(gq) + 1, 0))
-    inv = 1 / gq[-1]
-    work = list(fq)
-    for i in range(len(work) - 1, len(gq) - 2, -1):
-        c = work[i]
-        if c == 0:
-            continue
-        c *= inv
-        quot[i - (len(gq) - 1)] = c
-        for j in range(len(gq)):
-            work[i - (len(gq) - 1) + j] -= c * gq[j]
-    if any(w != 0 for w in work):
-        raise ExactnessError("division was not exact")
-    if any(qc.denominator != 1 for qc in quot):
-        raise ExactnessError("exact quotient not integral")
-    return IntPoly([int(qc) for qc in quot])
+    return IntPoly(_div_exact(f.coeffs, g.coeffs))
 
 
 def discriminant(f: IntPoly):

@@ -19,8 +19,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import DomainMismatchError, StructuralError
-from .quadreal import QuadReal
+from .errors import DomainMismatchError, ExactnessError, StructuralError
+from .quadreal import QuadReal, surd_sign
 
 
 def _trim(coeffs: list) -> tuple:
@@ -57,6 +57,71 @@ def _divmod_monic(f, g) -> tuple[list[int], list[int]]:
         for j in range(d + 1):
             rem[i - d + j] -= c * g[j]
     return quot, rem
+
+
+def _div_exact(f, g) -> list[int]:
+    """f / g for integer coefficient sequences when g divides f in Z[x]."""
+    rem = list(f)
+    d = len(g) - 1
+    lc = g[-1]
+    quot = [0] * max(len(rem) - d, 0)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c, r = divmod(rem[i], lc)
+        if r:
+            raise ExactnessError("division was not exact")
+        quot[i - d] = c
+        if c:
+            for j in range(d):
+                rem[i - d + j] -= c * g[j]
+    if any(rem[:d]):
+        raise ExactnessError("division was not exact")
+    return quot
+
+
+def _prs_step(a, b) -> list[int]:
+    """The member after a, b of a primitive pseudo-remainder sequence over Z.
+
+    For trimmed integer coefficient sequences with deg a >= deg b >= 0, this
+    is -prem(a, b) times sign(lc b)^delta, delta = deg a - deg b + 1, so a is
+    scaled by the positive |lc b|^delta, then divided by its positive
+    content.  It is a positive multiple of minus the remainder of a by b, so
+    the sequence started from (p, p') is a Sturm chain, and its last member
+    is gcd(a, b) up to a constant.
+    """
+    lc = b[-1]
+    d = len(b) - 1
+    rem = list(a)
+    for i in range(len(rem) - 1, d - 1, -1):
+        # rem <- lc * rem - rem[i] * x^(i - d) * b, which clears rem[i]
+        c = rem[i]
+        for j in range(i):
+            rem[j] *= lc
+        if c:
+            for j in range(d):
+                rem[i - d + j] -= c * b[j]
+    n = d
+    while n and rem[n - 1] == 0:
+        n -= 1
+    rem = rem[:n]
+    if lc > 0 or (len(a) - d) % 2 == 0:
+        rem = [-x for x in rem]
+    g = gcd(*rem)
+    return [x // g for x in rem] if g > 1 else rem
+
+
+def _variations_right(signs: list[int]) -> int:
+    """Sign variations of a Sturm chain just right of a point, from its signs
+    at the point: a vanishing first member takes the sign of the second,
+    which for a squarefree chain is its sign just right of the point."""
+    if len(signs) > 1 and signs[0] == 0:
+        signs = [signs[1]] + signs[1:]
+    var, prev = 0, 0
+    for s in signs:
+        if s:
+            if prev and s != prev:
+                var += 1
+            prev = s
+    return var
 
 
 def _homogeneous_horner(coeffs, n: int, d: int) -> int:
@@ -375,21 +440,13 @@ class QuadPoly:
         """Exact sign of p(n/d) for integers n and d > 0, in integers alone.
 
         Homogeneous Horner gives d^deg * D * p(n/d) = SA + SB*sqrt(q); the
-        sign of that is settled as in QuadReal.sign.
+        sign of that is settled by surd_sign.
         """
         a, b = self.integer_form()
         sa = _homogeneous_horner(a, n, d)
-        sb = 0 if b is None else _homogeneous_horner(b, n, d)
-        if sb == 0:
+        if b is None:
             return (sa > 0) - (sa < 0)
-        s_b = 1 if sb > 0 else -1
-        if sa == 0:
-            return s_b
-        s_a = 1 if sa > 0 else -1
-        if s_a == s_b:
-            return s_a
-        # opposite signs: sa^2 == sb^2 q would make sqrt(q) rational
-        return s_a if sa * sa > sb * sb * self.q else s_b
+        return surd_sign(sa, _homogeneous_horner(b, n, d), self.q)
 
     def sign_at(self, x) -> int:
         """Exact sign of p(x) for x an int, a Fraction or a QuadReal.

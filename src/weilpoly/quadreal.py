@@ -29,6 +29,22 @@ def is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
+def surd_sign(a: int, b: int, q: int) -> int:
+    """Exact sign of a + b*sqrt(q) for integers a, b and q > 0.
+
+    Zero needs a^2 == q b^2 with a, b of opposite signs, so it only occurs
+    for square q.
+    """
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sa == sb or not sb:
+        return sa
+    if not sa:
+        return sb
+    d = a * a - q * b * b
+    return sa if d > 0 else sb if d < 0 else 0
+
+
 def sqrt_bounds(n: int, bits: int) -> tuple[Fraction, Fraction]:
     """Rational lo <= sqrt(n) <= hi with hi - lo <= 2^-bits."""
     if n < 0:

@@ -1,4 +1,6 @@
-"""Sturm-sequence machinery over Q(sqrt(q)).
+"""Sturm-sequence machinery over Q(sqrt(q)), for the degree-12 bounds and
+real-root isolation.  (The Weil predicate builds its own chain over Z, in
+weil.)
 
 Chains are built with pseudo-remainders scaled by the square of the leading
 coefficient (always a positive factor), so chains of integer polynomials stay
@@ -22,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .polynomial import QuadPoly
+from .polynomial import QuadPoly, _variations_right
 from .quadreal import QuadReal
 
 INF = object()
@@ -73,22 +75,6 @@ def _sign_at(p: QuadPoly, x) -> int:
     return p.sign_at(x)
 
 
-def _variations_right(chain: list[QuadPoly], x) -> int:
-    """Sign variations of the chain just right of x."""
-    signs = [_sign_at(c, x) for c in chain]
-    if signs and signs[0] == 0 and len(signs) > 1:
-        signs[0] = signs[1]
-    prev = 0
-    var = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev != 0 and s != prev:
-            var += 1
-        prev = s
-    return var
-
-
 def sturm_count(p: QuadPoly, lo=NEG_INF, hi=INF, chain: list[QuadPoly] | None = None) -> int:
     """Distinct real roots of p in (lo, hi]; multiplicities collapsed.
 
@@ -98,7 +84,9 @@ def sturm_count(p: QuadPoly, lo=NEG_INF, hi=INF, chain: list[QuadPoly] | None = 
         raise ValueError("sturm_count of the zero polynomial")
     if chain is None:
         chain = sturm_chain(p)
-    return _variations_right(chain, lo) - _variations_right(chain, hi)
+    return _variations_right([_sign_at(c, lo) for c in chain]) - _variations_right(
+        [_sign_at(c, hi) for c in chain]
+    )
 
 
 def all_roots_real_positive(p: QuadPoly) -> bool:

@@ -8,6 +8,13 @@ Real roots of chi itself can only be +-sqrt(q), and the palindromic shape
 forces even multiplicity there, so the verdict records them rather than
 re-deciding them.
 
+The predicate runs over Z.  h is solved from chi's coefficients and
+certified by evaluating t^g * h(t + q/t) = chi at 2g + 1 integer points.  The
+Sturm chain of h is a primitive pseudo-remainder sequence in Z[x].  Its signs
+at +-2 sqrt(q) come from writing each member there as A + B sqrt(q) with
+integers A, B.  The multiplicities of +-sqrt(q) in chi come from exact monic
+division by t^2 - q, or by t -+ sqrt(q) when q is a square.
+
 build_f_ftilde and symmetric_v evaluate the explicit degree-6 coefficient
 transforms used by the genus-6 bound checker; the transform identity
 f(t) = h(2 sqrt(q) - t), ftilde(t) = h(t - 2 sqrt(q)) ties them to the
@@ -19,19 +26,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, isqrt
 
-from .arith import is_prime, prime_factors, vp
+from .arith import iroot, is_prime
 from .errors import ExactnessError, StructuralError
-from .polynomial import IntPoly, QuadPoly
-from .quadreal import QuadReal, is_square
-from .sturm import INF, NEG_INF, sturm_chain, sturm_count
+from .polynomial import (
+    IntPoly,
+    QuadPoly,
+    _div_exact,
+    _divmod_monic,
+    _homogeneous_horner,
+    _prs_step,
+    _variations_right,
+)
+from .quadreal import QuadReal, is_square, surd_sign
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """q = p^n with p prime; raises StructuralError otherwise."""
-    primes = prime_factors(q)
-    if len(primes) != 1:
-        raise StructuralError(f"{q} is not a prime power")
-    return primes[0], vp(q, primes[0])
+    """q = p^n with p prime; raises StructuralError otherwise.
+
+    Tries the exact integer k-th roots of q, largest k first, so no factor
+    search is needed and a large prime q costs one primality test.
+    """
+    for k in range(q.bit_length(), 0, -1):
+        p = iroot(q, k)
+        if p ** k == q and is_prime(p):
+            return p, k
+    raise StructuralError(f"{q} is not a prime power")
 
 
 @dataclass(frozen=True)
@@ -55,10 +74,6 @@ class WeilParams:
     @property
     def q(self) -> int:
         return self.p ** self.n
-
-    @property
-    def sqrt_q(self) -> QuadReal:
-        return QuadReal.sqrt(self.q)
 
 
 @dataclass(frozen=True)
@@ -99,33 +114,52 @@ def companion_poly(chi: IntPoly, params: WeilParams) -> IntPoly:
         for k in range(i + 2, g + 1, 2):
             acc -= c[k] * comb(k, (k - i) // 2) * q ** ((k - i) // 2)
         c[i] = acc
-    h = IntPoly(c)
-    # resubstitution check: t^g * h(t + q/t) == chi, cleared of denominators
-    acc = IntPoly.zero()
-    t2q = IntPoly([q, 0, 1])
-    for k in range(g + 1):
-        term = IntPoly([c[k]]) * t2q ** k
-        acc = acc + term.shift(g - k)
-    if acc != chi:
-        raise ExactnessError("companion reconstruction failed")
-    return h
+    # certificate: t^g * h(t + q/t) = sum c_k (t^2 + q)^k t^(g-k) equals chi.
+    # Both sides have degree <= 2g, so agreement at 2g + 1 points suffices.
+    for t in range(1, 2 * g + 2):
+        if _homogeneous_horner(c, t * t + q, t) != chi.evaluate(t):
+            raise ExactnessError("companion reconstruction failed")
+    return IntPoly(c)
 
 
-def real_root_multiplicity(chi: IntPoly, params: WeilParams, sign: int) -> int:
-    """Multiplicity of sign*sqrt(q) as a root of chi (0 if not a root)."""
-    root = params.sqrt_q * sign
-    m = 0
-    cur = chi.to_quad(None if root.is_rational() else params.q)
-    lin = QuadPoly([-root, QuadReal(1)], q=cur.q)
-    while not cur.evaluate(root).sign():
-        quot, rem = cur.divmod(lin)
-        if not rem.is_zero():
-            raise ExactnessError("exact division by known root factor failed")
-        cur = quot
-        m += 1
-        if cur.degree < 0 or cur.is_zero():
-            break
-    return m
+def _sturm_chain(h: IntPoly) -> list[list[int]]:
+    """Sturm chain of the squarefree part of h in Z[x].
+
+    The primitive PRS of (h, h') ends in the primitive gcd(h, h').  When h
+    has repeated roots every member is divided by it, which leaves a Sturm
+    chain of h / gcd(h, h'): its second member has the sign of the
+    derivative of the first at each root of the first.
+    """
+    chain = [list(h.coeffs)]
+    nxt = list(h.derivative().primitive()[1].coeffs)
+    while nxt:
+        chain.append(nxt)
+        nxt = _prs_step(chain[-2], nxt) if len(nxt) > 1 else []
+    g = chain[-1]
+    if len(g) > 1:
+        if g[-1] < 0:
+            g = [-x for x in g]
+        chain = [_div_exact(p, g) for p in chain]
+    return chain
+
+
+def _real_root_divisors(q: int) -> list[tuple[tuple[int, ...], IntPoly]]:
+    """The monic integer factors carrying the roots +-sqrt(q), each with the
+    signs of the roots it carries: t -+ sqrt(q) for square q, else t^2 - q."""
+    if is_square(q):
+        r = isqrt(q)
+        return [((1,), IntPoly([-r, 1])), ((-1,), IntPoly([r, 1]))]
+    return [((1, -1), IntPoly([-q, 0, 1]))]
+
+
+def _multiplicity(chi: IntPoly, factor: IntPoly) -> int:
+    """How often the monic factor divides chi, by exact division over Z."""
+    m, cur = 0, chi.coeffs
+    while True:
+        quot, rem = _divmod_monic(cur, factor.coeffs)
+        if any(rem):
+            return m
+        m, cur = m + 1, quot
 
 
 def is_weil(chi: IntPoly, params: WeilParams) -> WeilVerdict:
@@ -134,28 +168,34 @@ def is_weil(chi: IntPoly, params: WeilParams) -> WeilVerdict:
         return WeilVerdict(False, (), None, reason="not symmetric")
     h = companion_poly(chi, params)
     q = params.q
-    hq = h.to_quad(q if not is_square(q) else None)
-    sf = hq.squarefree_part()
-    chain = sturm_chain(sf)
-    n_real = sturm_count(sf, NEG_INF, INF, chain=chain)
+    chain = _sturm_chain(h)
+    at_inf = [1 if p[-1] > 0 else -1 for p in chain]
+    at_neg_inf = [s if len(p) % 2 else -s for s, p in zip(at_inf, chain)]
+    v_neg_inf = _variations_right(at_neg_inf)
+    v_inf = _variations_right(at_inf)
     verdict = True
     reason = ""
-    if n_real != sf.degree:
+    if v_neg_inf - v_inf != len(chain[0]) - 1:
         verdict, reason = False, "companion has non-real roots"
     else:
-        two_rq = QuadReal.sqrt(q) * 2
+        # p(+-2 sqrt q) = E +- 2 O sqrt q, with E and O the even and odd
+        # parts of p evaluated at 4q
+        at_hi, at_lo = [], []
+        for p in chain:
+            e = _homogeneous_horner(p[0::2], 4 * q, 1)
+            o = 2 * _homogeneous_horner(p[1::2], 4 * q, 1)
+            at_hi.append(surd_sign(e, o, q))
+            at_lo.append(surd_sign(e, -o, q))
         # roots of h strictly outside [-2 sqrt q, 2 sqrt q]
-        high = sturm_count(sf, two_rq, INF, chain=chain)
-        low = sturm_count(sf, NEG_INF, -two_rq, chain=chain)
-        if sf.evaluate(-two_rq).is_zero():
-            low -= 1
+        high = _variations_right(at_hi) - v_inf
+        low = v_neg_inf - _variations_right(at_lo) - (at_lo[0] == 0)
         if high or low:
             verdict, reason = False, "companion root outside [-2 sqrt(q), 2 sqrt(q)]"
     roots = []
-    for sign in (1, -1):
-        m = real_root_multiplicity(chi, params, sign)
+    for signs, factor in _real_root_divisors(q):
+        m = _multiplicity(chi, factor)
         if m:
-            roots.append((sign, m))
+            roots += [(sign, m) for sign in signs]
             if m % 2 != 0:
                 verdict, reason = False, "odd multiplicity at a real root"
     return WeilVerdict(verdict, tuple(roots), h, reason=reason)
@@ -259,27 +299,13 @@ def real_root_reduction(chi: IntPoly, params: WeilParams) -> RealRootReduction:
         raise StructuralError("real_root_reduction expects degree 12")
     if not check_symmetry(chi, params):
         raise StructuralError("real_root_reduction expects a symmetric input")
-    q = params.q
-    if is_square(q):
-        m = isqrt(q)
-        for sign in (1, -1):
-            if chi.evaluate(sign * m) == 0:
-                lin = IntPoly([-sign * m, 1])
-                quot, rem = chi.divmod_monic(lin * lin)
-                if not rem.is_zero():
-                    raise ExactnessError(
-                        "odd multiplicity at a real root of a symmetric polynomial"
-                    )
-                return RealRootReduction("square_q", factor=lin, quotient=quot)
-        return RealRootReduction("no_real_root")
-    rq = params.sqrt_q
-    chi_q = chi.to_quad(q)
-    if chi_q.evaluate(rq).is_zero() or chi_q.evaluate(-rq).is_zero():
-        quad = IntPoly([-q, 0, 1])
-        quot, rem = chi.divmod_monic(quad * quad)
-        if not rem.is_zero():
-            raise ExactnessError(
-                "odd multiplicity at a real root of a symmetric polynomial"
-            )
-        return RealRootReduction("non_square_q", factor=quad, quotient=quot)
+    for signs, factor in _real_root_divisors(params.q):
+        if _multiplicity(chi, factor):
+            quot, rem = chi.divmod_monic(factor * factor)
+            if not rem.is_zero():
+                raise ExactnessError(
+                    "odd multiplicity at a real root of a symmetric polynomial"
+                )
+            kind = "square_q" if len(signs) == 1 else "non_square_q"
+            return RealRootReduction(kind, factor=factor, quotient=quot)
     return RealRootReduction("no_real_root")

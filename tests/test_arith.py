@@ -1,6 +1,6 @@
 import pytest
 
-from weilpoly.arith import is_prime, prime_factors, vp
+from weilpoly.arith import iroot, is_prime, prime_factors, vp
 from weilpoly.errors import StructuralError
 from weilpoly.weil import factor_prime_power
 
@@ -56,3 +56,29 @@ def test_vp():
     for p in (0, 1, -2):
         with pytest.raises(ValueError):
             vp(12, p)
+
+
+def test_iroot():
+    for n in range(3000):
+        for k in range(1, 14):
+            r = iroot(n, k)
+            assert r ** k <= n < (r + 1) ** k, (n, k)
+    for n in (2**61 - 1, (2**61 - 1) ** 2, 3**200, 3**200 - 1, 10**50 + 1):
+        for k in (1, 2, 3, 7, 40, 200):
+            r = iroot(n, k)
+            assert r ** k <= n < (r + 1) ** k, (n, k)
+
+
+def test_factor_prime_power_agrees_with_prime_factors():
+    for q in range(2, 5001):
+        ps = prime_factors(q)
+        if len(ps) == 1:
+            assert factor_prime_power(q) == (ps[0], vp(q, ps[0])), q
+        else:
+            with pytest.raises(StructuralError):
+                factor_prime_power(q)
+    big = 2**61 - 1
+    assert factor_prime_power(big) == (big, 1)
+    assert factor_prime_power(big**3) == (big, 3)
+    with pytest.raises(StructuralError):
+        factor_prime_power(big * 3)

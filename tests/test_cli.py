@@ -82,6 +82,23 @@ def test_polygon_p_one_exits_2_without_hanging():
     assert "not a prime" in proc.stderr and not proc.stdout
 
 
+@pytest.mark.parametrize("power", [1, 2])
+def test_large_prime_q_answers_without_hanging(power):
+    q = (2**61 - 1) ** power
+    src = Path(weilpoly.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "weilpoly.cli", "check-weil", "--q", str(q), f"{q},0,1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["q"] == q and doc["is_weil"] is True
+
+
 def test_exit_code_negative_verdict(capsys):
     assert main(["check-weil", "--q", "2", "2,3,1"]) == 1
     capsys.readouterr()

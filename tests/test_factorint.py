@@ -1,4 +1,5 @@
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,3 +90,30 @@ def test_random_factorizations_verify(coeffs):
     assert back == f
     for g, _ in fac:
         assert g.degree >= 1
+
+
+small_polys = st.lists(st.integers(-6, 6), min_size=1, max_size=5).map(IntPoly)
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=small_polys, b=small_polys, c=small_polys)
+def test_poly_gcd_divides_and_matches_sympy(a, b, c):
+    sympy = pytest.importorskip("sympy")
+    f, g = a * c, b * c
+    d = poly_gcd(f, g)
+    x = sympy.Symbol("x")
+
+    def expr(p):
+        return sum(coef * x**i for i, coef in enumerate(p.coeffs))
+
+    if f.is_zero() and g.is_zero():
+        assert d.is_zero()
+        return
+    assert d.lc() > 0 and d.content() == 1
+    for p in (f, g):
+        assert sympy.rem(expr(p), expr(d), x) == 0
+    ref = sympy.Poly(sympy.gcd(expr(f), expr(g)), x)
+    _, ref_primitive = ref.primitive()
+    if ref_primitive.LC() < 0:
+        ref_primitive = -ref_primitive
+    assert sympy.Poly(expr(d), x) == ref_primitive

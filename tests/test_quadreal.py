@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weilpoly.errors import DomainMismatchError
-from weilpoly.quadreal import QuadReal, sign_with_radical, sqrt_bounds
+from weilpoly.quadreal import QuadReal, sign_with_radical, sqrt_bounds, surd_sign
 
 
 def test_arithmetic_example():
@@ -111,3 +111,16 @@ def test_interval_encloses_value():
     assert lo <= Fraction(float(v)) + Fraction(1, 10**6)
     assert hi - lo <= Fraction(2, 7) * Fraction(1, 2 ** 50) * 2
     assert float(lo) <= float(v) <= float(hi)
+
+
+def test_surd_sign_exact():
+    for q in (2, 3, 4, 8, 9, 25):
+        r = math.isqrt(q)
+        for a in range(-12, 13):
+            for b in range(-6, 7):
+                if r * r == q:
+                    v = a + b * r
+                    expected = (v > 0) - (v < 0)
+                else:
+                    expected = QuadReal(a, b, q).sign()
+                assert surd_sign(a, b, q) == expected, (a, b, q)

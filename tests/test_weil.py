@@ -1,4 +1,5 @@
 import itertools
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -111,15 +112,69 @@ def test_transform_identity(a, q):
     assert hq.compose_linear(QuadReal(1), -two) == ft
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    a=st.tuples(st.integers(-8, 8), st.integers(-12, 12)),
-    q=st.sampled_from([2, 3, 5]),
-)
-def test_is_weil_agrees_with_factor_oracle(a, q):
+@st.composite
+def symmetric_inputs(draw):
+    """A symmetric chi of degree 2..8, sometimes times a factor with the real
+    roots +-sqrt(q) (so its companion has roots at +-2 sqrt(q))."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 8, 9, 25]))
     P = WeilParams.from_q(q)
-    chi = chi_from_a(a, P)
+    r = isqrt(q)
+    extras = [IntPoly([1]), IntPoly([-q, 0, 1]) ** 2]
+    if r * r == q:
+        extras += [IntPoly([-r, 1]) ** 2, IntPoly([r, 1]) ** 2]
+    extra = draw(st.sampled_from(extras))
+    g = draw(st.integers(1, 4 - extra.degree // 2))
+    # |a_i| <= C(2g, i) q^(i/2) holds for every Weil polynomial; go a bit past it
+    a = tuple(
+        draw(st.integers(-(comb(2 * g, i) * isqrt(q**i) + 2), comb(2 * g, i) * isqrt(q**i) + 2))
+        for i in range(1, g + 1)
+    )
+    return chi_from_a(a, P) * extra, P
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=symmetric_inputs())
+def test_is_weil_agrees_with_factor_oracle(case):
+    chi, P = case
     assert is_weil(chi, P).is_weil == weil_oracle(chi, P)
+
+
+def _t2q(q):
+    return IntPoly([-q, 0, 1])
+
+
+@pytest.mark.parametrize(
+    "chi, q, expected",
+    [
+        # h = x^2 - 4q: companion roots exactly at +-2 sqrt(q)
+        (_t2q(2) ** 2, 2, (True, ((1, 2), (-1, 2)), [-8, 0, 1], "")),
+        (_t2q(9) ** 2, 9, (True, ((1, 2), (-1, 2)), [-36, 0, 1], "")),
+        # repeated companion roots at +-2 sqrt(q)
+        (_t2q(2) ** 4, 2, (True, ((1, 4), (-1, 4)), [64, 0, -16, 0, 1], "")),
+        (_t2q(4) ** 4, 4, (True, ((1, 4), (-1, 4)), [256, 0, -32, 0, 1], "")),
+        # t^2 - q is not of the palindromic shape (its constant term is -q,
+        # not q), so it stops at the symmetry test.  A symmetric input always
+        # has even multiplicity at +sqrt(q): under t -> q/t the factor
+        # t - sqrt(q) picks up the sign -1 and t + sqrt(q) picks up +1.
+        (_t2q(3), 3, (False, (), None, "not symmetric")),
+        (_t2q(4), 4, (False, (), None, "not symmetric")),
+        # square q = r^2
+        (IntPoly([-2, 1]) ** 4, 4, (True, ((1, 4),), [16, -8, 1], "")),
+        (IntPoly([3, 1]) ** 2, 9, (True, ((-1, 2),), [6, 1], "")),
+        # companion t + 3: its root -3 lies just below -2 sqrt(2)
+        (IntPoly([2, 3, 1]), 2, (False, (), [3, 1], "companion root outside [-2 sqrt(q), 2 sqrt(q)]")),
+        # companion t^2 - 13: roots +-sqrt(13), just outside +-sqrt(8)
+        (IntPoly([4, 0, -9, 0, 1]), 2, (False, (), [-13, 0, 1], "companion root outside [-2 sqrt(q), 2 sqrt(q)]")),
+        # companion t^2 + t + 1 has non-real roots
+        (IntPoly([4, 2, 5, 1, 1]), 2, (False, (), [1, 1, 1], "companion has non-real roots")),
+    ],
+)
+def test_is_weil_verdict_table(chi, q, expected):
+    P = WeilParams.from_q(q)
+    assert check_symmetry(chi, P) == (expected[3] != "not symmetric")
+    v = is_weil(chi, P)
+    companion = None if v.companion is None else list(v.companion.coeffs)
+    assert (v.is_weil, v.real_roots, companion, v.reason) == expected
 
 
 def test_is_weil_implies_symmetry():
