@@ -13,21 +13,18 @@ _MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality: deterministic Miller-Rabin below 3.3 * 10^24, trial
-    division above."""
+    """Exact primality by deterministic Miller-Rabin below 3.3 * 10^24.
+
+    Above that bound the same 13 rounds run first, and a witness proves n
+    composite at once; a number that passes them all is confirmed by trial
+    division, so a true prime above the bound is still slow.
+    """
     if n < 2:
         return False
     for b in _MR_BASES:
         if n % b == 0:
             return n == b
     if n < 43 * 43:
-        return True
-    if n >= _MR_EXACT_BELOW:
-        d = 43
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
         return True
     d, s = n - 1, 0
     while d % 2 == 0:
@@ -43,6 +40,13 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n < _MR_EXACT_BELOW:
+        return True
+    d = 43
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
     return True
 
 

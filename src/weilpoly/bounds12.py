@@ -13,11 +13,15 @@ r_4 come from evaluating g' at the three real roots of the depressed cubic
 w^3 + u2*w + u3 (the value set S reduces to -u2*w^2 - 3*u3*w there), and the
 bounds on r_5 from evaluating g minus its constant term at the four real
 roots of the depressed quartic z^4 + 2*u2*z^2 + 4*u3*z + u4 shifted by
--g1/5.  Those roots are isolated exactly (Sturm bisection) and every
-comparison runs an exact equality screen (gcd with the level set) before
-certified interval refinement, so a verdict is Indeterminate only at the
-precision cap, never silently wrong.  Reality of the cubic/quartic roots is
-itself necessary and failures are reported as structured Fails.
+-g1/5.  Those roots are isolated exactly (Sturm bisection).  Comparing a
+value at a root w with a target c builds the level polynomial value - c once;
+then, doubling the precision from START_BITS to MAX_BITS, it refines w's
+bracket and takes one integer enclosure of the level over it
+(intervals.eval_poly_interval) until the enclosure excludes zero.  The first
+undecided step runs an exact equality screen (gcd of the level with w's
+defining polynomial), so a verdict is Indeterminate only at the precision
+cap, never silently wrong.  Reality of the cubic/quartic roots is itself
+necessary and failures are reported as structured Fails.
 
 The sorted-value trick: the lower bound on r_4 uses the smallest of the
 three candidate values and the upper bound the middle one, which is
@@ -33,7 +37,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import PrecisionExhausted
-from .intervals import RInt, eval_poly_interval
+from .intervals import eval_poly_interval
 from .polynomial import QuadPoly
 from .quadreal import QuadReal, sign_with_radical
 from .sturm import isolate_real_roots, refine_interval, sturm_count
@@ -105,34 +109,35 @@ class CertifiedReal:
         self.bracket = (Fraction(bracket[0]), Fraction(bracket[1]))
         self.value_poly = value_poly
 
-    def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
+    def _refined(self, bits: int) -> tuple[Fraction, Fraction]:
+        """The bracket, refined to width 2^-bits unless it is a point."""
         lo, hi = self.bracket
-        lo, hi = refine_interval(self.defining, lo, hi, Fraction(1, 1 << bits))
-        self.bracket = (lo, hi)
-        coeffs = [RInt.of_quadreal(c, bits) for c in self.value_poly.coeffs]
-        box = eval_poly_interval(coeffs, RInt(lo, hi))
-        return box.lo, box.hi
+        if lo != hi:
+            lo, hi = refine_interval(self.defining, lo, hi, Fraction(1, 1 << bits))
+            self.bracket = (lo, hi)
+        return lo, hi
+
+    def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
+        """Refine to width 2^-bits and enclose value_poly(w)."""
+        return eval_poly_interval(self.value_poly, *self._refined(bits), bits)
 
     def compare(self, c: QuadReal) -> int:
         """Exact sign of value_poly(w) - c; raises PrecisionExhausted at the cap."""
+        f = self.value_poly
+        level = QuadPoly([f[0] - c, *f.coeffs[1:]], q=f.q)  # value_poly - c
         screened = False
         bits = START_BITS
         while bits <= MAX_BITS:
-            lo, hi = self.bracket
+            lo, hi = self._refined(bits)
             if lo == hi:  # the root is exactly rational
-                return (self.value_poly.evaluate(lo) - c).sign()
-            blo, bhi = self.enclosure(bits)
-            lo, hi = self.bracket  # refinement may have degenerated it
-            if lo == hi:
-                return (self.value_poly.evaluate(lo) - c).sign()
-            clo, chi = c.interval(bits)
-            if blo > chi:
+                return level.sign_at(lo)
+            elo, ehi = eval_poly_interval(level, lo, hi, bits)
+            if elo > 0:
                 return 1
-            if bhi < clo:
+            if ehi < 0:
                 return -1
             if not screened:
                 # undecided at first refinement: rule exact equality in or out
-                level = self.value_poly - QuadPoly([c], q=self.value_poly.q)
                 g = self.defining.gcd(level)
                 if g.degree > 0 and sturm_count(g, lo, hi) > 0:
                     return 0

@@ -206,9 +206,12 @@ def _parse_box(text: str, g: int):
         if not sep:
             raise UsageError(f"box range {part!r} must be lo:hi")
         try:
-            out.append((int(lo), int(hi)))
+            lo, hi = int(lo), int(hi)
         except ValueError:
             raise UsageError(f"bad box range {part!r}") from None
+        if lo > hi:
+            raise UsageError(f"box range {part!r} has lo > hi")
+        out.append((lo, hi))
     if len(out) == 1:
         out = out * g
     if len(out) != g:
@@ -239,9 +242,12 @@ def cmd_enumerate(args) -> int:
         irreducible_only="irreducible" in filters,
         no_real_roots="no-real-roots" in filters,
     )
-    rows = list(enumerate_weil(spec))
-    out = sys.stdout if not args.out else open(args.out, "w")
     try:
+        out = open(args.out, "w") if args.out else sys.stdout
+    except OSError as exc:
+        raise UsageError(f"cannot open --out {args.out!r}: {exc.strerror}") from None
+    try:
+        rows = list(enumerate_weil(spec))
         if args.format == "csv":
             header = ",".join(f"a{i}" for i in range(1, g + 1)) + ",is_weil"
             out.write(header + "\n")

@@ -1,73 +1,50 @@
-"""Rational-endpoint interval arithmetic.
+"""Integer enclosures of a QuadPoly over a rational bracket.
 
-Endpoints are Fractions, so all operations are exact; "precision" only
-enters when converting irrational QuadReal values to an enclosure.  This is
-the evaluation backend for certified comparisons of algebraic quantities.
+eval_poly_interval runs interval Horner on the polynomial's integer form
+(coeffs[i] = (A[i] + B[i]*sqrt(q)) / D) at the homogeneous integer numerators
+of the bracket, so every step is an integer product and sum; the B part is
+scaled by one integer sqrt(q) bracket of 2^-bits width.  Only the two
+endpoints of the result are Fractions.  This is the evaluation backend for
+bounds12's certified comparisons.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .quadreal import QuadReal
+from .polynomial import QuadPoly, _common_numerators
+from .quadreal import sqrt_bracket
 
 
-class RInt:
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo, hi=None):
-        if hi is None:
-            hi = lo
-        lo = Fraction(lo)
-        hi = Fraction(hi)
-        if lo > hi:
-            raise ValueError("inverted interval")
-        self.lo = lo
-        self.hi = hi
-
-    @staticmethod
-    def of_quadreal(x: QuadReal, bits: int) -> "RInt":
-        lo, hi = x.interval(bits)
-        return RInt(lo, hi)
-
-    def __add__(self, other: "RInt") -> "RInt":
-        return RInt(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "RInt") -> "RInt":
-        return RInt(self.lo - other.hi, self.hi - other.lo)
-
-    def __neg__(self) -> "RInt":
-        return RInt(-self.hi, -self.lo)
-
-    def __mul__(self, other: "RInt") -> "RInt":
-        cands = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return RInt(min(cands), max(cands))
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def sign(self) -> int | None:
-        """Certain sign, or None if the interval straddles zero."""
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        if self.lo == 0 and self.hi == 0:
-            return 0
-        return None
-
-    def __repr__(self):
-        return f"RInt({self.lo}, {self.hi})"
+def _horner_box(coeffs: list[int], ln: int, hn: int, den: int) -> tuple[int, int]:
+    """Integer bounds on den^deg * f(x) over ln/den <= x <= hn/den."""
+    lo = hi = coeffs[-1]
+    dpow = 1
+    for c in reversed(coeffs[:-1]):
+        dpow *= den
+        prods = (lo * ln, lo * hn, hi * ln, hi * hn)
+        lo = min(prods) + c * dpow
+        hi = max(prods) + c * dpow
+    return lo, hi
 
 
-def eval_poly_interval(coeffs: list[RInt], x: RInt) -> RInt:
-    """Interval Horner evaluation."""
-    acc = RInt(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def eval_poly_interval(
+    p: QuadPoly, lo: Fraction, hi: Fraction, bits: int
+) -> tuple[Fraction, Fraction]:
+    """Rational (elo, ehi) with elo <= p(x) <= ehi for every x in [lo, hi].
+
+    The enclosure only tightens as bits grows or the bracket shrinks.
+    """
+    if p.is_zero():
+        return Fraction(0), Fraction(0)
+    a, b, d = p.integer_form()
+    ln, hn, den = _common_numerators(lo, hi)
+    elo, ehi = _horner_box(a, ln, hn, den)
+    scale = d * den ** p.degree
+    if b is not None:
+        s, t = sqrt_bracket(p.q, bits)
+        blo, bhi = _horner_box(b, ln, hn, den)
+        elo = (elo << bits) + min(blo * s, blo * t)
+        ehi = (ehi << bits) + max(bhi * s, bhi * t)
+        scale <<= bits
+    return Fraction(elo, scale), Fraction(ehi, scale)

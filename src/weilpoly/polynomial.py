@@ -16,7 +16,7 @@ homogeneous integer Horner on it.  squarefree_part is memoised on the
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DomainMismatchError, ExactnessError, StructuralError
@@ -122,6 +122,12 @@ def _variations_right(signs: list[int]) -> int:
                 var += 1
             prev = s
     return var
+
+
+def _common_numerators(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """(ln, hn, den) with lo = ln/den and hi = hn/den over the least common den."""
+    den = lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
 
 
 def _homogeneous_horner(coeffs, n: int, d: int) -> int:
@@ -410,7 +416,7 @@ class QuadPoly:
             x = x.a
         if not isinstance(x, QuadReal):
             # rational point: run the two Fraction Horner chains directly,
-            # avoiding per-step QuadReal boxing (hot path for Sturm counts)
+            # avoiding per-step QuadReal boxing
             xf = Fraction(x)
             a_acc = Fraction(0)
             b_acc = Fraction(0)
@@ -423,17 +429,17 @@ class QuadPoly:
             acc = acc * x + c
         return acc
 
-    def integer_form(self) -> tuple[list[int], list[int] | None]:
-        """(A, B) with coeffs[i] = (A[i] + B[i]*sqrt(q)) / D for one D > 0;
+    def integer_form(self) -> tuple[list[int], list[int] | None, int]:
+        """(A, B, D) with coeffs[i] = (A[i] + B[i]*sqrt(q)) / D and D > 0;
         B is None when every coefficient is rational."""
         if self._int is None:
             den = 1
             for c in self.coeffs:
                 for part in (c.a, c.b):
-                    den = den * part.denominator // gcd(den, part.denominator)
+                    den = lcm(den, part.denominator)
             a = [c.a.numerator * (den // c.a.denominator) for c in self.coeffs]
             b = [c.b.numerator * (den // c.b.denominator) for c in self.coeffs]
-            object.__setattr__(self, "_int", (a, b if any(b) else None))
+            object.__setattr__(self, "_int", (a, b if any(b) else None, den))
         return self._int
 
     def sign_at_ratio(self, n: int, d: int) -> int:
@@ -442,7 +448,7 @@ class QuadPoly:
         Homogeneous Horner gives d^deg * D * p(n/d) = SA + SB*sqrt(q); the
         sign of that is settled by surd_sign.
         """
-        a, b = self.integer_form()
+        a, b, _ = self.integer_form()
         sa = _homogeneous_horner(a, n, d)
         if b is None:
             return (sa > 0) - (sa < 0)

@@ -29,11 +29,12 @@ def is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
-def surd_sign(a: int, b: int, q: int) -> int:
+def surd_sign(a, b, q) -> int:
     """Exact sign of a + b*sqrt(q) for integers a, b and q > 0.
 
     Zero needs a^2 == q b^2 with a, b of opposite signs, so it only occurs
-    for square q.
+    for square q; q is read only then.  The case analysis uses nothing but
+    ordered-ring operations, so sign_with_radical passes QuadReal values.
     """
     sa = (a > 0) - (a < 0)
     sb = (b > 0) - (b < 0)
@@ -45,15 +46,20 @@ def surd_sign(a: int, b: int, q: int) -> int:
     return sa if d > 0 else sb if d < 0 else 0
 
 
-def sqrt_bounds(n: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(n) <= hi with hi - lo <= 2^-bits."""
+def sqrt_bracket(n: int, bits: int) -> tuple[int, int]:
+    """Integers s <= t with s <= 2^bits * sqrt(n) <= t and t - s <= 1; s == t
+    exactly when 2^bits * sqrt(n) is an integer."""
     if n < 0:
         raise ValueError("negative radicand")
-    scale = 1 << bits
-    s = isqrt(n * scale * scale)
-    lo = Fraction(s, scale)
-    hi = lo if s * s == n * scale * scale else Fraction(s + 1, scale)
-    return lo, hi
+    m = n << (2 * bits)
+    s = isqrt(m)
+    return s, s if s * s == m else s + 1
+
+
+def sqrt_bounds(n: int, bits: int) -> tuple[Fraction, Fraction]:
+    """Rational lo <= sqrt(n) <= hi with hi - lo <= 2^-bits."""
+    s, t = sqrt_bracket(n, bits)
+    return Fraction(s, 1 << bits), Fraction(t, 1 << bits)
 
 
 class QuadReal:
@@ -180,20 +186,9 @@ class QuadReal:
         return self.a
 
     def sign(self) -> int:
+        # a + b sqrt(q) times the positive product of the two denominators
         a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        sa = 1 if a > 0 else -1
-        sb = 1 if b > 0 else -1
-        if sa == sb:
-            return sa
-        # opposite signs: |a| vs |b| sqrt(q); a^2 == b^2 q would force sqrt(q) rational
-        lhs, rhs = a * a, b * b * self.q
-        if lhs == rhs:  # pragma: no cover - unreachable after square folding
-            raise ArithmeticError("non-square radicand produced a rational square root")
-        return sa if lhs > rhs else sb
+        return surd_sign(a.numerator * b.denominator, b.numerator * a.denominator, self.q)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -265,17 +260,6 @@ def sign_with_radical(base: QuadReal, coeff: QuadReal, radicand: QuadReal) -> in
     """
     if radicand.sign() < 0:
         raise ValueError("negative radicand")
-    if radicand.is_zero() or coeff.is_zero():
+    if radicand.is_zero():
         return base.sign()
-    sb = base.sign()
-    sc = coeff.sign()
-    if sb == 0:
-        return sc
-    if sb == sc:
-        return sb
-    lhs = base * base
-    rhs = coeff * coeff * radicand
-    d = (lhs - rhs).sign()
-    if d == 0:
-        return 0
-    return sb if d > 0 else sc
+    return surd_sign(base, coeff, radicand)

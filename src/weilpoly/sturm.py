@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .polynomial import QuadPoly, _variations_right
+from .polynomial import QuadPoly, _common_numerators, _variations_right
 from .quadreal import QuadReal
 
 INF = object()
@@ -33,7 +33,7 @@ NEG_INF = object()
 
 def _content_normalize(p: QuadPoly) -> QuadPoly:
     """Divide by the positive rational content; signs are unchanged."""
-    a, b = p.integer_form()
+    a, b, _ = p.integer_form()
     g = gcd(*a, *(b or ()))
     if g == 0:
         return p
@@ -201,9 +201,7 @@ def refine_interval(
     if lo == hi:
         return lo, hi
     # the bracket is (ln/den, hn/den]; every midpoint doubles den
-    den = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
-    ln = lo.numerator * (den // lo.denominator)
-    hn = hi.numerator * (den // hi.denominator)
+    ln, hn, den = _common_numerators(lo, hi)
     s_hi = p.sign_at_ratio(hn, den)
     if s_hi == 0:
         # root is exactly hi; keep a tiny bracket for interval evaluation

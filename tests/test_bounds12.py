@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from weilpoly import bounds12
 from weilpoly.bounds12 import (
     Status,
     corollary_bounds,
@@ -9,6 +12,8 @@ from weilpoly.bounds12 import (
     trivial_bounds,
 )
 from weilpoly.census import sample_weil12_no_real_roots
+from weilpoly.cli import main
+from weilpoly.quadreal import QuadReal
 from weilpoly.weil import WeilParams
 
 from conftest import r_vector_from_roots
@@ -100,6 +105,58 @@ def test_corollary_item9_value():
     # q = 2: |a_6| < 7392
     assert "9" in corollary_bounds((0, 0, 0, 0, 0, 7392), P2).failures
     assert "9" not in corollary_bounds((0, 0, 0, 0, 0, 7391), P2).failures
+
+
+NONREAL_QUARTIC = "critical points of g are not all real"
+
+# (q, a, failing conditions, note of condition 8).  Conditions 6 and 8 are
+# decided by certified comparisons here (real critical points), except where
+# the note says the quartic has non-real roots.
+COROLLARY_TABLE = [
+    (5, (-5, 23, -60, 193, -456, 1246), [], ""),
+    (2, (-5, 19, -49, 108, -192, 296), ["8"], ""),
+    (3, (3, -6, -28, -22, -26, 126), ["7", "8"], ""),
+    (2, (1, 6, 5, 9, 14, 14), ["6", "8"], NONREAL_QUARTIC),
+    (2, (3, 10, 18, 28, 48, 80), ["6", "8"], NONREAL_QUARTIC),
+]
+
+
+@pytest.mark.parametrize("q, a, failing, note8", COROLLARY_TABLE)
+def test_corollary_table(q, a, failing, note8):
+    rep = corollary_bounds(a, WeilParams.from_q(q))
+    assert rep.failures == failing and not rep.indeterminates
+    notes = {c.cond: c.note for c in rep.conditions}
+    assert notes == {**{str(i): "" for i in range(1, 10)}, "8": note8}
+
+
+S2 = QuadReal.sqrt(2)
+# roots 1..5 and 3 + sqrt(2): irrational coefficients, so conditions 4 and 5
+# are decided on enclosures that carry a sqrt(2) part
+IRRATIONAL_R = [-18 - S2, 130 + 15 * S2, -480 - 85 * S2, 949 + 225 * S2, -942 - 274 * S2, 360 + 120 * S2]
+
+
+@pytest.mark.parametrize(
+    "index, shift, status5",
+    [(None, 0, Status.PASS), (3, 1, Status.FAIL), (4, -1, Status.PASS), (4, 5, Status.FAIL)],
+)
+def test_lemma_irrational_coefficients(index, shift, status5):
+    r = list(IRRATIONAL_R)
+    if index is not None:
+        r[index] = r[index] + shift * S2
+    rep = lemma_check(r)
+    assert [c.status for c in rep.conditions[:4]] == [Status.PASS] * 4
+    assert rep.conditions[4].status is status5 and rep.conditions[4].note == ""
+
+
+def test_precision_cap_is_indeterminate(monkeypatch, capsys):
+    monkeypatch.setattr(bounds12, "MAX_BITS", bounds12.START_BITS // 2)
+    q, a = COROLLARY_TABLE[0][:2]
+    rep = corollary_bounds(a, WeilParams.from_q(q))
+    assert rep.indeterminates == ["6", "8"] and not rep.failures
+    cap_note = f"comparison undecided at {bounds12.MAX_BITS} bits (value straddles the target)"
+    assert {c.note for c in rep.conditions if c.cond in ("6", "8")} == {cap_note}
+    assert main(["bounds12", "--q", str(q), "--a", ",".join(map(str, a))]) == 3
+    assert '"status": "indeterminate"' in capsys.readouterr().out
 
 
 def test_corollary_necessity_sampled():

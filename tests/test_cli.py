@@ -55,7 +55,7 @@ def test_parse_errors_have_positions():
         parse_poly_input("q=6; a=1", None)
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     assert main(["check-weil", "--q", "2", "1,,2"]) == 2
     assert main(["check-weil", "1,2,3"]) == 2  # no ground field
     assert main(["bounds12", "--q", "2", "--a", "1,2"]) == 2
@@ -64,6 +64,10 @@ def test_usage_errors_exit_2(capsys):
     assert main(["cross-check", "--degree", "5", "--q", "2"]) == 2
     assert main(["polygon", "--p", "0", "1,0,1"]) == 2
     assert main(["polygon", "--p", "4", "1,0,1"]) == 2
+    missing = str(tmp_path / "missing" / "x.json")
+    assert main(["enumerate", "--degree", "2", "--q", "3", "--box", "-4:4", "--out", missing]) == 2
+    assert main(["enumerate", "--degree", "2", "--q", "3", "--box", "4:-4"]) == 2
+    assert main(["cross-check", "--degree", "2", "--q", "3", "--box", "4:-4"]) == 2
     err = capsys.readouterr().err
     assert "error" in err
 
@@ -97,6 +101,22 @@ def test_large_prime_q_answers_without_hanging(power):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["q"] == q and doc["is_weil"] is True
+
+
+def test_large_composite_q_exits_2_without_hanging():
+    # above the exact Miller-Rabin range, a witness still rejects a composite at once
+    q = (2**61 - 1) * (2**89 - 1)
+    src = Path(weilpoly.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "weilpoly.cli", "check-weil", "--q", str(q), f"{q},0,1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "not a prime power" in proc.stderr and not proc.stdout
 
 
 def test_exit_code_negative_verdict(capsys):
