@@ -45,6 +45,24 @@ class EnumerationSpec:
     irreducible_only: bool = False
     no_real_roots: bool = False
 
+    def __post_init__(self):
+        """A box holds degree // 2 ranges; (lo, lo - 1) is an empty range,
+        and a range with lo > hi + 1 has no meaning (its size would be
+        negative)."""
+        if not self.box:
+            return
+        if len(self.box) != self.degree // 2:
+            raise ValueError(
+                f"box has {len(self.box)} ranges, degree {self.degree} needs "
+                f"{self.degree // 2}"
+            )
+        for lo, hi in self.box:
+            if lo > hi + 1:
+                raise ValueError(
+                    f"box range ({lo}, {hi}) has lo > hi + 1; "
+                    "an empty range is (lo, lo - 1)"
+                )
+
     def resolved_box(self) -> list[tuple[int, int]]:
         if self.box:
             return list(self.box)

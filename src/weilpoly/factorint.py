@@ -13,23 +13,14 @@ factors mapped back, which keeps the Hensel machinery monic-only.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import gcd, isqrt
 
 from .arith import is_prime
 from .errors import ExactnessError
 from .fpoly import PrimeField, factor as fp_factor_raw, fdeg, fgcd, fdiff, ftrim
 from .hensel import hensel_lift_multi, _trunc
-from .polynomial import IntPoly, _div_exact, _mul, _prs_step
-
-
-def _trim(h: list) -> list:
-    """Drop trailing zero coefficients."""
-    n = len(h)
-    while n and h[n - 1] == 0:
-        n -= 1
-    return h[:n]
+from .polynomial import IntPoly, _div_exact, _mul, _prem, _prs_step
 
 
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -69,39 +60,47 @@ def _exact_div(f: IntPoly, g: IntPoly) -> IntPoly:
     return IntPoly(_div_exact(f.coeffs, g.coeffs))
 
 
-def discriminant(f: IntPoly):
-    """disc(f) as a Fraction (exact, via the Euclidean resultant)."""
+def discriminant(f: IntPoly) -> int:
+    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f), an exact integer."""
+    lc = f.lc()
     n = f.degree
-    df = f.derivative()
-    res = _resultant(f.to_fractions(), df.to_fractions())
+    if n == 0:
+        return 0
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * res / Fraction(f.lc())
+    return sign * _resultant(f.coeffs, f.derivative().coeffs) // lc
 
 
-def _resultant(f: list[Fraction], g: list[Fraction]) -> Fraction:
-    """Res(f, g) over Q by the remainder-sequence product formula."""
-    f, g = _trim(list(f)), _trim(list(g))
-    if not f or not g:
-        return Fraction(0)
-    res = Fraction(1)
-    while True:
-        df, dg = len(f) - 1, len(g) - 1
-        if dg == 0:
-            return res * g[0] ** df
-        # f mod g
-        r = list(f)
-        inv = 1 / g[-1]
-        while len(r) - 1 >= dg and r:
-            c = r[-1] * inv
-            off = len(r) - 1 - dg
-            for j in range(dg + 1):
-                r[off + j] -= c * g[j]
-            r = _trim(r)
+def _resultant(a, b) -> int:
+    """Res(a, b) for nonzero integer coefficient sequences, by Collins'
+    subresultant pseudo-remainder sequence (Cohen, Algorithm 3.3.7): each
+    division by g * h^delta and by h^(delta - 1) is exact in Z."""
+    da, db = len(a) - 1, len(b) - 1
+    ca, cb = gcd(*a), gcd(*b)
+    t = ca ** db * cb ** da
+    a = [x // ca for x in a]
+    b = [x // cb for x in b]
+    s = 1
+    if da < db:
+        a, b, da, db = b, a, db, da
+        if da % 2 and db % 2:
+            s = -1
+    g = h = 1
+    while db > 0:
+        delta = da - db
+        if da % 2 and db % 2:
+            s = -s
+        r = _prem(a, b)
         if not r:
-            return Fraction(0)
-        dr = len(r) - 1
-        res *= (-1) ** (df * dg) * g[-1] ** (df - dr)
-        f, g = g, r
+            return 0
+        div = g * h ** delta
+        a, b = b, [x // div for x in r]
+        da, db = db, len(r) - 1
+        g = a[-1]
+        if delta:
+            h = g ** delta // h ** (delta - 1)
+    if da == 0:
+        return s * t
+    return s * t * (b[0] ** da // h ** (da - 1))
 
 
 def _mignotte_bound(f: IntPoly) -> int:

@@ -372,9 +372,8 @@ def qp_factor_profile(
             "input is not squarefree over Q; factor over Z first and profile "
             "each factor"
         )
-    v_disc = vp(disc.numerator, p) - vp(disc.denominator, p)
     v0 = vp(f[0], p)
-    K = 2 * max(v_disc, 0) + v0 + 4
+    K = 2 * vp(disc, p) + v0 + 4
     work = f
     if f.lc() != 1:
         # normalize to monic over Z_p: multiply by lc^(n-1) and substitute t/lc

@@ -6,11 +6,13 @@ the workhorse for everything the classifiers consume; QuadPoly carries
 QuadReal coefficients sharing one radicand and is a field-coefficient
 polynomial (exact division, gcd, Sturm chains).
 
-A QuadPoly also answers sign queries at rational points with integers
-alone: it keeps a lazily built integer form, coefficient lists A, B and one
-positive D with coeffs[i] = (A[i] + B[i]*sqrt(q)) / D, and sign_at runs
-homogeneous integer Horner on it.  squarefree_part is memoised on the
-(immutable) instance, and the result is marked as its own squarefree part.
+A QuadPoly also answers sign queries and evaluations at rational points
+with integers alone: it keeps a lazily built integer form, coefficient lists
+A, B and one positive D with coeffs[i] = (A[i] + B[i]*sqrt(q)) / D, read
+straight off each coefficient's integer triple (D is the lcm of the triples'
+denominators), and sign_at and evaluate run homogeneous integer Horner on
+it.  squarefree_part is memoised on the (immutable) instance, and the result
+is marked as its own squarefree part.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DomainMismatchError, ExactnessError, StructuralError
-from .quadreal import QuadReal, surd_sign
+from .quadreal import QuadReal, _from_triple, surd_sign
 
 
 def _trim(coeffs: list) -> tuple:
@@ -78,16 +80,10 @@ def _div_exact(f, g) -> list[int]:
     return quot
 
 
-def _prs_step(a, b) -> list[int]:
-    """The member after a, b of a primitive pseudo-remainder sequence over Z.
-
-    For trimmed integer coefficient sequences with deg a >= deg b >= 0, this
-    is -prem(a, b) times sign(lc b)^delta, delta = deg a - deg b + 1, so a is
-    scaled by the positive |lc b|^delta, then divided by its positive
-    content.  It is a positive multiple of minus the remainder of a by b, so
-    the sequence started from (p, p') is a Sturm chain, and its last member
-    is gcd(a, b) up to a constant.
-    """
+def _prem(a, b) -> list[int]:
+    """Pseudo-remainder of trimmed integer coefficient sequences with
+    deg a >= deg b >= 0: the remainder of lc(b)^delta * a by b, where
+    delta = deg a - deg b + 1, trimmed."""
     lc = b[-1]
     d = len(b) - 1
     rem = list(a)
@@ -102,8 +98,21 @@ def _prs_step(a, b) -> list[int]:
     n = d
     while n and rem[n - 1] == 0:
         n -= 1
-    rem = rem[:n]
-    if lc > 0 or (len(a) - d) % 2 == 0:
+    return rem[:n]
+
+
+def _prs_step(a, b) -> list[int]:
+    """The member after a, b of a primitive pseudo-remainder sequence over Z.
+
+    For trimmed integer coefficient sequences with deg a >= deg b >= 0, this
+    is -prem(a, b) times sign(lc b)^delta, delta = deg a - deg b + 1, so a is
+    scaled by the positive |lc b|^delta, then divided by its positive
+    content.  It is a positive multiple of minus the remainder of a by b, so
+    the sequence started from (p, p') is a Sturm chain, and its last member
+    is gcd(a, b) up to a constant.
+    """
+    rem = _prem(a, b)
+    if b[-1] > 0 or (len(a) - len(b)) % 2 == 1:
         rem = [-x for x in rem]
     g = gcd(*rem)
     return [x // g for x in rem] if g > 1 else rem
@@ -306,9 +315,6 @@ class IntPoly:
     def to_quad(self, q: int | None = None) -> "QuadPoly":
         return QuadPoly([QuadReal(c) for c in self.coeffs], q=q)
 
-    def to_fractions(self) -> list[Fraction]:
-        return [Fraction(c) for c in self.coeffs]
-
 
 class QuadPoly:
     """Polynomial with QuadReal coefficients sharing one radicand."""
@@ -412,33 +418,36 @@ class QuadPoly:
         )
 
     def evaluate(self, x) -> QuadReal:
-        if isinstance(x, QuadReal) and x.b == 0:
-            x = x.a
-        if not isinstance(x, QuadReal):
-            # rational point: run the two Fraction Horner chains directly,
-            # avoiding per-step QuadReal boxing
-            xf = Fraction(x)
-            a_acc = Fraction(0)
-            b_acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                a_acc = a_acc * xf + c.a
-                b_acc = b_acc * xf + c.b
-            return QuadReal(a_acc, b_acc, self.q)
-        acc = QuadReal(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """p(x) for x an int, a Fraction or a QuadReal.
+
+        At a rational x = n/m, homogeneous integer Horner on the integer
+        form gives m^deg * D * p(x); an irrational QuadReal point is
+        evaluated in Q(sqrt(q)).
+        """
+        if isinstance(x, QuadReal):
+            if x.nb:
+                acc = QuadReal(0)
+                for c in reversed(self.coeffs):
+                    acc = acc * x + c
+                return acc
+            n, m = x.na, x.d
+        else:
+            n, m = x.numerator, x.denominator
+        if not self.coeffs:
+            return QuadReal(0)
+        a, b, den = self.integer_form()
+        sa = _homogeneous_horner(a, n, m)
+        sb = _homogeneous_horner(b, n, m) if b else 0
+        return _from_triple(sa, sb, den * m ** self.degree, self.q)
 
     def integer_form(self) -> tuple[list[int], list[int] | None, int]:
-        """(A, B, D) with coeffs[i] = (A[i] + B[i]*sqrt(q)) / D and D > 0;
-        B is None when every coefficient is rational."""
+        """(A, B, D) with coeffs[i] = (A[i] + B[i]*sqrt(q)) / D and D > 0 the
+        lcm of the coefficient denominators; B is None when every
+        coefficient is rational."""
         if self._int is None:
-            den = 1
-            for c in self.coeffs:
-                for part in (c.a, c.b):
-                    den = lcm(den, part.denominator)
-            a = [c.a.numerator * (den // c.a.denominator) for c in self.coeffs]
-            b = [c.b.numerator * (den // c.b.denominator) for c in self.coeffs]
+            den = lcm(*(c.d for c in self.coeffs))
+            a = [c.na * (den // c.d) for c in self.coeffs]
+            b = [c.nb * (den // c.d) for c in self.coeffs]
             object.__setattr__(self, "_int", (a, b if any(b) else None, den))
         return self._int
 
@@ -461,9 +470,9 @@ class QuadPoly:
         irrational QuadReal point is evaluated in Q(sqrt(q)).
         """
         if isinstance(x, QuadReal):
-            if x.b != 0:
+            if x.nb:
                 return self.evaluate(x).sign()
-            x = x.a
+            return self.sign_at_ratio(x.na, x.d)
         return self.sign_at_ratio(x.numerator, x.denominator)
 
     def compose_linear(self, alpha, beta) -> "QuadPoly":

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd
 
 from .polynomial import QuadPoly, _common_numerators, _variations_right
-from .quadreal import QuadReal
+from .quadreal import _from_triple
 
 INF = object()
 NEG_INF = object()
@@ -38,7 +38,8 @@ def _content_normalize(p: QuadPoly) -> QuadPoly:
     if g == 0:
         return p
     b = b or [0] * len(a)
-    return QuadPoly([QuadReal(x // g, y // g, p.q) for x, y in zip(a, b)], q=p.q)
+    q = p.q
+    return QuadPoly([_from_triple(x // g, y // g, 1, q) for x, y in zip(a, b)], q=q)
 
 
 def _pseudo_rem_neg(a: QuadPoly, b: QuadPoly) -> QuadPoly:

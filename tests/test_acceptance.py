@@ -78,6 +78,7 @@ def test_criterion_02_degree2_counts():
     report(2, f"counts {got} match (5, 7, 9)")
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_criterion_03_necessity(q):
     """>= 10^4 sampled degree-12 Weil polynomials without real roots (2000
@@ -241,6 +242,7 @@ def _blocks(p, rng):
     return f, expected
 
 
+@pytest.mark.slow
 def test_criterion_07_table_tate_agreement():
     """Exhaustive scan of symmetric degree-14 polynomials over q=2 with
     |a_i| <= 1 (3^7 = 2187 candidates), filtered to irreducible Weil

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -14,13 +15,15 @@ from weilpoly.bounds12 import (
 from weilpoly.census import sample_weil12_no_real_roots
 from weilpoly.cli import main
 from weilpoly.quadreal import QuadReal
-from weilpoly.weil import WeilParams
+from weilpoly.weil import WeilParams, r_coefficients
 
 from conftest import r_vector_from_roots
 
 P2 = WeilParams.from_q(2)
 
 SIX_POSITIVE = r_vector_from_roots([1, 2, 3, 4, 5, 6])
+
+PINNED_REPORT_DIGEST = "dbbd5c7f552ef9ffcd4ce5df7b69121dba977dd875f445685d4691d6972c1714"
 
 
 def statuses(report):
@@ -223,3 +226,63 @@ def test_lemma_necessity_irrational_roots(rng):
         rep = lemma_check(list(reversed(poly))[1:])
         assert not rep.failures, (poly, statuses(rep))
         done += 1
+
+
+def report_corpus(scale: int = 1):
+    """A seeded corpus of bounds inputs, (kind, input) pairs.
+
+    Per scale unit: 120 corollary inputs (Weil samples and near-misses on
+    one a_i, q in {2, 3, 4, 5, 9}), 90 rational lemma vectors (positive
+    rational roots, with r_4 or r_5 nudged) and 120 lemma vectors with
+    sqrt(q) coefficients (r_coefficients of Weil samples on both
+    transforms, with r_4 or r_5 nudged by 1 or sqrt(q)).
+    """
+    rng = random.Random(8)
+    for q in (2, 3, 4, 5, 9):
+        P = WeilParams.from_q(q)
+        for n, a in enumerate(sample_weil12_no_real_roots(P, 18 * scale, seed=500 + q)):
+            if n % 3 == 2:
+                for tilde in (False, True):
+                    r = r_coefficients(a, P, tilde=tilde)
+                    yield "lemma", r
+                    i = rng.choice((3, 4))
+                    k = rng.choice((-2, -1, 1, 2))
+                    nudge = k * rng.choice((QuadReal(1), QuadReal.sqrt(q)))
+                    yield "lemma", (*r[:i], r[i] + nudge, *r[i + 1 :])
+                continue
+            yield "corollary", (q, a)
+            i = rng.choice((0, 1, 2, 2, 3, 3, 4, 4, 5, 5))
+            step = rng.choice((1, 2)) * rng.choice((1, q ** ((i + 2) // 2)))
+            b = list(a)
+            b[i] += rng.choice((-1, 1)) * step
+            yield "corollary", (q, tuple(b))
+    for _ in range(30 * scale):
+        roots = [Fraction(rng.randint(1, 40), rng.randint(1, 4)) for _ in range(6)]
+        r = r_vector_from_roots(roots)
+        yield "lemma", r
+        for i in (3, 4):
+            s = list(r)
+            s[i] += Fraction(rng.choice((-3, -1, 1, 3)), rng.choice((1, 2, 8)))
+            yield "lemma", s
+
+
+def report_digest(corpus) -> tuple[int, str]:
+    """(number of inputs, sha256 of every report's statuses and notes)."""
+    h = hashlib.sha256()
+    n = 0
+    for kind, x in corpus:
+        if kind == "corollary":
+            q, a = x
+            rep = corollary_bounds(a, WeilParams.from_q(q))
+        else:
+            rep = lemma_check(x)
+        line = ";".join(f"{c.cond}:{c.status.value}:{c.note}" for c in rep.conditions)
+        h.update(f"{kind}|{line}\n".encode())
+        n += 1
+    return n, h.hexdigest()
+
+
+def test_reports_match_parent_digest():
+    """Statuses and notes of every report over the seeded corpus, pinned
+    from the Fraction-based QuadReal implementation."""
+    assert report_digest(report_corpus()) == (330, PINNED_REPORT_DIGEST)

@@ -56,6 +56,20 @@ def test_empty_box_is_clean():
     assert report["ok"] and report["counts"] == {}
 
 
+@pytest.mark.parametrize(
+    "box",
+    [((4, -4), (0, 0)), ((4, -4), (9, -9)), ((0, 0),), ((0, 0),) * 3],
+)
+def test_spec_rejects_malformed_box(box):
+    with pytest.raises(ValueError, match="box"):
+        EnumerationSpec(degree=4, params=WeilParams.from_q(3), box=box)
+
+
+def test_spec_empty_range_has_size_zero():
+    spec = EnumerationSpec(degree=4, params=WeilParams.from_q(3), box=((1, 0), (0, 0)))
+    assert spec.size() == 0 and list(enumerate_weil(spec)) == []
+
+
 def test_trivial_box_values():
     box = trivial_box(6, WeilParams.from_q(2))
     assert box[0] == (-16, 16)  # 12 sqrt(2) = 16.97

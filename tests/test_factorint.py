@@ -117,3 +117,38 @@ def test_poly_gcd_divides_and_matches_sympy(a, b, c):
     if ref_primitive.LC() < 0:
         ref_primitive = -ref_primitive
     assert sympy.Poly(expr(d), x) == ref_primitive
+
+
+@pytest.mark.parametrize(
+    "coeffs, disc",
+    [
+        ([3, 2], 1),
+        ([2, 0, 0, 1], -108),
+        ([1] + [0] * 13 + [1], -11112006825558016),
+        ([128] + [0] * 13 + [1], -27511996332341408172722630646177877005959168),
+        ([-1, 1, 0, 1, -1, 5, 3], 162111273),
+        ([6, -5, 0, 4, 0, 0, -12], 96993639247104),
+        ([1, -1, 0, 0, -1, 1], 0),  # (t - 1)^2 (t + 1) (t^2 + 1)
+    ],
+)
+def test_discriminant_pinned(coeffs, disc):
+    got = discriminant(IntPoly(coeffs))
+    assert type(got) is int and got == disc
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    body=st.lists(st.integers(-9, 9), min_size=1, max_size=14),
+    lc=st.sampled_from([1, -1, 2, -3, 6, 7]),
+    square=st.lists(st.integers(-3, 3), min_size=0, max_size=2),
+)
+def test_discriminant_matches_sympy(body, lc, square):
+    """Degrees 1..14 (up to 18 with a square factor), monic or not."""
+    sympy = pytest.importorskip("sympy")
+    f = IntPoly(body + [lc])
+    if square:
+        f = f * IntPoly(square + [1]) ** 2
+    x = sympy.Symbol("x")
+    expected = sympy.discriminant(sympy.Poly(list(reversed(f.coeffs)), x))
+    got = discriminant(f)
+    assert type(got) is int and got == int(expected)

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -124,3 +125,98 @@ def test_surd_sign_exact():
                 else:
                     expected = QuadReal(a, b, q).sign()
                 assert surd_sign(a, b, q) == expected, (a, b, q)
+
+
+# -- differential test against a (Fraction a, Fraction b) reference model -----
+
+RADICANDS = [None, 2, 3, 5, 12, 4, 9]  # no radicand, non-square, square
+
+
+def ref(a, b, q):
+    """Reference value a + b*sqrt(q) as (a, b, q): a square q folded into a,
+    and q None when b == 0."""
+    if b and math.isqrt(q) ** 2 == q:
+        a, b = a + b * math.isqrt(q), Fraction(0)
+    return (a, b, q if b else None)
+
+
+def ref_join(x, y):
+    if x[2] is not None and y[2] is not None and x[2] != y[2]:
+        return "mismatch"
+    return x[2] if x[2] is not None else y[2]
+
+
+def ref_sign(x):
+    # t -> t|t| is increasing, so a + b sqrt(q) has the sign of a|a| + b|b|q
+    a, b, q = x
+    v = a * abs(a) + (b * abs(b) * q if b else 0)
+    return (v > 0) - (v < 0)
+
+
+def ref_mul(x, y, q):
+    (a, b, _), (c, e, _) = x, y
+    return ref(a * c + (b * e * q if b and e else 0), a * e + b * c, q)
+
+
+def ref_inverse(x):
+    a, b, q = x
+    n = a * a - (b * b * q if b else 0)
+    return ref(a / n, -b / n, q)
+
+
+def check_matches(v, x):
+    """v is the QuadReal of the reference value x, in canonical form."""
+    assert (v.a, v.b, v.q) == x
+    assert v.d > 0 and math.gcd(v.na, v.nb, v.d) == 1
+    assert v.sign() == ref_sign(x)
+    if x[1] == 0:
+        assert v == x[0] and hash(v) == hash(x[0])
+        if x[0].denominator == 1:
+            assert v == int(x[0]) and hash(v) == hash(int(x[0]))
+
+
+fracs = st.fractions(min_value=-60, max_value=60, max_denominator=40)
+
+
+@st.composite
+def quadreals(draw):
+    q = draw(st.sampled_from(RADICANDS))
+    a = draw(fracs)
+    b = draw(fracs) if q is not None else Fraction(0)
+    return QuadReal(a, b, q), ref(a, b, q)
+
+
+@settings(max_examples=400, deadline=None)
+@given(u=quadreals(), v=quadreals(), k=st.integers(-3, 4))
+def test_matches_fraction_pair_model(u, v, k):
+    (x, rx), (y, ry) = u, v
+    check_matches(x, rx)
+    q = ref_join(rx, ry)
+    if q == "mismatch":
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(DomainMismatchError):
+                op(x, y)
+        assert x != y
+        return
+    check_matches(x + y, ref(rx[0] + ry[0], rx[1] + ry[1], q))
+    check_matches(x - y, ref(rx[0] - ry[0], rx[1] - ry[1], q))
+    check_matches(x * y, ref_mul(rx, ry, q))
+    assert (x == y) == (rx == ry)
+    if x == y:
+        assert hash(x) == hash(y)
+    if ry[0] == ry[1] == 0:
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    else:
+        check_matches(y.inverse(), ref_inverse(ry))
+        check_matches(x / y, ref_mul(rx, ref_inverse(ry), q))
+    if k < 0 and rx[0] == rx[1] == 0:
+        with pytest.raises(ZeroDivisionError):
+            x ** k
+    else:
+        expected = ref(Fraction(1), Fraction(0), None)
+        for _ in range(abs(k)):
+            expected = ref_mul(expected, rx if k > 0 else ref_inverse(rx), rx[2])
+        check_matches(x ** k, expected)
