@@ -20,7 +20,7 @@ from .arith import is_prime
 from .errors import ExactnessError
 from .fpoly import PrimeField, factor as fp_factor_raw, fdeg, fgcd, fdiff, ftrim
 from .hensel import hensel_lift_multi, _trunc
-from .polynomial import IntPoly, _div_exact, _mul, _prem, _prs_step
+from .polynomial import IntPoly, _div_exact, _mul, _prem, _prs
 
 
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -29,9 +29,7 @@ def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     a, b = f.coeffs, g.coeffs
     if len(a) < len(b):
         a, b = b, a
-    while b:
-        a, b = b, _prs_step(a, b)
-    return IntPoly(a).primitive()[1]
+    return IntPoly(_prs(a, b)[-1]).primitive()[1]
 
 
 def squarefree_decomposition(f: IntPoly) -> list[tuple[IntPoly, int]]:

@@ -3,16 +3,17 @@
 Coefficients are stored constant term first, trimmed so the leading
 coefficient is nonzero (the zero polynomial has an empty tuple).  IntPoly is
 the workhorse for everything the classifiers consume; QuadPoly carries
-QuadReal coefficients sharing one radicand and is a field-coefficient
-polynomial (exact division, gcd, Sturm chains).
+QuadReal coefficients sharing one radicand.
 
-A QuadPoly also answers sign queries and evaluations at rational points
-with integers alone: it keeps a lazily built integer form, coefficient lists
-A, B and one positive D with coeffs[i] = (A[i] + B[i]*sqrt(q)) / D, read
-straight off each coefficient's integer triple (D is the lcm of the triples'
-denominators), and sign_at and evaluate run homogeneous integer Horner on
-it.  squarefree_part is memoised on the (immutable) instance, and the result
-is marked as its own squarefree part.
+A QuadPoly keeps a lazily built integer form, coefficient lists A, B and one
+positive D with coeffs[i] = (A[i] + B[i]*sqrt(q)) / D, read straight off
+each coefficient's integer triple (D is the lcm of the triples'
+denominators).  sign_at and evaluate run homogeneous integer Horner on it,
+and its numerators A + B*sqrt(q) in Z[sqrt(q)] (plain integers when B is
+zero) feed the one primitive pseudo-remainder sequence (_prs) that every
+gcd and Sturm chain of the package is built on, over Z and over Z[sqrt(q)]
+alike.  squarefree_part is memoised on the (immutable) instance, and the
+result is marked as its own squarefree part.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DomainMismatchError, ExactnessError, StructuralError
-from .quadreal import QuadReal, _from_triple, surd_sign
+from .quadreal import QuadReal, _from_triple, _raw, surd_sign
 
 
 def _trim(coeffs: list) -> tuple:
     n = len(coeffs)
-    while n > 0 and _is_zero(coeffs[n - 1]):
+    while n > 0 and not coeffs[n - 1]:
         n -= 1
     return tuple(coeffs[:n])
 
@@ -80,10 +81,22 @@ def _div_exact(f, g) -> list[int]:
     return quot
 
 
-def _prem(a, b) -> list[int]:
-    """Pseudo-remainder of trimmed integer coefficient sequences with
-    deg a >= deg b >= 0: the remainder of lc(b)^delta * a by b, where
-    delta = deg a - deg b + 1, trimmed."""
+def _compose_linear(coeffs, alpha, beta) -> list:
+    """The coefficients of p(alpha*t + beta), by Horner on coefficient lists."""
+    out = []
+    for c in reversed(coeffs):
+        # out <- out * (alpha*t + beta) + c
+        nxt = [c, *(x * alpha for x in out)]
+        for k, x in enumerate(out):
+            nxt[k] += x * beta
+        out = nxt
+    return out
+
+
+def _prem(a, b) -> list:
+    """Pseudo-remainder of trimmed coefficient sequences over Z or Z[sqrt(q)]
+    (ints, or QuadReals with d = 1) with deg a >= deg b >= 0: the remainder
+    of lc(b)^delta * a by b, where delta = deg a - deg b + 1, trimmed."""
     lc = b[-1]
     d = len(b) - 1
     rem = list(a)
@@ -96,26 +109,59 @@ def _prem(a, b) -> list[int]:
             for j in range(d):
                 rem[i - d + j] -= c * b[j]
     n = d
-    while n and rem[n - 1] == 0:
+    while n and not rem[n - 1]:
         n -= 1
     return rem[:n]
 
 
-def _prs_step(a, b) -> list[int]:
-    """The member after a, b of a primitive pseudo-remainder sequence over Z.
+def _primitive(coeffs) -> list:
+    """coeffs over Z or Z[sqrt(q)] divided by their positive content, the
+    gcd of the integers or of every na and nb."""
+    if coeffs and type(coeffs[-1]) is QuadReal:
+        g = gcd(*(c.na for c in coeffs), *(c.nb for c in coeffs))
+        return [_raw(c.na // g, c.nb // g, 1, c.q) for c in coeffs] if g > 1 else coeffs
+    g = gcd(*coeffs)
+    return [c // g for c in coeffs] if g > 1 else coeffs
 
-    For trimmed integer coefficient sequences with deg a >= deg b >= 0, this
-    is -prem(a, b) times sign(lc b)^delta, delta = deg a - deg b + 1, so a is
+
+def _normalized(coeffs) -> list:
+    """The primitive multiple of nonzero coeffs over Z or Z[sqrt(q)] with a
+    positive integer leading coefficient, a positive rational multiple of
+    the monic one: an irrational leading a + b*sqrt(q) is cleared by its
+    conjugate a - b*sqrt(q)."""
+    lc = coeffs[-1]
+    if type(lc) is QuadReal and lc.nb:
+        conj = _raw(lc.na, -lc.nb, 1, lc.q)
+        coeffs = [c * conj for c in coeffs]
+    coeffs = _primitive(coeffs)
+    return coeffs if coeffs[-1] > 0 else [-c for c in coeffs]
+
+
+def _prs_step(a, b) -> list:
+    """The member after a, b of a primitive pseudo-remainder sequence over Z
+    or Z[sqrt(q)].
+
+    For trimmed coefficient sequences with deg a >= deg b >= 0, this is
+    -prem(a, b) times sign(lc b)^delta, delta = deg a - deg b + 1, so a is
     scaled by the positive |lc b|^delta, then divided by its positive
     content.  It is a positive multiple of minus the remainder of a by b, so
-    the sequence started from (p, p') is a Sturm chain, and its last member
-    is gcd(a, b) up to a constant.
+    the sequence started from (p, p') is a Sturm chain.
     """
     rem = _prem(a, b)
     if b[-1] > 0 or (len(a) - len(b)) % 2 == 1:
         rem = [-x for x in rem]
-    g = gcd(*rem)
-    return [x // g for x in rem] if g > 1 else rem
+    return _primitive(rem)
+
+
+def _prs(a, b) -> list:
+    """The primitive pseudo-remainder sequence a, b, ... of trimmed sequences
+    with deg a >= deg b, up to its last nonzero member, which is gcd(a, b)
+    up to a constant (just [a] when b is zero)."""
+    seq = [a]
+    while b:
+        seq.append(b)
+        a, b = b, _prs_step(a, b) if len(b) > 1 else []
+    return seq
 
 
 def _variations_right(signs: list[int]) -> int:
@@ -151,12 +197,6 @@ def _homogeneous_horner(coeffs, n: int, d: int) -> int:
     return acc
 
 
-def _is_zero(c) -> bool:
-    if isinstance(c, QuadReal):
-        return c.is_zero()
-    return c == 0
-
-
 class IntPoly:
     """Polynomial with arbitrary-precision integer coefficients."""
 
@@ -172,16 +212,8 @@ class IntPoly:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def zero() -> "IntPoly":
-        return IntPoly([])
-
-    @staticmethod
     def one() -> "IntPoly":
         return IntPoly([1])
-
-    @staticmethod
-    def x() -> "IntPoly":
-        return IntPoly([0, 1])
 
     # -- structure ------------------------------------------------------------
 
@@ -278,17 +310,7 @@ class IntPoly:
 
     def compose_linear(self, alpha: int, beta: int) -> "IntPoly":
         """p(alpha*t + beta), exact over Z."""
-        acc = IntPoly.zero()
-        lin = IntPoly([beta, alpha])
-        for c in reversed(self.coeffs):
-            acc = acc * lin + IntPoly([c])
-        return acc
-
-    def shift(self, k: int) -> "IntPoly":
-        """Multiply by t^k."""
-        if self.is_zero():
-            return self
-        return IntPoly([0] * k + list(self.coeffs))
+        return IntPoly(_compose_linear(self.coeffs, alpha, beta))
 
     def divmod_monic(self, other: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
         """Quotient and remainder for a monic divisor; exact over Z."""
@@ -340,10 +362,6 @@ class QuadPoly:
     def __setattr__(self, *_):
         raise AttributeError("QuadPoly is immutable")
 
-    @staticmethod
-    def zero(q: int | None = None) -> "QuadPoly":
-        return QuadPoly([], q=q)
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -355,9 +373,6 @@ class QuadPoly:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def is_monic(self) -> bool:
-        return not self.is_zero() and self.lc() == QuadReal(1)
 
     def __getitem__(self, i: int) -> QuadReal:
         return self.coeffs[i] if 0 <= i <= self.degree else QuadReal(0)
@@ -381,19 +396,6 @@ class QuadPoly:
             return self.q
         raise DomainMismatchError(f"mixed radicands {self.q} and {other.q}")
 
-    def __add__(self, other: "QuadPoly") -> "QuadPoly":
-        q = self._join(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QuadPoly([self[i] + other[i] for i in range(n)], q=q)
-
-    def __sub__(self, other: "QuadPoly") -> "QuadPoly":
-        q = self._join(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QuadPoly([self[i] - other[i] for i in range(n)], q=q)
-
-    def __neg__(self) -> "QuadPoly":
-        return QuadPoly([-c for c in self.coeffs], q=self.q)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QuadReal)):
             return QuadPoly([c * other for c in self.coeffs], q=self.q)
@@ -401,10 +403,10 @@ class QuadPoly:
             return NotImplemented
         q = self._join(other)
         if self.is_zero() or other.is_zero():
-            return QuadPoly.zero(q)
+            return QuadPoly([], q=q)
         out = [QuadReal(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a.is_zero():
+            if not a:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
@@ -451,6 +453,14 @@ class QuadPoly:
             object.__setattr__(self, "_int", (a, b if any(b) else None, den))
         return self._int
 
+    def numerators(self) -> list:
+        """The coefficients times D in Z[sqrt(q)]: the integers A when every
+        coefficient is rational, else the QuadReals A + B*sqrt(q) (d = 1)."""
+        a, b, _ = self.integer_form()
+        if b is None:
+            return a
+        return [_from_triple(x, y, 1, self.q) for x, y in zip(a, b)]
+
     def sign_at_ratio(self, n: int, d: int) -> int:
         """Exact sign of p(n/d) for integers n and d > 0, in integers alone.
 
@@ -477,55 +487,34 @@ class QuadPoly:
 
     def compose_linear(self, alpha, beta) -> "QuadPoly":
         """p(alpha*t + beta)."""
-        q = self.q
-        lin = QuadPoly([beta, alpha], q=q)
-        acc = QuadPoly.zero(q)
-        for c in reversed(self.coeffs):
-            acc = acc * lin + QuadPoly([c], q=q)
-        return acc
-
-    def divmod(self, other: "QuadPoly") -> tuple["QuadPoly", "QuadPoly"]:
-        """Exact field division with remainder."""
-        q = self._join(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        inv = other.lc().inverse()
-        if len(rem) - 1 < d:
-            return QuadPoly.zero(q), self
-        quot = [QuadReal(0)] * (len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c.is_zero():
-                continue
-            f = c * inv
-            quot[i - d] = f
-            for j in range(d + 1):
-                rem[i - d + j] = rem[i - d + j] - f * other.coeffs[j]
-        return QuadPoly(quot, q=q), QuadPoly(rem, q=q)
-
-    def monic(self) -> "QuadPoly":
-        if self.is_zero():
-            return self
-        inv = self.lc().inverse()
-        return QuadPoly([c * inv for c in self.coeffs], q=self.q)
+        return QuadPoly(_compose_linear(self.coeffs, alpha, beta), q=self.q)
 
     def gcd(self, other: "QuadPoly") -> "QuadPoly":
-        """Monic gcd by the Euclidean algorithm."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return a.monic() if not a.is_zero() else a
+        """The gcd: the last member of the primitive pseudo-remainder
+        sequence of the numerators, normalized."""
+        q = self._join(other)
+        a, b = self.numerators(), other.numerators()
+        if len(a) < len(b):
+            a, b = b, a
+        g = _prs(a, b)[-1]
+        return QuadPoly(_normalized(g) if g else g, q=q)
 
     def squarefree_part(self) -> "QuadPoly":
-        """Monic squarefree part, computed once per instance."""
+        """p / gcd(p, p'), normalized; computed once per instance."""
         if self._sf is None:
-            if self.degree <= 0:
-                sf = self.monic() if not self.is_zero() else self
-            else:
-                g = self.gcd(self.derivative())
-                sf = self.monic() if g.degree <= 0 else self.divmod(g)[0].monic()
+            sf = self
+            if self.coeffs:
+                # exact quotient over Q(sqrt(q)) by the gcd g
+                g = self.gcd(self.derivative()).coeffs
+                d, inv = len(g) - 1, g[-1].inverse()
+                rem = list(self.coeffs)
+                quot = [QuadReal(0)] * (len(rem) - d)
+                for i in range(len(rem) - 1, d - 1, -1):
+                    c = quot[i - d] = rem[i] * inv
+                    if c:
+                        for j in range(d):
+                            rem[i - d + j] -= c * g[j]
+                sf = QuadPoly(_normalized(QuadPoly(quot, q=self.q).numerators()), q=self.q)
             object.__setattr__(sf, "_sf", sf)
             object.__setattr__(self, "_sf", sf)
         return self._sf

@@ -194,6 +194,9 @@ class QuadReal:
     def is_zero(self) -> bool:
         return not self.na and not self.nb
 
+    def __bool__(self) -> bool:
+        return bool(self.na or self.nb)
+
     def to_fraction(self) -> Fraction:
         if self.nb:
             raise ValueError(f"{self} is irrational")

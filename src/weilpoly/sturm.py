@@ -2,14 +2,15 @@
 real-root isolation.  (The Weil predicate builds its own chain over Z, in
 weil.)
 
-Chains are built with pseudo-remainders scaled by the square of the leading
-coefficient (always a positive factor), so chains of integer polynomials stay
-integral.  Counting uses the half-open convention: sturm_count(p, lo, hi) is
-the number of distinct real roots in (lo, hi].  That convention makes the
-composition law count(a,b] + count(b,c] = count(a,c] hold exactly, including
-when an endpoint is a root: the sign of a vanishing first chain entry at x is
-replaced by its sign just right of x (which equals the sign of the second
-entry for a squarefree chain).
+A chain is the primitive pseudo-remainder sequence (polynomial._prs) of the
+squarefree part's numerators in Z[sqrt(q)] and their derivative: each member
+is a positive multiple of minus the remainder of the two before it, so the
+numerators stay integral.  Counting uses the half-open convention:
+sturm_count(p, lo, hi) is the number of distinct real roots in (lo, hi].
+That convention makes the composition law count(a,b] + count(b,c] =
+count(a,c] hold exactly, including when an endpoint is a root: the sign of a
+vanishing first chain entry at x is replaced by its sign just right of x
+(which equals the sign of the second entry for a squarefree chain).
 
 Every sign at a rational point is decided with integers alone
 (QuadPoly.sign_at, homogeneous Horner on the polynomial's integer form), and
@@ -22,47 +23,18 @@ callers share one.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
-from .polynomial import QuadPoly, _common_numerators, _variations_right
-from .quadreal import _from_triple
+from .polynomial import QuadPoly, _common_numerators, _prs, _variations_right
 
 INF = object()
 NEG_INF = object()
 
 
-def _content_normalize(p: QuadPoly) -> QuadPoly:
-    """Divide by the positive rational content; signs are unchanged."""
-    a, b, _ = p.integer_form()
-    g = gcd(*a, *(b or ()))
-    if g == 0:
-        return p
-    b = b or [0] * len(a)
-    q = p.q
-    return QuadPoly([_from_triple(x // g, y // g, 1, q) for x, y in zip(a, b)], q=q)
-
-
-def _pseudo_rem_neg(a: QuadPoly, b: QuadPoly) -> QuadPoly:
-    """-rem(m * a, b) for the positive multiplier m = lc(b)^(2*delta),
-    content-normalized to keep coefficient growth in check."""
-    delta = a.degree - b.degree + 1
-    m = (b.lc() * b.lc()) ** delta
-    _, r = (a * m).divmod(b)
-    return _content_normalize(-r)
-
-
 def sturm_chain(p: QuadPoly) -> list[QuadPoly]:
     """Sturm chain of the squarefree part of p."""
     p = p.squarefree_part()
-    chain = [p]
-    if p.degree > 0:
-        chain.append(p.derivative())
-        while chain[-1].degree > 0:
-            nxt = _pseudo_rem_neg(chain[-2], chain[-1])
-            if nxt.is_zero():
-                break
-            chain.append(nxt)
-    return chain
+    seq = _prs(p.numerators(), p.derivative().numerators())
+    return [p, *(QuadPoly(c, q=p.q) for c in seq[1:])]
 
 
 def _sign_at(p: QuadPoly, x) -> int:

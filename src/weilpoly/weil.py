@@ -34,7 +34,7 @@ from .polynomial import (
     _div_exact,
     _divmod_monic,
     _homogeneous_horner,
-    _prs_step,
+    _prs,
     _variations_right,
 )
 from .quadreal import QuadReal, is_square, surd_sign
@@ -130,11 +130,7 @@ def _sturm_chain(h: IntPoly) -> list[list[int]]:
     chain of h / gcd(h, h'): its second member has the sign of the
     derivative of the first at each root of the first.
     """
-    chain = [list(h.coeffs)]
-    nxt = list(h.derivative().primitive()[1].coeffs)
-    while nxt:
-        chain.append(nxt)
-        nxt = _prs_step(chain[-2], nxt) if len(nxt) > 1 else []
+    chain = _prs(list(h.coeffs), h.derivative().primitive()[1].coeffs)
     g = chain[-1]
     if len(g) > 1:
         if g[-1] < 0:
