@@ -25,6 +25,7 @@ from .errors import (
     PrecisionExhausted,
     StructuralError,
     UncertifiedProfileError,
+    UnprovenPrimeError,
     WeilpolyError,
 )
 from .factorint import factor_over_integers, is_irreducible_over_z
@@ -47,6 +48,7 @@ from .weil import (
     check_symmetry,
     chi_from_a,
     companion_poly,
+    factor_weil,
     is_weil,
     real_root_reduction,
     symmetric_v,

@@ -1,9 +1,11 @@
 """Integer primitives shared across the package: primality, prime factors,
-integer roots and p-adic valuations.  Standard library only and no package
-imports, so every module can depend on it.
+integer roots and p-adic valuations.  Standard library only, and no package
+import but the exception types, so every module can depend on it.
 """
 
 from __future__ import annotations
+
+from .errors import UnprovenPrimeError
 
 
 # Miller-Rabin with the primes up to 41 as bases is exact below this bound
@@ -15,9 +17,9 @@ _MR_EXACT_BELOW = 3317044064679887385961981
 def is_prime(n: int) -> bool:
     """Exact primality by deterministic Miller-Rabin below 3.3 * 10^24.
 
-    Above that bound the same 13 rounds run first, and a witness proves n
-    composite at once; a number that passes them all is confirmed by trial
-    division, so a true prime above the bound is still slow.
+    Above that bound the same 13 rounds run, and a witness proves n
+    composite; a number that passes them all raises UnprovenPrimeError, since
+    no round count proves primality there.
     """
     if n < 2:
         return False
@@ -42,12 +44,10 @@ def is_prime(n: int) -> bool:
             return False
     if n < _MR_EXACT_BELOW:
         return True
-    d = 43
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    raise UnprovenPrimeError(
+        f"{n} passes Miller-Rabin to the prime bases up to 41, which proves "
+        f"primality only below {_MR_EXACT_BELOW}"
+    )
 
 
 def prime_factors(n: int) -> list[int]:

@@ -21,7 +21,7 @@ from .classify7 import classify
 from .factorint import is_irreducible_over_z
 from .oracle import numeric_modulus_verdict, weil_oracle
 from .polynomial import IntPoly
-from .weil import WeilParams, chi_from_a, is_weil
+from .weil import WeilParams, chi_from_a, factor_weil, is_weil
 
 RECORD_CAP = 5_000_000
 
@@ -122,9 +122,17 @@ def _emit(spec: EnumerationSpec, a):
         return
     if spec.no_real_roots and verdict.real_roots:
         return
-    if spec.irreducible_only and not is_irreducible_over_z(chi):
+    if spec.irreducible_only and not _is_irreducible(chi, verdict, spec.params):
         return
     yield CensusRecord(tuple(a), verdict.is_weil, bool(verdict.real_roots))
+
+
+def _is_irreducible(chi: IntPoly, verdict, params: WeilParams) -> bool:
+    """Irreducibility over Z, through the companion when chi is Weil."""
+    if not verdict.is_weil:
+        return is_irreducible_over_z(chi)
+    _, fac = factor_weil(chi, verdict, params)
+    return len(fac) == 1 and fac[0][1] == 1
 
 
 def count_degree2_weil(params: WeilParams, bound: int) -> int:

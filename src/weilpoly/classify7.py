@@ -1,11 +1,14 @@
 """The degree-14 decision procedure: is f the characteristic polynomial of
 Frobenius of a simple 7-dimensional abelian variety over F_q?
 
-Pipeline: degree and symmetry checks, factorization over Z (when every
-multiplicity is divisible by 7, f is the seventh power of the quadratic
-prod g^(m/7) read off the factorization and routes to the multiplicity-7
-criterion; any other reducible input is terminal), the Weil predicate,
-real-root exclusion, then the Newton-polygon case table and the Tate
+Pipeline: degree and symmetry checks, the Weil predicate, then the
+factorization over Z.  A Weil input is factored through its degree-7
+companion (weil.factor_weil), any other input by Zassenhaus on f itself.
+The verdicts keep their order: when every multiplicity is divisible by 7, f
+is the seventh power of the quadratic prod g^(m/7) read off the
+factorization and routes to the multiplicity-7 criterion; any other
+reducible input is terminal; only then is a non-Weil input rejected.  Last
+come real-root exclusion, the Newton-polygon case table and the Tate
 divisibility criterion, evaluated independently and cross-checked.  The
 Tate criterion is ground truth; the table's role is explanatory, and
 disagreements are first-class outcomes (the printed table has known
@@ -36,7 +39,7 @@ from .padic import (
     tate_condition_profile,
 )
 from .polynomial import IntPoly
-from .weil import WeilParams, check_symmetry, is_weil
+from .weil import WeilParams, check_symmetry, factor_weil, is_weil
 
 
 @dataclass(frozen=True)
@@ -164,7 +167,11 @@ def classify(f: IntPoly, params: WeilParams, seed: int = DEFAULT_SEED) -> Classi
     except StructuralError:
         return Classification("not_symmetric")
 
-    _, factors = factor_over_integers(f)
+    verdict = is_weil(f, params)
+    if verdict.is_weil:
+        _, factors = factor_weil(f, verdict, params)
+    else:
+        _, factors = factor_over_integers(f)
     if len(factors) > 1 or factors[0][1] > 1:
         if all(m % 7 == 0 for _, m in factors):
             # f = root^7 with root monic of degree 2
@@ -184,7 +191,6 @@ def classify(f: IntPoly, params: WeilParams, seed: int = DEFAULT_SEED) -> Classi
             factors=tuple(f"{g}^{m}" if m > 1 else str(g) for g, m in factors),
         )
 
-    verdict = is_weil(f, params)
     if not verdict.is_weil:
         return Classification("not_weil", detail=verdict.reason)
     if verdict.real_roots:

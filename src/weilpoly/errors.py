@@ -21,6 +21,11 @@ class PrecisionExhausted(WeilpolyError):
     """A certified comparison stayed undecided at the precision cap."""
 
 
+class UnprovenPrimeError(WeilpolyError):
+    """A number passed every primality round, but lies above the bound where
+    those rounds prove it prime."""
+
+
 class UncertifiedProfileError(WeilpolyError):
     """The p-adic factor profile could not be certified within the refinement
     depth.  Carries the partial profile so callers can report it."""

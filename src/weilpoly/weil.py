@@ -15,6 +15,10 @@ at +-2 sqrt(q) come from writing each member there as A + B sqrt(q) with
 integers A, B.  The multiplicities of +-sqrt(q) in chi come from exact monic
 division by t^2 - q, or by t -+ sqrt(q) when q is a square.
 
+factor_weil factors a Weil chi over Z through the same companion: each
+irreducible factor of h gives one factor of chi, irreducible except at the
+roots +-2 sqrt(q) of h, where it is a square.
+
 build_f_ftilde and symmetric_v evaluate the explicit degree-6 coefficient
 transforms used by the genus-6 bound checker; the transform identity
 f(t) = h(2 sqrt(q) - t), ftilde(t) = h(t - 2 sqrt(q)) ties them to the
@@ -28,6 +32,7 @@ from math import comb, isqrt
 
 from .arith import iroot, is_prime
 from .errors import ExactnessError, StructuralError
+from .factorint import factor_over_integers
 from .polynomial import (
     IntPoly,
     QuadPoly,
@@ -40,17 +45,21 @@ from .polynomial import (
 from .quadreal import QuadReal, is_square, surd_sign
 
 
-def factor_prime_power(q: int) -> tuple[int, int]:
-    """q = p^n with p prime; raises StructuralError otherwise.
+def _perfect_power(q: int) -> tuple[int, int]:
+    """(m, k) with q = m^k and k as large as possible; (q, 1) when q is no
+    perfect power.  With k maximal m is no perfect power itself, so q is a
+    prime power exactly when m is prime."""
+    for k in range(q.bit_length(), 1, -1):
+        m = iroot(q, k)
+        if m ** k == q:
+            return m, k
+    return q, 1
 
-    Tries the exact integer k-th roots of q, largest k first, so no factor
-    search is needed and a large prime q costs one primality test.
-    """
-    for k in range(q.bit_length(), 0, -1):
-        p = iroot(q, k)
-        if p ** k == q and is_prime(p):
-            return p, k
-    raise StructuralError(f"{q} is not a prime power")
+
+def factor_prime_power(q: int) -> tuple[int, int]:
+    """q = p^n with p prime; raises StructuralError otherwise."""
+    params = WeilParams.from_q(q)
+    return params.p, params.n
 
 
 @dataclass(frozen=True)
@@ -68,8 +77,12 @@ class WeilParams:
 
     @staticmethod
     def from_q(q: int) -> "WeilParams":
-        p, n = factor_prime_power(q)
-        return WeilParams(p, n)
+        """Split q into p^n from exact integer roots alone, so the one
+        primality test is the one in __post_init__."""
+        try:
+            return WeilParams(*_perfect_power(q))
+        except StructuralError:
+            raise StructuralError(f"{q} is not a prime power") from None
 
     @property
     def q(self) -> int:
@@ -195,6 +208,60 @@ def is_weil(chi: IntPoly, params: WeilParams) -> WeilVerdict:
             if m % 2 != 0:
                 verdict, reason = False, "odd multiplicity at a real root"
     return WeilVerdict(verdict, tuple(roots), h, reason=reason)
+
+
+def _from_companion(h: IntPoly, q: int) -> IntPoly:
+    """t^d h(t + q/t) for d = deg h: the sum of h_k C(k, j) q^j t^(d + k - 2j)."""
+    d = h.degree
+    out = [0] * (2 * d + 1)
+    for k, c in enumerate(h.coeffs):
+        if c:
+            for j in range(k + 1):
+                out[d + k - 2 * j] += c * comb(k, j) * q ** j
+    return IntPoly(out)
+
+
+def factor_weil(
+    chi: IntPoly, verdict: WeilVerdict, params: WeilParams
+) -> tuple[int, list[tuple[IntPoly, int]]]:
+    """factor_over_integers(chi) for a q-Weil chi, read off its companion.
+
+    verdict must be is_weil(chi, params) with is_weil set.  The degree-g
+    companion h = prod h_i^m_i is factored instead of chi, and each
+    irreducible h_i of degree d gives the factor chi_i = t^d h_i(t + q/t)
+    with multiplicity m_i; distinct h_i give coprime chi_i.  Every chi_i is
+    irreducible unless h_i divides x^2 - 4q:
+      - every root a of the Weil chi has |a| = sqrt(q), so q/a = conj(a);
+      - a rational factor u of chi_i has real coefficients, so with a root
+        a it holds q/a: the whole pair over the root a + q/a of h_i;
+      - Galois permutes the roots of u and acts transitively on the roots
+        of the irreducible h_i, so u holds the pairs over all d of them,
+        which are all 2d roots of chi_i, and u = chi_i;
+      - this counts a and q/a as two roots; a = q/a means a = +-sqrt(q),
+        that is h_i(+-2 sqrt q) = 0.
+    There chi_i is a square: (t^2 - q)^2 for h_i = x^2 - 4q, (t -+ sqrt q)^2
+    for h_i = x -+ 2 sqrt(q) when q is a square.
+
+    The product of the factors is checked against chi before returning
+    (ExactnessError otherwise), which also proves the verdict is chi's.
+    """
+    if not verdict.is_weil:
+        raise StructuralError("factor_weil needs the verdict of a Weil polynomial")
+    q = params.q
+    squares = [(root, root * root) for _, root in _real_root_divisors(q)]
+    _, parts = factor_over_integers(verdict.companion)
+    out = []
+    for h_i, m in parts:
+        chi_i = _from_companion(h_i, q)
+        root = next((r for r, square in squares if square == chi_i), None)
+        out.append((chi_i, m) if root is None else (root, 2 * m))
+    out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
+    check = IntPoly.one()
+    for g, m in out:
+        check = check * g ** m
+    if check != chi:
+        raise ExactnessError("companion factors do not multiply back to chi")
+    return 1, out
 
 
 # -- genus-6 coefficient transforms -------------------------------------------

@@ -1,8 +1,11 @@
+import time
+
 import pytest
 
-from weilpoly.arith import iroot, is_prime, prime_factors, vp
-from weilpoly.errors import StructuralError
-from weilpoly.weil import factor_prime_power
+from weilpoly import weil
+from weilpoly.arith import _MR_EXACT_BELOW, iroot, is_prime, prime_factors, vp
+from weilpoly.errors import StructuralError, UnprovenPrimeError
+from weilpoly.weil import WeilParams, factor_prime_power
 
 N = range(501)
 
@@ -82,3 +85,26 @@ def test_factor_prime_power_agrees_with_prime_factors():
     assert factor_prime_power(big**3) == (big, 3)
     with pytest.raises(StructuralError):
         factor_prime_power(big * 3)
+
+
+def test_above_the_exact_bound_primality_is_unproven_not_slow(monkeypatch):
+    start = time.perf_counter()
+    big = 2**89 - 1
+    # a prime, and the composite bound itself (a strong pseudoprime to every
+    # base): the rounds cannot tell them apart, so neither gets an answer
+    for n in (big, _MR_EXACT_BELOW):
+        with pytest.raises(UnprovenPrimeError, match=str(_MR_EXACT_BELOW)):
+            is_prime(n)
+    # a witness still proves a composite above the bound at once
+    assert not is_prime(big * (2**61 - 1))
+    assert not is_prime(_MR_EXACT_BELOW + 2)
+    with pytest.raises(UnprovenPrimeError):
+        WeilParams.from_q(big**2)
+    assert time.perf_counter() - start < 2.0
+
+    # WeilParams.from_q tests p once
+    calls = []
+    monkeypatch.setattr(weil, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    assert WeilParams.from_q(2**61 - 1).n == 1
+    assert WeilParams.from_q(3**40).n == 40
+    assert calls == [2**61 - 1, 3]

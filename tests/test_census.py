@@ -8,6 +8,7 @@ from weilpoly.census import (
     sample_weil12_no_real_roots,
     trivial_box,
 )
+from weilpoly.factorint import is_irreducible_over_z
 from weilpoly.weil import WeilParams, chi_from_a, is_weil
 
 
@@ -107,3 +108,19 @@ def test_cross_check_degree14_tight_box():
     report = cross_check(spec)
     assert report["ok"], report["violations"]
     assert report["counts"].get("accepted", 0) > 0
+
+
+def test_irreducible_filter_agrees_with_generic_factorization():
+    # Weil records are decided through the companion, the rest by Zassenhaus
+    # on chi; both must keep exactly the irreducible chi
+    P = WeilParams.from_q(4)
+    box = ((-4, 4), (-2, 8), (-6, 6))
+    every = EnumerationSpec(degree=6, params=P, box=box)
+    only = EnumerationSpec(degree=6, params=P, box=box, irreducible_only=True)
+    kept = list(enumerate_weil(only))
+    expected = [
+        rec for rec in enumerate_weil(every) if is_irreducible_over_z(chi_from_a(rec.a, P))
+    ]
+    assert kept == expected
+    assert {rec.is_weil for rec in kept} == {True, False}
+    assert any(rec.is_weil and rec.real_roots for rec in enumerate_weil(every))

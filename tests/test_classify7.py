@@ -1,4 +1,8 @@
+import collections
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 
@@ -129,3 +133,23 @@ def test_table_tate_agreement_spot(rng):
             assert out.verdict != "table_tate_disagreement", (q, a, out)
             edge_count += out.verdict == "accepted"
         assert edge_count > 0
+
+
+def test_verdict_digest_of_the_degree14_scan():
+    """Every field of every verdict on the Weil candidates of the q=2,
+    |a_i| <= 1 box and on 60 seeded q=8 draws (the draws of
+    random.Random("scan14/1"), Weil or not), pinned as one digest."""
+    P8 = WeilParams.from_q(8)
+    rows = []
+    for a in itertools.product((-1, 0, 1), repeat=7):
+        chi = chi_from_a(a, P2)
+        if is_weil(chi, P2).is_weil:
+            rows.append([2, list(a), classify(chi, P2).to_dict()])
+    rng = random.Random("scan14/1")
+    for _ in range(60):
+        a = [rng.randint(-3, 3) for _ in range(7)]
+        rows.append([8, a, classify(chi_from_a(a, P8), P8).to_dict()])
+    verdicts = collections.Counter(row[2]["verdict"] for row in rows)
+    assert verdicts == {"accepted": 1494, "reducible": 129, "rejected": 19, "not_weil": 13}
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "0ff6dde0199e2eb90614baf93658251948b64ba8805ce7e3c352137314325512"

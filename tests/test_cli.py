@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,26 @@ def test_large_composite_q_exits_2_without_hanging():
     )
     assert proc.returncode == 2
     assert "not a prime power" in proc.stderr and not proc.stdout
+
+
+MERSENNE_89 = 2**89 - 1  # prime, above the range where Miller-Rabin is a proof
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-weil", "--q", str(MERSENNE_89), f"{MERSENNE_89},0,1"],
+        ["check-weil", "--q", f"{MERSENNE_89}^2", f"{MERSENNE_89 ** 2},0,1"],
+        ["polygon", "--p", str(MERSENNE_89), "1,0,1"],
+    ],
+)
+def test_unprovable_prime_is_inconclusive_not_a_hang(argv, capsys):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3 and elapsed < 2.0, (code, elapsed)
+    assert err.startswith("inconclusive:") and "3317044064679887385961981" in err
 
 
 def test_exit_code_negative_verdict(capsys):

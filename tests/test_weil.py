@@ -1,11 +1,13 @@
 import itertools
+import random
 from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilpoly.errors import StructuralError
+from weilpoly.errors import ExactnessError, StructuralError
+from weilpoly.factorint import factor_over_integers
 from weilpoly.oracle import weil_oracle
 from weilpoly.polynomial import IntPoly
 from weilpoly.quadreal import QuadReal
@@ -15,6 +17,7 @@ from weilpoly.weil import (
     check_symmetry,
     chi_from_a,
     companion_poly,
+    factor_weil,
     is_weil,
     r_coefficients,
     real_root_reduction,
@@ -208,3 +211,133 @@ def test_real_root_reduction_preconditions():
         real_root_reduction(IntPoly([2, 0, 1]), P2)
     with pytest.raises(StructuralError):
         real_root_reduction(IntPoly([1] + [0] * 11 + [1]), P2)
+
+
+# -- factorization through the companion ---------------------------------------
+
+# monic integer cubics with three real roots in (-2, 2), irreducible over Q
+TOTALLY_REAL_CUBICS = (IntPoly([-1, -2, 1, 1]), IntPoly([1, -3, 0, 1]), IntPoly([1, -2, -1, 1]))
+
+
+def chi_of_companion(h, q):
+    """t^g h(t + q/t) = sum h_k (t^2 + q)^k t^(g - k), by IntPoly products."""
+    g = h.degree
+    chi = IntPoly([0])
+    for k, c in enumerate(h.coeffs):
+        chi = chi + IntPoly([c]) * IntPoly([q, 0, 1]) ** k * IntPoly([0] * (g - k) + [1])
+    return chi
+
+
+def companion_piece(rng, q, room):
+    """A monic factor of degree <= room with all roots real in [-2 sqrt q, 2 sqrt q]."""
+    edge = isqrt(4 * q)
+    kind = rng.choice(["linear", "linear", "quadratic", "edge", "cubic"])
+    if kind == "quadratic" and room >= 2:
+        while True:
+            s, c = rng.randint(-2 * edge, 2 * edge), rng.randint(-4 * q, 4 * q)
+            h = IntPoly([c, -s, 1])
+            # both roots real and inside: disc >= 0, h(+-2 sqrt q) >= 0, vertex inside
+            if s * s >= 4 * c and 4 * q + c >= 0 and (4 * q + c) ** 2 >= 4 * q * s * s and s * s <= 16 * q:
+                return h
+    if kind == "edge" and room >= 2:
+        return IntPoly([-4 * q, 0, 1])  # roots +-2 sqrt q: chi gets the real roots +-sqrt q
+    if kind == "cubic" and room >= 3:
+        return rng.choice(TOTALLY_REAL_CUBICS)
+    return IntPoly([-rng.randint(-edge, edge), 1])
+
+
+def weil_corpus(seed):
+    """Seeded Weil polynomials of degree 4..14: companion products (real
+    roots, repeated and irreducible pieces), small-box hits whose companion
+    is often irreducible, seventh powers of quadratics, and six fixed cases
+    (large q, t^14 + 128, real roots beside a fifth power)."""
+    rng = random.Random(seed)
+    out = []
+    for q in (2, 3, 4, 5, 8, 9, 16, 25):
+        P = WeilParams.from_q(q)
+        for g in range(2, 8):
+            for _ in range(12):
+                h = IntPoly([1])
+                while h.degree < g:
+                    h = h * companion_piece(rng, q, g - h.degree)
+                out.append((chi_of_companion(h, q), P))
+            hits = 0
+            for _ in range(400):
+                a = tuple(rng.randint(-1, 1) * rng.randint(0, isqrt(q ** i)) for i in range(1, g + 1))
+                chi = chi_from_a(a, P)
+                if is_weil(chi, P).is_weil:
+                    out.append((chi, P))
+                    hits += 1
+                    if hits == 6:
+                        break
+        edge = isqrt(4 * q)
+        for a in (0, 1, -edge, edge):
+            out.append((IntPoly([q, a, 1]) ** 7, P))
+    for chi, q in (
+        (IntPoly([2, 1, 1]) ** 7, 2),
+        (IntPoly([128, 2, 1]) ** 7, 128),
+        (IntPoly([3**35, 243, 1]) ** 7, 3**35),
+        (IntPoly([128] + [0] * 13 + [1]), 2),
+        (IntPoly([-2, 0, 1]) ** 2 * IntPoly([2, 1, 1]) ** 5, 2),
+        (IntPoly([-3, 1]) ** 4 * IntPoly([9, 1, 1]) ** 5, 9),
+    ):
+        out.append((chi, WeilParams.from_q(q)))
+    return out
+
+
+def test_factor_weil_equals_factor_over_integers_on_a_corpus():
+    seen = {"reducible": 0, "repeated": 0, "real_root": 0, "power": 0, "irreducible_14": 0}
+    for chi, P in weil_corpus(20261018):
+        verdict = is_weil(chi, P)
+        assert verdict.is_weil, chi
+        expected = factor_over_integers(chi)
+        assert factor_weil(chi, verdict, P) == expected, (chi, P.q)
+        factors = expected[1]
+        seen["reducible"] += len(factors) > 1
+        seen["repeated"] += any(m > 1 for _, m in factors)
+        seen["real_root"] += bool(verdict.real_roots)
+        seen["power"] += all(m % 7 == 0 for _, m in factors)
+        seen["irreducible_14"] += chi.degree == 14 and factors[0][1] == 1 and len(factors) == 1
+    assert all(n >= 5 for n in seen.values()), seen
+
+
+@st.composite
+def weil_by_companion(draw):
+    """A q-Weil chi of degree 4..14 built from a companion of real-rooted pieces."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 8, 9, 16, 25, 27, 49]))
+    g = draw(st.integers(2, 7))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    h = IntPoly([1])
+    while h.degree < g:
+        h = h * companion_piece(rng, q, g - h.degree)
+    return chi_of_companion(h, q), WeilParams.from_q(q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=weil_by_companion())
+def test_factor_weil_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    chi, P = case
+    t = sympy.Symbol("t")
+    coeff, parts = sympy.factor_list(sympy.Poly(list(reversed(chi.coeffs)), t))
+    expected = sorted(
+        ((IntPoly(reversed(sympy.Poly(f, t).all_coeffs())), m) for f, m in parts),
+        key=lambda fm: (fm[0].degree, fm[0].coeffs),
+    )
+    assert factor_weil(chi, is_weil(chi, P), P) == (coeff, expected)
+
+
+def test_factor_weil_needs_a_weil_verdict():
+    chi = IntPoly([2, 3, 1])  # companion x + 3, root below -2 sqrt 2
+    verdict = is_weil(chi, P2)
+    assert not verdict.is_weil
+    with pytest.raises(StructuralError):
+        factor_weil(chi, verdict, P2)
+
+
+def test_factor_weil_checks_the_verdict_belongs_to_chi():
+    chi, other = chi_from_a((1, 0, 0), P2), chi_from_a((0, 0, 0), P2)
+    verdict = is_weil(other, P2)
+    assert verdict.is_weil and is_weil(chi, P2).is_weil
+    with pytest.raises(ExactnessError):
+        factor_weil(chi, verdict, P2)
