@@ -8,15 +8,15 @@ roots and evaluates the nine specialized conditions.
 
 Conditions (1)-(3) and their corollary counterparts are decided fully
 exactly in Z[sqrt(q)] (one radical layer is eliminated by squaring).
-Conditions (4)-(5) involve the critical points of g = f'/6: the bounds on
-r_4 come from evaluating g' at the three real roots of the depressed cubic
-w^3 + u2*w + u3 (the value set S reduces to -u2*w^2 - 3*u3*w there), and the
-bounds on r_5 from evaluating g minus its constant term at the four real
-roots of the depressed quartic z^4 + 2*u2*z^2 + 4*u3*z + u4 shifted by
--g1/5.  Those roots are isolated exactly (Sturm bisection).  Comparing a
-value at a root w with a target c builds the level polynomial value - c once;
-then, doubling the precision from START_BITS to MAX_BITS, it refines w's
-bracket and takes one integer enclosure of the level over it
+In lemma_check, conditions (4)-(5) involve the critical points of g = f'/6:
+the bounds on r_4 come from evaluating g' at the three real roots of the
+depressed cubic w^3 + u2*w + u3 (the value set S reduces to -u2*w^2 - 3*u3*w
+there), and the bounds on r_5 from evaluating g minus its constant term at
+the four real roots of the depressed quartic z^4 + 2*u2*z^2 + 4*u3*z + u4
+shifted by -g1/5.  Those roots are isolated exactly (Sturm bisection).
+Comparing a value at a root w with a target c builds the level polynomial
+value - c once; then, doubling the precision from START_BITS to MAX_BITS, it
+refines w's bracket and takes one integer enclosure of the level over it
 (intervals.eval_poly_interval) until the enclosure excludes zero.  The first
 undecided step runs an exact equality screen (gcd of the level with w's
 defining polynomial), so a verdict is Indeterminate only at the precision
@@ -27,6 +27,9 @@ The sorted-value trick: the lower bound on r_4 uses the smallest of the
 three candidate values and the upper bound the middle one, which is
 equivalent to counting how many candidates lie on each side of the tested
 value; no algebraic-vs-algebraic sorting is ever needed.
+
+corollary_bounds needs none of this: its (6) and (8) are real-rootedness
+tests of the integer companion's derivatives (proof in its docstring).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .intervals import eval_poly_interval
 from .polynomial import QuadPoly
 from .quadreal import QuadReal, sign_with_radical
 from .sturm import isolate_real_roots, refine_interval, sturm_count
-from .weil import WeilParams, r_coefficients
+from .weil import WeilParams, _real_rooted, _sturm_chain, chi_from_a, companion_poly
 
 START_BITS = 32
 MAX_BITS = 4096
@@ -243,28 +246,28 @@ def lemma_quantities(r) -> LemmaQuantities:
     )
 
 
-def _condition_r4(r, report: BoundsReport, cond_id: str, lq: LemmaQuantities):
+def _condition_r4(r, report: BoundsReport, lq: LemmaQuantities):
     """poly_part + 15*theta_min <= r4 <= poly_part + 15*theta_mid."""
     if not lq.cubic_all_real:
-        report.add(cond_id, False, "critical-point cubic has non-real roots")
+        report.add("4", False, "critical-point cubic has non-real roots")
         return
     r4 = _as_quad(r[3])
     c = (r4 - lq.poly_part) * Fraction(1, 15)
     try:
         signs = [th.compare(c) for th in lq.thetas]
     except PrecisionExhausted as exc:
-        report.add(cond_id, None, str(exc))
+        report.add("4", None, str(exc))
         return
     # sign s = theta - c: lower bound needs some theta <= c; upper needs >= two thetas >= c
     n_le = sum(1 for s in signs if s <= 0)
     n_ge = sum(1 for s in signs if s >= 0)
-    report.add(cond_id, n_le >= 1 and n_ge >= 2)
+    report.add("4", n_le >= 1 and n_ge >= 2)
 
 
-def _condition_r5(r, report: BoundsReport, cond_id: str, lq: LemmaQuantities):
+def _condition_r5(r, report: BoundsReport, lq: LemmaQuantities):
     """-6*lambda2 <= r5 <= -6*lambda1 via per-critical-point comparisons."""
     if not lq.quartic_all_real:
-        report.add(cond_id, False, "critical points of g are not all real")
+        report.add("5", False, "critical points of g are not all real")
         return
     r5 = _as_quad(r[4])
     c = -r5 * Fraction(1, 6)
@@ -275,10 +278,10 @@ def _condition_r5(r, report: BoundsReport, cond_id: str, lq: LemmaQuantities):
         s2 = lq.betas[1].compare(c)
         s4 = lq.betas[3].compare(c)
     except PrecisionExhausted as exc:
-        report.add(cond_id, None, str(exc))
+        report.add("5", None, str(exc))
         return
     # need G(b1) <= c, G(b3) <= c, G(b2) >= c, G(b4) >= c
-    report.add(cond_id, s1 <= 0 and s3 <= 0 and s2 >= 0 and s4 >= 0)
+    report.add("5", s1 <= 0 and s3 <= 0 and s2 >= 0 and s4 >= 0)
 
 
 def lemma_check(r) -> BoundsReport:
@@ -304,11 +307,11 @@ def lemma_check(r) -> BoundsReport:
     if r4.sign() <= 0:
         report.add("4", False)
     else:
-        _condition_r4(rv, report, "4", lq)
+        _condition_r4(rv, report, lq)
     if r5.sign() >= 0:
         report.add("5", False)
     else:
-        _condition_r5(rv, report, "5", lq)
+        _condition_r5(rv, report, lq)
     return report
 
 
@@ -327,9 +330,25 @@ def trivial_bounds(a, params: WeilParams) -> BoundsReport:
 def corollary_bounds(a, params: WeilParams) -> BoundsReport:
     """The nine necessary conditions on (a_1..a_6, q), no-real-roots regime.
 
-    Items 6 and 8 apply the r_4 / r_5 machinery to both transforms f and
-    ftilde; each is a valid necessary condition and the pair subsumes the
-    printed one-sided forms.
+    Items 6 and 8 are lemma conditions (4) and (5) on both transforms f and
+    ftilde, decided on the integer companion h.  Item 6 fails with the
+    cubic's note if h''' has a non-real root, else passes iff h'' has only
+    real roots; item 8 likewise on h'' and h', with the quartic's note.
+      - The lemma's cubic is f'''/120 in w = x + r1/6, with theta - c =
+        -f''(x)/30 at its roots; its quartic has the roots b of f'', with
+        G(b) - c = f'(b)/6.
+      - F of degree d, with positive leading coefficient and F' real-rooted
+        at x_1 <= ... <= x_(d-1), has only real roots iff
+        (-1)^(d-i) F(x_i) <= 0 for all i: Rolle one way, intermediate
+        values on the d pieces the other (a zero at an x_i is a root of F'
+        too, so one more time a root of F than of F').  That is (5) for
+        F = f', and (4) for F = f'', as F(x_2) is its largest value.
+      - f(y) = h(2 sqrt q - y) and ftilde(y) = h(y - 2 sqrt q): an affine
+        change of variable, reflection included, keeps each derivative's
+        real-rootedness, so both sides give h's answer and note.
+      - Multiplicities need no care: both sides list repeated roots, and
+        weil._real_rooted counts the roots of the squarefree part.
+    No value is compared, so items 6 and 8 are never Indeterminate.
     """
     if len(a) != 6:
         raise ValueError("expected a_1..a_6")
@@ -356,10 +375,14 @@ def corollary_bounds(a, params: WeilParams) -> BoundsReport:
     e5 = QuadReal(a4 + 105 * q * q + 20 * q * a2)
     m5 = abs(25 * q * a1 + 3 * a3)
     report.add("5", sign_with_radical(e5, QuadReal(-2 * m5), QuadReal(q)) > 0)
-    rf = r_coefficients((a1, a2, a3, a4, a5, a6), params, tilde=False)
-    rt = r_coefficients((a1, a2, a3, a4, a5, a6), params, tilde=True)
-    sides = [(rf, lemma_quantities(rf)), (rt, lemma_quantities(rt))]
-    _both_sides(sides, report, "6", _condition_r4)
+    h1 = companion_poly(chi_from_a((a1, a2, a3, a4, a5, a6), params), params).derivative()
+    h2 = h1.derivative()
+    real3 = _real_rooted(_sturm_chain(h2.derivative()))
+    real2 = real3 and _real_rooted(_sturm_chain(h2))  # by Rolle, real2 implies real3
+    if not real3:
+        report.add("6", False, "critical-point cubic has non-real roots")
+    else:
+        report.add("6", real2)
     left7 = QuadReal(
         Fraction(a5 + 25 * q * q * a1 + 9 * q * a3),
         Fraction(36 * q * q + 16 * q * a2 + 4 * a4),
@@ -371,23 +394,10 @@ def corollary_bounds(a, params: WeilParams) -> BoundsReport:
         q,
     )
     report.add("7", left7.sign() > 0 and right7.sign() > 0)
-    _both_sides(sides, report, "8", _condition_r5)
+    if not real2:
+        report.add("8", False, "critical points of g are not all real")
+    else:
+        report.add("8", _real_rooted(_sturm_chain(h1)))
     report.add("9", a6 * a6 < 924 ** 2 * q ** 6)
     return report
 
-
-def _both_sides(sides, report: BoundsReport, cond_id: str, checker):
-    """Apply checker to the (r, quantities) of f and of ftilde; both must pass."""
-    sub = BoundsReport()
-    for r, lq in sides:
-        checker(r, sub, "x", lq)
-    st_f, st_t = sub.conditions
-    if st_f.status is Status.INDETERMINATE or st_t.status is Status.INDETERMINATE:
-        note = st_f.note or st_t.note
-        report.add(cond_id, None, note)
-        return
-    ok = st_f.status is Status.PASS and st_t.status is Status.PASS
-    note = ""
-    if not ok:
-        note = st_f.note if st_f.status is Status.FAIL else st_t.note
-    report.add(cond_id, ok, note)

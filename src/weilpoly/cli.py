@@ -170,11 +170,11 @@ def cmd_classify14(args) -> int:
 def cmd_polygon(args) -> int:
     if not is_prime(args.p):
         raise UsageError(f"--p {args.p} is not a prime")
+    params = parse_q(args.q) if args.q else None
+    if params is not None and params.p != args.p:
+        raise UsageError(f"--q {args.q} is not a power of --p {args.p}")
     try:
         poly = poly_from_string(args.poly)
-    except StructuralError as exc:
-        raise UsageError(str(exc)) from None
-    try:
         np_ = newton_polygon(poly, args.p)
     except StructuralError as exc:
         raise UsageError(str(exc)) from None
@@ -185,8 +185,7 @@ def cmd_polygon(args) -> int:
             {"slope": str(s.slope), "length": s.length} for s in np_.segments
         ],
     }
-    if args.q and poly.degree == 14:
-        params = parse_q(args.q)
+    if params is not None and poly.degree == 14:
         match = polygon_case_id(np_, params)
         if isinstance(match, PolygonCaseId):
             doc["case"] = match.case_id

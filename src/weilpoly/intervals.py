@@ -5,7 +5,7 @@ eval_poly_interval runs interval Horner on the polynomial's integer form
 of the bracket, so every step is an integer product and sum; the B part is
 scaled by one integer sqrt(q) bracket of 2^-bits width.  Only the two
 endpoints of the result are Fractions.  This is the evaluation backend for
-bounds12's certified comparisons.
+the certified comparisons of bounds12.lemma_check.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
-"""Sturm-sequence machinery over Q(sqrt(q)), for the degree-12 bounds and
-real-root isolation.  (The Weil predicate builds its own chain over Z, in
-weil.)
+"""Sturm-sequence machinery over Q(sqrt(q)), for the real-root isolation of
+bounds12.lemma_check.  (The Weil predicate and the degree-12 corollary build
+their chains over Z, in weil.)
 
 A chain is the primitive pseudo-remainder sequence (polynomial._prs) of the
 squarefree part's numerators in Z[sqrt(q)] and their derivative: each member

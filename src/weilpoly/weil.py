@@ -20,9 +20,9 @@ irreducible factor of h gives one factor of chi, irreducible except at the
 roots +-2 sqrt(q) of h, where it is a square.
 
 build_f_ftilde and symmetric_v evaluate the explicit degree-6 coefficient
-transforms used by the genus-6 bound checker; the transform identity
-f(t) = h(2 sqrt(q) - t), ftilde(t) = h(t - 2 sqrt(q)) ties them to the
-companion construction and is enforced in the test suite.
+transforms f(t) = h(2 sqrt(q) - t), ftilde(t) = h(t - 2 sqrt(q)) (the test
+suite enforces the identity).  They no longer feed the bound checker, which
+decides on h itself (_real_rooted); they give lemma_check's inputs.
 """
 
 from __future__ import annotations
@@ -152,6 +152,17 @@ def _sturm_chain(h: IntPoly) -> list[list[int]]:
     return chain
 
 
+def _real_rooted(chain: list[list[int]]) -> bool:
+    """Whether the polynomial of this Sturm chain has only real roots.
+
+    chain[0] is its squarefree part, so they are all real when the distinct
+    real ones, V(-inf) - V(+inf), number deg chain[0].  A chain has at most
+    deg + 1 members, so then V(-inf) = deg and V(+inf) = 0."""
+    at_inf = [1 if p[-1] > 0 else -1 for p in chain]
+    at_neg_inf = [s if len(p) % 2 else -s for s, p in zip(at_inf, chain)]
+    return _variations_right(at_neg_inf) - _variations_right(at_inf) == len(chain[0]) - 1
+
+
 def _real_root_divisors(q: int) -> list[tuple[tuple[int, ...], IntPoly]]:
     """The monic integer factors carrying the roots +-sqrt(q), each with the
     signs of the roots it carries: t -+ sqrt(q) for square q, else t^2 - q."""
@@ -178,13 +189,9 @@ def is_weil(chi: IntPoly, params: WeilParams) -> WeilVerdict:
     h = companion_poly(chi, params)
     q = params.q
     chain = _sturm_chain(h)
-    at_inf = [1 if p[-1] > 0 else -1 for p in chain]
-    at_neg_inf = [s if len(p) % 2 else -s for s, p in zip(at_inf, chain)]
-    v_neg_inf = _variations_right(at_neg_inf)
-    v_inf = _variations_right(at_inf)
     verdict = True
     reason = ""
-    if v_neg_inf - v_inf != len(chain[0]) - 1:
+    if not _real_rooted(chain):
         verdict, reason = False, "companion has non-real roots"
     else:
         # p(+-2 sqrt q) = E +- 2 O sqrt q, with E and O the even and odd
@@ -195,9 +202,10 @@ def is_weil(chi: IntPoly, params: WeilParams) -> WeilVerdict:
             o = 2 * _homogeneous_horner(p[1::2], 4 * q, 1)
             at_hi.append(surd_sign(e, o, q))
             at_lo.append(surd_sign(e, -o, q))
-        # roots of h strictly outside [-2 sqrt q, 2 sqrt q]
-        high = _variations_right(at_hi) - v_inf
-        low = v_neg_inf - _variations_right(at_lo) - (at_lo[0] == 0)
+        # roots of h strictly outside [-2 sqrt q, 2 sqrt q]; all are real, so
+        # V(+inf) = 0 and V(-inf) = deg chain[0] (see _real_rooted)
+        high = _variations_right(at_hi)
+        low = len(chain[0]) - 1 - _variations_right(at_lo) - (at_lo[0] == 0)
         if high or low:
             verdict, reason = False, "companion root outside [-2 sqrt(q), 2 sqrt(q)]"
     roots = []

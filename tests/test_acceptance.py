@@ -78,7 +78,6 @@ def test_criterion_02_degree2_counts():
     report(2, f"counts {got} match (5, 7, 9)")
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_criterion_03_necessity(q):
     """>= 10^4 sampled degree-12 Weil polynomials without real roots (2000

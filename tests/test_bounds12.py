@@ -6,7 +6,10 @@ import pytest
 
 from weilpoly import bounds12
 from weilpoly.bounds12 import (
+    BoundsReport,
     Status,
+    _condition_r4,
+    _condition_r5,
     corollary_bounds,
     lemma_check,
     lemma_quantities,
@@ -15,7 +18,8 @@ from weilpoly.bounds12 import (
 from weilpoly.census import sample_weil12_no_real_roots
 from weilpoly.cli import main
 from weilpoly.quadreal import QuadReal
-from weilpoly.weil import WeilParams, r_coefficients
+from weilpoly.polynomial import IntPoly
+from weilpoly.weil import WeilParams, _from_companion, r_coefficients
 
 from conftest import r_vector_from_roots
 
@@ -152,14 +156,22 @@ def test_lemma_irrational_coefficients(index, shift, status5):
 
 
 def test_precision_cap_is_indeterminate(monkeypatch, capsys):
-    monkeypatch.setattr(bounds12, "MAX_BITS", bounds12.START_BITS // 2)
+    """Below START_BITS no comparison can be decided: lemma_check reports
+    conditions 4 and 5 as indeterminate, while the corollary, which decides
+    conditions 6 and 8 by exact real-root counts, needs no comparison."""
     q, a = COROLLARY_TABLE[0][:2]
-    rep = corollary_bounds(a, WeilParams.from_q(q))
-    assert rep.indeterminates == ["6", "8"] and not rep.failures
+    argv = ["bounds12", "--q", str(q), "--a", ",".join(map(str, a))]
+    uncapped = main(argv)
+    capsys.readouterr()
+    monkeypatch.setattr(bounds12, "MAX_BITS", bounds12.START_BITS // 2)
     cap_note = f"comparison undecided at {bounds12.MAX_BITS} bits (value straddles the target)"
-    assert {c.note for c in rep.conditions if c.cond in ("6", "8")} == {cap_note}
-    assert main(["bounds12", "--q", str(q), "--a", ",".join(map(str, a))]) == 3
-    assert '"status": "indeterminate"' in capsys.readouterr().out
+    rep = lemma_check(IRRATIONAL_R)
+    assert rep.indeterminates == ["4", "5"] and not rep.failures
+    assert {c.note for c in rep.conditions if c.cond in ("4", "5")} == {cap_note}
+    rep = corollary_bounds(a, WeilParams.from_q(q))
+    assert len(rep.conditions) == 9 and not rep.indeterminates
+    assert main(argv) == uncapped
+    assert '"status": "indeterminate"' not in capsys.readouterr().out
 
 
 def test_corollary_necessity_sampled():
@@ -286,3 +298,68 @@ def test_reports_match_parent_digest():
     """Statuses and notes of every report over the seeded corpus, pinned
     from the Fraction-based QuadReal implementation."""
     assert report_digest(report_corpus()) == (330, PINNED_REPORT_DIGEST)
+
+
+NONREAL_CUBIC = "critical-point cubic has non-real roots"
+
+
+def lemma_route(a, P):
+    """(status, note) of corollary conditions 6 and 8 as lemma conditions
+    (4) and (5) on both transforms: both sides must pass, an Indeterminate
+    side makes the pair Indeterminate, and a failure carries the note of
+    the first failing side."""
+    rs = [r_coefficients(a, P, tilde=tilde) for tilde in (False, True)]
+    sides = [(r, lemma_quantities(r)) for r in rs]
+    out = []
+    for checker in (_condition_r4, _condition_r5):
+        sub = BoundsReport()
+        for r, lq in sides:
+            checker(r, sub, lq)
+        f, t = sub.conditions
+        if Status.INDETERMINATE in (f.status, t.status):
+            out.append((Status.INDETERMINATE, f.note or t.note))
+        elif f.status is Status.PASS and t.status is Status.PASS:
+            out.append((Status.PASS, ""))
+        else:
+            out.append((Status.FAIL, f.note if f.status is Status.FAIL else t.note))
+    return out
+
+
+def repeated_root_companions(rng, n):
+    """(q, a) of n degree-12 chi = t^6 h(t + q/t), each h a product of
+    random integer linear and quadratic factors with multiplicities 1-3."""
+    out = []
+    while len(out) < n:
+        h = IntPoly.one()
+        while h.degree < 6:
+            if rng.random() < 0.5:
+                factor = IntPoly([rng.randint(-6, 6), 1])
+            else:
+                factor = IntPoly([rng.randint(-6, 12), rng.randint(-6, 6), 1])
+            h = h * factor ** rng.randint(1, 3)
+        if h.degree == 6:
+            q = rng.choice((2, 3, 4, 5))
+            chi = _from_companion(h, q)
+            out.append((q, tuple(chi[12 - i] for i in range(1, 7))))
+    return out
+
+
+def test_corollary_6_and_8_match_the_lemma_route():
+    """Corollary conditions 6 and 8, decided by real-root counts on the
+    companion's derivatives, give the status and note of the certified
+    comparisons on both transforms, on Weil samples, near-misses and
+    companions with repeated roots."""
+    corpus = [x for kind, x in report_corpus(2) if kind == "corollary"]
+    corpus += repeated_root_companions(random.Random(11), 300)
+    outcomes = set()
+    for q, a in corpus:
+        P = WeilParams.from_q(q)
+        rep = corollary_bounds(a, P)
+        got = [(c.status, c.note) for c in rep.conditions if c.cond in ("6", "8")]
+        assert got == lemma_route(a, P), (q, a)
+        outcomes.add(tuple(got))
+    fail, ok = Status.FAIL, Status.PASS
+    assert ((fail, NONREAL_CUBIC), (fail, NONREAL_QUARTIC)) in outcomes  # h''' not real-rooted
+    assert ((fail, ""), (fail, NONREAL_QUARTIC)) in outcomes  # h'' not, h''' real-rooted
+    assert ((ok, ""), (fail, "")) in outcomes  # h' not, h'' real-rooted
+    assert ((ok, ""), (ok, "")) in outcomes

@@ -65,6 +65,7 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert main(["cross-check", "--degree", "5", "--q", "2"]) == 2
     assert main(["polygon", "--p", "0", "1,0,1"]) == 2
     assert main(["polygon", "--p", "4", "1,0,1"]) == 2
+    assert main(["polygon", "--p", "3", "--q", "2", "128" + ",0" * 13 + ",1"]) == 2
     missing = str(tmp_path / "missing" / "x.json")
     assert main(["enumerate", "--degree", "2", "--q", "3", "--box", "-4:4", "--out", missing]) == 2
     assert main(["enumerate", "--degree", "2", "--q", "3", "--box", "4:-4"]) == 2
