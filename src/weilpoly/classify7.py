@@ -9,7 +9,10 @@ is the seventh power of the quadratic prod g^(m/7) read off the
 factorization and routes to the multiplicity-7 criterion; any other
 reducible input is terminal; only then is a non-Weil input rejected.  Last
 come real-root exclusion, the Newton-polygon case table and the Tate
-divisibility criterion, evaluated independently and cross-checked.  The
+divisibility criterion, evaluated independently and cross-checked.  Both
+read the Q_p factor profile, which padic.profile_weil takes from the
+companion too: it mirrors h's profile, and runs the engine on f only when a
+root of h has valuation n/2 or more, or h's profile is uncertified.  The
 Tate criterion is ground truth; the table's role is explanatory, and
 disagreements are first-class outcomes (the printed table has known
 transcription defects, flagged in the table file).
@@ -33,11 +36,7 @@ from .newton import (
     newton_polygon,
     polygon_case_id,
 )
-from .padic import (
-    profile_has_root_of_valuation,
-    qp_factor_profile,
-    tate_condition_profile,
-)
+from .padic import profile_has_root_of_valuation, profile_weil, tate_condition_profile
 from .polynomial import IntPoly
 from .weil import WeilParams, check_symmetry, factor_weil, is_weil
 
@@ -201,7 +200,7 @@ def classify(f: IntPoly, params: WeilParams, seed: int = DEFAULT_SEED) -> Classi
     np_ = newton_polygon(f, params.p)
     match = polygon_case_id(np_, params)
     try:
-        profile = qp_factor_profile(f, params.p, seed=seed)
+        profile = profile_weil(f, verdict, params, seed=seed)
         tate = tate_condition_profile(profile, params.n)
     except UncertifiedProfileError as exc:
         return Classification("inconclusive", detail=str(exc))

@@ -24,23 +24,36 @@ Montes refinement:
 
 Working precision is K = 2 v_p(disc f) + v_p(f(0)) + 4, which separates the
 true Q_p factors of a squarefree f; the engine retries at doubled precision
-if a capped valuation is ever load-bearing.
+if a capped valuation is ever load-bearing, four tries in all.  Every profile
+is checked against the Newton polygon of f: the slope multisets must agree.
+
+qp_factor_profile(f, p) is the generic route.  profile_weil profiles a
+q-Weil chi through its companion h, as factor_weil factors it.  When every
+root of h has valuation below n/2 (q = p^n), each Q_p factor of h gives two
+factors of chi, of slopes s and n - s (the mirror route, proved in its
+docstring), and the engine runs on h at half the degree and a far smaller
+K.  When a root of h has valuation n/2 or more, or h's profile is not fully
+certified, the engine runs on chi itself.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
 from . import fpoly
 from .arith import vp
-from .errors import StructuralError, UncertifiedProfileError
+from .errors import ExactnessError, StructuralError, UncertifiedProfileError
 from .factorint import discriminant
 from .fpoly import DEFAULT_SEED, ExtField, PrimeField, fdeg, fmul, ftrim
 from .hensel import hensel_lift_multi, hensel_lift_pair
-from .newton import lower_hull
+from .newton import lower_hull, newton_polygon
 from .polynomial import IntPoly
+from .weil import WeilParams, WeilVerdict
+
+_ATTEMPTS = 4  # precision tries, K doubling after each
 
 
 @dataclass(frozen=True)
@@ -379,35 +392,106 @@ def qp_factor_profile(
         # normalize to monic over Z_p: multiply by lc^(n-1) and substitute t/lc
         b = f.lc()
         work = IntPoly([c * b ** (f.degree - 1 - i) for i, c in enumerate(f.coeffs)])
-    last_exc = None
-    for _ in range(4):
-        engine = _Engine(p, K, seed, max_depth)
+    for attempt in range(1, _ATTEMPTS + 1):
         try:
-            recs = engine.analyze(list(work.coeffs), max_depth)
+            recs = _Engine(p, K, seed, max_depth).analyze(list(work.coeffs), max_depth)
             break
         except _PrecisionShort as exc:
-            last_exc = exc
+            if attempt == _ATTEMPTS:
+                raise UncertifiedProfileError(
+                    f"precision retries exhausted after {attempt} attempts, "
+                    f"the last at K={K}"
+                ) from exc
             K *= 2
-    else:
-        raise UncertifiedProfileError(
-            f"precision retries exhausted at K={K}"
-        ) from last_exc
-    factors = []
-    for r in sorted(recs, key=lambda r: (r.slope, r.degree, not r.certified)):
-        const_v = r.degree * r.slope
-        factors.append(
-            FactorRecord(
-                degree=r.degree,
-                slope=r.slope,
-                const_valuation=int(const_v),
-                residual_degree=r.residual_degree,
-                certified=r.certified,
-                granularity=r.granularity,
-            )
+    return _profile(f, p, recs)
+
+
+def _profile(f: IntPoly, p: int, recs) -> PadicFactorProfile:
+    """The profile of f from its factor records, sorted, with its slopes
+    checked against the Newton polygon of f."""
+    factors = tuple(
+        FactorRecord(
+            degree=r.degree,
+            slope=r.slope,
+            const_valuation=int(r.degree * r.slope),
+            residual_degree=r.residual_degree,
+            certified=r.certified,
+            granularity=r.granularity,
         )
-    return PadicFactorProfile(
-        p=p, degree=f.degree, const_valuation=v0, factors=tuple(factors)
+        for r in sorted(recs, key=lambda r: (r.slope, r.degree, not r.certified))
     )
+    profile = PadicFactorProfile(
+        p=p, degree=f.degree, const_valuation=vp(f[0], p), factors=factors
+    )
+    if profile.slope_multiset() != newton_polygon(f, p).valuation_multiset():
+        raise ExactnessError("Q_p factor slopes differ from the Newton polygon")
+    return profile
+
+
+def profile_weil(
+    chi: IntPoly, verdict: WeilVerdict, params: WeilParams, seed: int = DEFAULT_SEED
+) -> PadicFactorProfile:
+    """The Q_p factor profile of a squarefree q-Weil chi, for verdict =
+    is_weil(chi, params), read off the companion h = verdict.companion where
+    that is possible.
+
+    Mirror lemma.  Let beta be a root of h with v(beta) = s < n/2, and let
+    alpha, q/alpha be the two roots of t^2 - beta t + q, the roots of chi
+    above beta.  Over Q_p(beta) the Newton polygon of t^2 - beta t + q has
+    the points (0, n), (1, s), (2, 0), and (1, s) lies below the chord, so
+    it has two slopes: v(alpha) = s and v(q/alpha) = n - s.  Roots of
+    different valuation are not conjugate over Q_p(beta), so the quadratic
+    splits there, and Q_p(alpha) = Q_p(beta) because beta = alpha + q/alpha.
+    Let H be an irreducible Q_p factor of h of degree d with roots of
+    valuation s < n/2.  Galois permutes the roots of H transitively and keeps
+    valuations, so the roots of chi of valuation s above them form one orbit,
+    as do those of valuation n - s.  Each orbit has d elements, since each of
+    its elements generates the field of a root of H.  So H gives exactly two
+    irreducible Q_p factors of chi, of degree d and slopes s and n - s, whose
+    fields are the field of H: each keeps H's record, whose residual degree is
+    the residue degree of that field.  The profile's slopes are then checked
+    against chi's Newton polygon and for symmetry under s -> n - s.
+
+    Routes.  A root of h of valuation >= n/2 (beta = 0 included) has roots of
+    chi of valuation n/2 above it, which the lemma does not describe, so then
+    qp_factor_profile(chi) runs (the middle route).  Otherwise h's profile is
+    mirrored (the mirror route), unless it is not fully certified or its
+    precision retries run out: an uncertified block of h says nothing about
+    how chi splits above it, so chi's engine runs (the fallback).
+    """
+    if not verdict.is_weil:
+        raise StructuralError("profile_weil needs a Weil verdict")
+    h, p, n = verdict.companion, params.p, params.n
+    if h[0] != 0 and all(2 * s < n for s in newton_polygon(h, p).valuation_multiset()):
+        try:
+            inner = qp_factor_profile(h, p, seed=seed)
+        except UncertifiedProfileError:
+            inner = None
+        if inner is not None and inner.fully_certified:
+            return _mirror(chi, inner, n)
+    return qp_factor_profile(chi, p, seed=seed)
+
+
+def _mirror(chi: IntPoly, inner: PadicFactorProfile, n: int) -> PadicFactorProfile:
+    """Two records of slopes s and n - s for each record of h's profile."""
+    profile = _profile(
+        chi,
+        inner.p,
+        [
+            _Rec(r.degree, s, r.residual_degree, r.certified, r.granularity)
+            for r in inner.factors
+            for s in (r.slope, n - r.slope)
+        ],
+    )
+
+    def shape(r, slope):
+        return slope, r.degree, r.residual_degree, r.certified, r.granularity
+
+    if Counter(shape(r, r.slope) for r in profile.factors) != Counter(
+        shape(r, n - r.slope) for r in profile.factors
+    ):
+        raise ExactnessError("mirrored Q_p profile is not symmetric under s -> n - s")
+    return profile
 
 
 # -- queries -------------------------------------------------------------------

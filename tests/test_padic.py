@@ -1,23 +1,37 @@
+import collections
 import random
 from fractions import Fraction
 
 import pytest
 
-from weilpoly import fpoly
-from weilpoly.classify7 import _count_scoped
-from weilpoly.errors import StructuralError, UncertifiedProfileError
-from weilpoly.factorint import poly_gcd
+from weilpoly import fpoly, padic
+from weilpoly.arith import vp
+from weilpoly.classify7 import _count_scoped, classify
+from weilpoly.cli import main
+from weilpoly.errors import ExactnessError, StructuralError, UncertifiedProfileError
+from weilpoly.factorint import discriminant, poly_gcd
 from weilpoly.fpoly import PrimeField, is_irreducible
 from weilpoly.hensel import hensel_lift_pair
 from weilpoly.padic import (
     FactorRecord,
     PadicFactorProfile,
     profile_has_root_of_valuation,
+    profile_weil,
     qp_factor_profile,
     tate_condition_profile,
 )
 from weilpoly.polynomial import IntPoly
-from weilpoly.weil import WeilParams
+from weilpoly.weil import WeilParams, chi_from_a, factor_weil, is_weil
+
+P2 = WeilParams.from_q(2)
+
+# q=2 inputs of profile_weil and the route each takes
+PINNED_ROUTES = {
+    (-1, -1, 0, 0, 1, 0, 1): "mirror",
+    (-1, -1, 0, 0, 1, 1, 0): "middle",
+    (-1, 0, 1, -1, -1, 0, 1): "fallback",  # h's profile is not fully certified
+    (-1, -1, 1, 1, -1, 1, 1): "mirror",  # certifies blocks chi's engine leaves open
+}
 
 
 def records(profile):
@@ -298,3 +312,138 @@ def test_unit_root_count_matches_digit_search(rng):
                 roots.add(r % p ** (vd + 1))
         assert len(roots) == want, (p, f, sorted(roots), want)
         done += 1
+
+
+def test_profile_slopes_must_match_the_newton_polygon(monkeypatch):
+    # (t - 1)(t - 5) at p = 5 has root valuations 0 and 1; a fake engine
+    # reports one quadratic of slope 1/2, which keeps v_p(f(0)) = 1
+    def fake(self, g, depth):
+        return [padic._Rec(2, Fraction(1, 2), 1, True, 1)]
+
+    monkeypatch.setattr(padic._Engine, "analyze", fake)
+    with pytest.raises(ExactnessError, match="Newton polygon"):
+        qp_factor_profile(IntPoly([-1, 1]) * IntPoly([-5, 1]), 5)
+
+
+def test_exhausted_precision_names_the_last_k_tried(monkeypatch, capsys):
+    def short(self, g, depth):
+        raise padic._PrecisionShort
+
+    monkeypatch.setattr(padic._Engine, "analyze", short)
+    a = (-1, -1, 0, 0, 1, 0, 1)  # a mirror-route input: both engines run
+    chi = chi_from_a(a, P2)
+    first = 2 * vp(discriminant(chi), 2) + vp(chi[0], 2) + 4
+    with pytest.raises(UncertifiedProfileError) as exc:
+        qp_factor_profile(chi, 2)
+    assert str(exc.value) == (
+        f"precision retries exhausted after 4 attempts, the last at K={8 * first}"
+    )
+    out = classify(chi, P2)
+    assert out.verdict == "inconclusive" and f"K={8 * first}" in out.detail
+    assert main(["classify14", f"q=2; a={','.join(map(str, a))}"]) == 3
+    capsys.readouterr()
+
+
+def _weil_corpus(seed, per_q, qs=(3, 4, 8, 9, 25, 27)):
+    """Irreducible degree-14 Weil polynomials with no real root.  a_i is
+    drawn as u p^v with |a_i| below q^(i/2)/4, so the companion stays close
+    to that of t^14 + q^7, whose roots are well inside (-2 sqrt q, 2 sqrt q),
+    and the random p-powers give slopes on both sides of n/2."""
+    rng = random.Random(seed)
+    out = []
+    for q in qs:
+        params = WeilParams.from_q(q)
+        p = params.p
+        found = 0
+        while found < per_q:
+            a = []
+            for i in range(1, 8):
+                bound = max(1, int(q ** (i / 2) / 4))
+                v = rng.randint(0, bound.bit_length() // p.bit_length())
+                top = max(1, bound // p ** v)
+                a.append(rng.randint(-top, top) * p ** v)
+            chi = chi_from_a(tuple(a), params)
+            verdict = is_weil(chi, params)
+            if not verdict.is_weil or verdict.real_roots:
+                continue
+            _, parts = factor_weil(chi, verdict, params)
+            if len(parts) == 1 and parts[0][1] == 1:
+                out.append((params, chi, verdict))
+                found += 1
+    return out
+
+
+def _fits(extra, blocks):
+    """Can the records in extra fill the blocks exactly, each record inside
+    a block of its slope whose granularity divides its degree?"""
+    room = [b.degree for b in blocks]
+
+    def place(i):
+        if i == len(extra):
+            return not any(room)
+        r = extra[i]
+        for j, b in enumerate(blocks):
+            if (
+                b.slope == r.slope
+                and r.degree % b.granularity == 0
+                and room[j] >= r.degree
+            ):
+                room[j] -= r.degree
+                if place(i + 1):
+                    return True
+                room[j] += r.degree
+        return False
+
+    return place(0)
+
+
+def test_profile_weil_keeps_every_record_of_chis_engine(monkeypatch):
+    """On pinned q=2 inputs and a seeded corpus: every certified record of
+    qp_factor_profile(chi) is in profile_weil's profile, and the rest of it
+    fills chi's uncertified blocks.  Each route is reached."""
+    calls = []
+    engine = padic.qp_factor_profile
+
+    def spy(f, p, **kw):
+        calls.append(f.degree)
+        return engine(f, p, **kw)
+
+    monkeypatch.setattr(padic, "qp_factor_profile", spy)
+    routes = {(7,): "mirror", (14,): "middle", (7, 14): "fallback"}
+    inputs = []
+    for a, route in PINNED_ROUTES.items():
+        chi = chi_from_a(a, P2)
+        inputs.append((P2, chi, is_weil(chi, P2), route))
+    inputs += [(*row, None) for row in _weil_corpus("profile_weil", 20)]
+    seen = collections.Counter()
+    for params, chi, verdict, pinned in inputs:
+        calls.clear()
+        profile = profile_weil(chi, verdict, params)
+        route = routes[tuple(calls)]
+        assert pinned in (None, route), (chi, route)
+        reference = engine(chi, params.p)
+        if route == "middle":
+            assert profile == reference
+        if route == "fallback":
+            assert not engine(verdict.companion, params.p).fully_certified
+        rest = collections.Counter(profile.factors)
+        for r in reference.factors:
+            if r.certified:
+                assert rest[r] > 0, (params, chi, r)
+                rest[r] -= 1
+        blocks = [r for r in reference.factors if not r.certified]
+        assert _fits(list(rest.elements()), blocks), (params, chi)
+        seen[route] += 1
+        seen["certified beyond chi's engine"] += (
+            profile.fully_certified and not reference.fully_certified
+        )
+    assert all(seen[k] for k in ("mirror", "middle", "fallback")), seen
+    assert seen["certified beyond chi's engine"], seen
+
+
+def test_profile_weil_needs_a_weil_verdict():
+    chi = chi_from_a((40, 0, 0, 0, 0, 0, 0), P2)
+    verdict = is_weil(chi, P2)
+    assert not verdict.is_weil
+    with pytest.raises(StructuralError):
+        profile_weil(chi, verdict, P2)
