@@ -11,9 +11,10 @@ reducible input is terminal; only then is a non-Weil input rejected.  Last
 come real-root exclusion, the Newton-polygon case table and the Tate
 divisibility criterion, evaluated independently and cross-checked.  Both
 read the Q_p factor profile, which padic.profile_weil takes from the
-companion too: it mirrors h's profile, and runs the engine on f only when a
-root of h has valuation n/2 or more, or h's profile is uncertified.  The
-Tate criterion is ground truth; the table's role is explanatory, and
+companion too: it mirrors h's profile below slope n/2 and reads f's Newton
+side of slope n/2 by Ore's residual polynomial, and runs the engine on f
+only when h's profile there is uncertified, h(0) = 0, or n is even and that
+side's residual polynomial is not squarefree.  The Tate criterion is ground truth; the table's role is explanatory, and
 disagreements are first-class outcomes (the printed table has known
 transcription defects, flagged in the table file).
 """

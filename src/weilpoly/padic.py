@@ -28,17 +28,18 @@ if a capped valuation is ever load-bearing, four tries in all.  Every profile
 is checked against the Newton polygon of f: the slope multisets must agree.
 
 qp_factor_profile(f, p) is the generic route.  profile_weil profiles a
-q-Weil chi through its companion h, as factor_weil factors it.  When every
-root of h has valuation below n/2 (q = p^n), each Q_p factor of h gives two
-factors of chi, of slopes s and n - s (the mirror route, proved in its
-docstring), and the engine runs on h at half the degree and a far smaller
-K.  When a root of h has valuation n/2 or more, or h's profile is not fully
-certified, the engine runs on chi itself.
+q-Weil chi (q = p^n) through its companion h, as factor_weil factors it (the
+companion route, proved in its docstring): each Q_p factor of h of slope
+s < n/2 gives two factors of chi, of slopes s and n - s, read off h's profile
+at half the degree and a far smaller K, and chi's side of slope n/2 is read
+on chi's exact coefficients by _side_records, the side reader of the engine.
+The engine runs on chi itself (the fallback) only when h(0) = 0, when h's
+profile below slope n/2 is not fully certified or its retries run out, or
+when n is even and the middle side's residual polynomial is not squarefree.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
@@ -69,7 +70,9 @@ class FactorRecord:
     def __post_init__(self):
         if self.degree % self.slope.denominator:
             raise StructuralError("degree not divisible by the slope denominator")
-        if self.degree * self.slope != self.const_valuation:
+        if self.degree * self.slope.numerator != (
+            self.const_valuation * self.slope.denominator
+        ):
             raise StructuralError("constant valuation must be degree * slope")
 
 
@@ -124,6 +127,40 @@ class _Rec:
     residual_degree: int | None
     certified: bool
     granularity: int
+
+
+def _side_records(g, start, end, p: int, K: int, seed: int) -> list[_Rec]:
+    """Ore's records of the Newton side of g from vertex start to vertex end,
+    its coefficients read mod p^K.
+
+    A side of root valuation a/b (lowest terms) and length l has a residual
+    polynomial of degree l/b over F_p.  Each simple irreducible factor psi of
+    it certifies a Q_p factor of degree b * deg psi and residual degree
+    deg psi; a repeated factor psi^m leaves an uncertified block of degree
+    m * b * deg psi whose factor degrees are multiples of b * deg psi.
+    """
+    (x1, y1), (x2, y2) = start, end
+    rise, run = y1 - y2, x2 - x1
+    d = gcd(rise, run)
+    a, b = rise // d, run // d
+    if y1 + 1 > K:
+        raise _PrecisionShort
+    mod = p**K
+    res = []
+    for j in range(run // b + 1):
+        idx = x1 + j * b
+        c = g[idx] % mod if idx < len(g) else 0
+        res.append((c // p ** (y1 - j * a)) % p)
+    _, parts = fpoly.factor(PrimeField(p), res, seed=seed)
+    slope = Fraction(a, b)
+    out = []
+    for psi, mult in parts:
+        deg_psi = fdeg(psi)
+        if mult == 1:
+            out.append(_Rec(deg_psi * b, slope, deg_psi, True, 1))
+        else:
+            out.append(_Rec(mult * deg_psi * b, slope, None, False, deg_psi * b))
+    return out
 
 
 class _Engine:
@@ -201,43 +238,8 @@ class _Engine:
             inner = self.analyze(scaled, depth)
             return [replace(r, slope=r.slope + 1) for r in inner]
         out: list[_Rec] = []
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-            rise, run = y1 - y2, x2 - x1
-            d = gcd(rise, run)
-            a, b = rise // d, run // d  # slope -a/b, lowest terms
-            out.extend(self._segment_records(g, (x1, y1), (x2, y2), a, b, depth))
-        return out
-
-    def _segment_residual(self, g, start, end, a, b):
-        x1, y1 = start
-        x2, _ = end
-        length = x2 - x1
-        coeffs = []
-        for j in range(length // b + 1):
-            idx = x1 + j * b
-            need = y1 - j * a
-            c = g[idx] % self.mod if idx < len(g) else 0
-            if need + 1 > self.K:
-                raise _PrecisionShort
-            coeffs.append((c // self.p ** need) % self.p)
-        return coeffs
-
-    def _segment_records(self, g, start, end, a, b, depth) -> list[_Rec]:
-        slope = Fraction(a, b)
-        res = self._segment_residual(g, start, end, a, b)
-        F = PrimeField(self.p)
-        _, parts = fpoly.factor(F, res, seed=self.seed)
-        out = []
-        for psi, mult in parts:
-            deg_psi = fdeg(psi)
-            if mult == 1:
-                out.append(_Rec(deg_psi * b, slope, deg_psi, True, 1))
-            else:
-                # repeated residual on a (necessarily fractional here when it
-                # cannot be rescaled) segment: unresolvable at first order
-                out.append(
-                    _Rec(mult * deg_psi * b, slope, None, False, deg_psi * b)
-                )
+        for start, end in zip(hull, hull[1:]):
+            out.extend(_side_records(g, start, end, self.p, self.K, self.seed))
         return out
 
     # -- unit blocks ---------------------------------------------------------------
@@ -403,17 +405,19 @@ def qp_factor_profile(
                     f"the last at K={K}"
                 ) from exc
             K *= 2
-    return _profile(f, p, recs)
+    return _profile(f, p, recs, newton_polygon(f, p).vertices)
 
 
-def _profile(f: IntPoly, p: int, recs) -> PadicFactorProfile:
+def _profile(f: IntPoly, p: int, recs, vertices) -> PadicFactorProfile:
     """The profile of f from its factor records, sorted, with its slopes
-    checked against the Newton polygon of f."""
+    checked against the vertices of f's Newton polygon: walked from f's unit
+    leading coefficient, each record goes left by its degree and up by its
+    constant valuation, and records of one slope make one side."""
     factors = tuple(
         FactorRecord(
             degree=r.degree,
             slope=r.slope,
-            const_valuation=int(r.degree * r.slope),
+            const_valuation=r.degree * r.slope.numerator // r.slope.denominator,
             residual_degree=r.residual_degree,
             certified=r.certified,
             granularity=r.granularity,
@@ -423,7 +427,14 @@ def _profile(f: IntPoly, p: int, recs) -> PadicFactorProfile:
     profile = PadicFactorProfile(
         p=p, degree=f.degree, const_valuation=vp(f[0], p), factors=factors
     )
-    if profile.slope_multiset() != newton_polygon(f, p).valuation_multiset():
+    walk, side = [(f.degree, 0)], None
+    for r in factors:
+        x, y = walk[-1]
+        if side == (r.slope.numerator, r.slope.denominator):
+            walk.pop()
+        side = r.slope.numerator, r.slope.denominator
+        walk.append((x - r.degree, y + r.const_valuation))
+    if tuple(reversed(walk)) != vertices:
         raise ExactnessError("Q_p factor slopes differ from the Newton polygon")
     return profile
 
@@ -432,65 +443,99 @@ def profile_weil(
     chi: IntPoly, verdict: WeilVerdict, params: WeilParams, seed: int = DEFAULT_SEED
 ) -> PadicFactorProfile:
     """The Q_p factor profile of a squarefree q-Weil chi, for verdict =
-    is_weil(chi, params), read off the companion h = verdict.companion where
-    that is possible.
+    is_weil(chi, params), read off the companion h = verdict.companion and
+    off chi's Newton side of slope n/2 (q = p^n).
 
-    Mirror lemma.  Let beta be a root of h with v(beta) = s < n/2, and let
-    alpha, q/alpha be the two roots of t^2 - beta t + q, the roots of chi
-    above beta.  Over Q_p(beta) the Newton polygon of t^2 - beta t + q has
-    the points (0, n), (1, s), (2, 0), and (1, s) lies below the chord, so
-    it has two slopes: v(alpha) = s and v(q/alpha) = n - s.  Roots of
-    different valuation are not conjugate over Q_p(beta), so the quadratic
-    splits there, and Q_p(alpha) = Q_p(beta) because beta = alpha + q/alpha.
-    Let H be an irreducible Q_p factor of h of degree d with roots of
-    valuation s < n/2.  Galois permutes the roots of H transitively and keeps
-    valuations, so the roots of chi of valuation s above them form one orbit,
-    as do those of valuation n - s.  Each orbit has d elements, since each of
-    its elements generates the field of a root of H.  So H gives exactly two
-    irreducible Q_p factors of chi, of degree d and slopes s and n - s, whose
-    fields are the field of H: each keeps H's record, whose residual degree is
-    the residue degree of that field.  The profile's slopes are then checked
-    against chi's Newton polygon and for symmetry under s -> n - s.
+    The roots of chi above a root beta of h are the roots alpha, q/alpha of
+    t^2 - beta t + q, whose valuations add up to n.
 
-    Routes.  A root of h of valuation >= n/2 (beta = 0 included) has roots of
-    chi of valuation n/2 above it, which the lemma does not describe, so then
-    qp_factor_profile(chi) runs (the middle route).  Otherwise h's profile is
-    mirrored (the mirror route), unless it is not fully certified or its
-    precision retries run out: an uncertified block of h says nothing about
-    how chi splits above it, so chi's engine runs (the fallback).
+    Low slopes.  Let v(beta) = s < n/2.  Over Q_p(beta) the Newton polygon
+    of t^2 - beta t + q has the points (0, n), (1, s), (2, 0), and (1, s)
+    lies below the chord, so it has two slopes: v(alpha) = s and
+    v(q/alpha) = n - s.  Roots of different valuation are not conjugate over
+    Q_p(beta), so the quadratic splits there, and Q_p(alpha) = Q_p(beta)
+    because beta = alpha + q/alpha.  Let H be an irreducible Q_p factor of h
+    of degree d with roots of valuation s < n/2.  Galois permutes the roots
+    of H transitively and keeps valuations, so the roots of chi of valuation
+    s above them form one orbit, as do those of valuation n - s.  Each orbit
+    has d elements, since each of its elements generates the field of a root
+    of H.  So H gives exactly two irreducible Q_p factors of chi, of degree
+    d and slopes s and n - s, whose fields are the field of H: each keeps
+    H's record, whose residual degree is the residue degree of that field.
+
+    The middle side.  Let v(beta) >= n/2.  Then (1, v(beta)) lies on or
+    above the chord from (0, n) to (2, 0), so both roots above beta have
+    valuation n/2.  Conversely, if v(alpha) = n/2 then v(q/alpha) = n/2 and
+    v(beta) >= n/2.  So the roots of chi of valuation n/2 are exactly the
+    two above each root of h of valuation >= n/2: chi has one Newton side of
+    slope n/2, of length 2 #{beta : v(beta) >= n/2}, or none.  By Ore's
+    theorem of the residual polynomial (Ore, Math. Ann. 99, 1928;
+    Guardia-Montes-Nart, Trans. AMS 364, 2012), each simple irreducible
+    factor psi of that side's residual polynomial certifies an irreducible
+    Q_p factor of chi of degree e deg psi and residual degree deg psi, where
+    e is the denominator of n/2, and a repeated psi^m leaves a block whose
+    factor degrees are multiples of e deg psi (_side_records, the reader
+    chi's engine uses).  The side is read on chi's exact coefficients.
+
+    Agreement with chi's engine.  Residual polynomials are multiplicative: a
+    factor with no root of valuation n/2 contributes a nonzero constant.
+    chi's engine splits off the unit roots by a Hensel lift and scales
+    t -> pt while every root valuation is >= 1; the scaling divides
+    coefficient i by the same power of p by which it lowers the side's
+    heights, so it keeps the residual polynomial.  The engine therefore
+    reads the same residual polynomial up to a unit and certifies the same
+    records.  For odd n the slope is fractional and the engine never refines
+    a fractional side, so its uncertified blocks there are the ones above.
+
+    Routes.  The companion route mirrors the records of qp_factor_profile(h)
+    of slope below n/2 (h's engine is skipped when there are none) and adds
+    the records of the middle side.  qp_factor_profile(chi) runs instead
+    (the fallback) when h(0) = 0, when a record of h of slope below n/2 is
+    uncertified or h's precision retries run out (an uncertified block of h
+    says nothing about how chi splits above it), and when n is even and the
+    middle side's residual polynomial is not squarefree, since chi's engine
+    refines repeated residuals at integer slopes.  Every profile's slopes
+    are checked against chi's Newton polygon, and those of the companion
+    route also for symmetry under s -> n - s.
     """
     if not verdict.is_weil:
         raise StructuralError("profile_weil needs a Weil verdict")
     h, p, n = verdict.companion, params.p, params.n
-    if h[0] != 0 and all(2 * s < n for s in newton_polygon(h, p).valuation_multiset()):
+    if h[0] == 0:
+        return qp_factor_profile(chi, p, seed=seed)
+    recs = []
+    (x, y), (g, _) = newton_polygon(h, p).vertices[-2:]  # h's least root valuation
+    if 2 * y < n * (g - x):
         try:
             inner = qp_factor_profile(h, p, seed=seed)
         except UncertifiedProfileError:
-            inner = None
-        if inner is not None and inner.fully_certified:
-            return _mirror(chi, inner, n)
-    return qp_factor_profile(chi, p, seed=seed)
-
-
-def _mirror(chi: IntPoly, inner: PadicFactorProfile, n: int) -> PadicFactorProfile:
-    """Two records of slopes s and n - s for each record of h's profile."""
-    profile = _profile(
-        chi,
-        inner.p,
-        [
-            _Rec(r.degree, s, r.residual_degree, r.certified, r.granularity)
-            for r in inner.factors
-            for s in (r.slope, n - r.slope)
-        ],
-    )
-
-    def shape(r, slope):
-        return slope, r.degree, r.residual_degree, r.certified, r.granularity
-
-    if Counter(shape(r, r.slope) for r in profile.factors) != Counter(
-        shape(r, n - r.slope) for r in profile.factors
-    ):
-        raise ExactnessError("mirrored Q_p profile is not symmetric under s -> n - s")
+            return qp_factor_profile(chi, p, seed=seed)
+        for r in inner.factors:
+            if 2 * r.slope.numerator < n * r.slope.denominator:
+                if not r.certified:
+                    return qp_factor_profile(chi, p, seed=seed)
+                recs += (r, _Rec(r.degree, n - r.slope, r.residual_degree, True, 1))
+    vertices = newton_polygon(chi, p).vertices
+    for start, end in zip(vertices, vertices[1:]):
+        if 2 * (start[1] - end[1]) == n * (end[0] - start[0]):
+            middle = _side_records(chi.coeffs, start, end, p, start[1] + 1, seed)
+            if n % 2 == 0 and not all(r.certified for r in middle):
+                return qp_factor_profile(chi, p, seed=seed)
+            recs += middle
+    profile = _profile(chi, p, recs, vertices)
+    shapes = [
+        (
+            r.slope.numerator,
+            r.slope.denominator,
+            r.degree,
+            r.certified,
+            r.residual_degree or 0,
+            r.granularity,
+        )
+        for r in profile.factors
+    ]
+    if sorted(shapes) != sorted((n * d - s, d, *rest) for s, d, *rest in shapes):
+        raise ExactnessError("Weil Q_p profile is not symmetric under s -> n - s")
     return profile
 
 

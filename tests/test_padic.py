@@ -25,12 +25,32 @@ from weilpoly.weil import WeilParams, chi_from_a, factor_weil, is_weil
 
 P2 = WeilParams.from_q(2)
 
-# q=2 inputs of profile_weil and the route each takes
+# inputs (q, a) of profile_weil, the route each takes and a record it must hold
 PINNED_ROUTES = {
-    (-1, -1, 0, 0, 1, 0, 1): "mirror",
-    (-1, -1, 0, 0, 1, 1, 0): "middle",
-    (-1, 0, 1, -1, -1, 0, 1): "fallback",  # h's profile is not fully certified
-    (-1, -1, 1, 1, -1, 1, 1): "mirror",  # certifies blocks chi's engine leaves open
+    (2, (-1, -1, 0, 0, 1, 0, 1)): ("companion", None),
+    (2, (-1, -1, 0, 0, 1, 1, 0)): ("companion", None),
+    # an uncertified middle block, as chi's engine leaves it
+    (2, (-1, -1, 0, 1, 1, 0, 0)): (
+        "companion",
+        FactorRecord(4, Fraction(1, 2), 2, None, False, 2),
+    ),
+    # n even: a certified middle record
+    (4, (-1, 0, 0, -6, 0, 16, -16)): (
+        "companion",
+        FactorRecord(6, Fraction(1), 6, 6, True),
+    ),
+    # certifies blocks chi's engine leaves open
+    (2, (-1, -1, 1, 1, -1, 1, 1)): ("companion", None),
+    # every root of h = (x^2-2)(x^2-6)(x-2)(x^2+2x-2) has valuation >= 1/2,
+    # so h's engine is skipped
+    (2, (0, 0, 4, 4, 0, 8, 16)): (
+        "companion",
+        FactorRecord(2, Fraction(1, 2), 1, 1, True),
+    ),
+    # n even: a repeated middle residual
+    (4, (2, 2, -2, -4, -12, 8, 0)): ("fallback", None),
+    # h's profile below slope n/2 is not fully certified
+    (2, (-1, 0, 1, -1, -1, 0, 1)): ("fallback", None),
 }
 
 
@@ -330,7 +350,7 @@ def test_exhausted_precision_names_the_last_k_tried(monkeypatch, capsys):
         raise padic._PrecisionShort
 
     monkeypatch.setattr(padic._Engine, "analyze", short)
-    a = (-1, -1, 0, 0, 1, 0, 1)  # a mirror-route input: both engines run
+    a = (-1, -1, 0, 0, 1, 0, 1)  # h's profile falls short, then chi's: both engines run
     chi = chi_from_a(a, P2)
     first = 2 * vp(discriminant(chi), 2) + vp(chi[0], 2) + 4
     with pytest.raises(UncertifiedProfileError) as exc:
@@ -398,9 +418,12 @@ def _fits(extra, blocks):
 
 
 def test_profile_weil_keeps_every_record_of_chis_engine(monkeypatch):
-    """On pinned q=2 inputs and a seeded corpus: every certified record of
+    """On pinned inputs and a seeded corpus: every certified record of
     qp_factor_profile(chi) is in profile_weil's profile, and the rest of it
-    fills chi's uncertified blocks.  Each route is reached."""
+    fills chi's uncertified blocks; for odd n the records of slope n/2 are
+    chi's engine's.  Both routes are reached, the companion route never runs
+    the engine on chi, and it skips h's engine when h has no root of
+    valuation below n/2."""
     calls = []
     engine = padic.qp_factor_profile
 
@@ -409,23 +432,34 @@ def test_profile_weil_keeps_every_record_of_chis_engine(monkeypatch):
         return engine(f, p, **kw)
 
     monkeypatch.setattr(padic, "qp_factor_profile", spy)
-    routes = {(7,): "mirror", (14,): "middle", (7, 14): "fallback"}
     inputs = []
-    for a, route in PINNED_ROUTES.items():
-        chi = chi_from_a(a, P2)
-        inputs.append((P2, chi, is_weil(chi, P2), route))
-    inputs += [(*row, None) for row in _weil_corpus("profile_weil", 20)]
+    for (q, a), (route, record) in PINNED_ROUTES.items():
+        params = WeilParams.from_q(q)
+        chi = chi_from_a(a, params)
+        inputs.append((params, chi, is_weil(chi, params), route, record))
+    corpus = _weil_corpus("profile_weil", 20, qs=(2, 3, 4, 8, 9, 25, 27, 32))
+    inputs += [(*row, None, None) for row in corpus]
     seen = collections.Counter()
-    for params, chi, verdict, pinned in inputs:
+    for params, chi, verdict, pinned, record in inputs:
         calls.clear()
         profile = profile_weil(chi, verdict, params)
-        route = routes[tuple(calls)]
+        route = "fallback" if 14 in calls else "companion"
         assert pinned in (None, route), (chi, route)
+        assert record is None or record in profile.factors, (chi, profile)
+        assert calls in ([], [7], [14], [7, 14]), calls
         reference = engine(chi, params.p)
-        if route == "middle":
-            assert profile == reference
         if route == "fallback":
-            assert not engine(verdict.companion, params.p).fully_certified
+            assert profile == reference
+            assert (
+                params.n % 2 == 0
+                or verdict.companion[0] == 0
+                or not engine(verdict.companion, params.p).fully_certified
+            )
+        middle = Fraction(params.n, 2)
+        if params.n % 2:
+            assert collections.Counter(
+                r for r in profile.factors if r.slope == middle
+            ) == collections.Counter(r for r in reference.factors if r.slope == middle)
         rest = collections.Counter(profile.factors)
         for r in reference.factors:
             if r.certified:
@@ -434,10 +468,11 @@ def test_profile_weil_keeps_every_record_of_chis_engine(monkeypatch):
         blocks = [r for r in reference.factors if not r.certified]
         assert _fits(list(rest.elements()), blocks), (params, chi)
         seen[route] += 1
+        seen["h's engine skipped"] += not calls
         seen["certified beyond chi's engine"] += (
             profile.fully_certified and not reference.fully_certified
         )
-    assert all(seen[k] for k in ("mirror", "middle", "fallback")), seen
+    assert all(seen[k] for k in ("companion", "fallback", "h's engine skipped")), seen
     assert seen["certified beyond chi's engine"], seen
 
 
