@@ -6,30 +6,32 @@ for all roots to be real and positive.  corollary_bounds takes the free
 coefficients (a_1..a_6, q) of a symmetric degree-12 polynomial with no real
 roots and evaluates the nine specialized conditions.
 
-Conditions (1)-(3) and their corollary counterparts are decided fully
-exactly in Z[sqrt(q)] (one radical layer is eliminated by squaring).
-In lemma_check, conditions (4)-(5) involve the critical points of g = f'/6:
-the bounds on r_4 come from evaluating g' at the three real roots of the
-depressed cubic w^3 + u2*w + u3 (the value set S reduces to -u2*w^2 - 3*u3*w
-there), and the bounds on r_5 from evaluating g minus its constant term at
-the four real roots of the depressed quartic z^4 + 2*u2*z^2 + 4*u3*z + u4
-shifted by -g1/5.  Those roots are isolated exactly (Sturm bisection).
-Comparing a value at a root w with a target c builds the level polynomial
-value - c once; then, doubling the precision from START_BITS to MAX_BITS, it
-refines w's bracket and takes one integer enclosure of the level over it
-(intervals.eval_poly_interval) until the enclosure excludes zero.  The first
-undecided step runs an exact equality screen (gcd of the level with w's
-defining polynomial), so a verdict is Indeterminate only at the precision
-cap, never silently wrong.  Reality of the cubic/quartic roots is itself
-necessary and failures are reported as structured Fails.
+lemma_check decides its conditions (1)-(3) exactly in Z[sqrt(q)] (one
+radical layer is eliminated by squaring).  Its conditions (4)-(5) involve
+the critical points of g = f'/6: the bounds on r_4 come from evaluating g'
+at the three real roots of the depressed cubic w^3 + u2*w + u3 (the value
+set S reduces to -u2*w^2 - 3*u3*w there), and the bounds on r_5 from
+evaluating g minus its constant term at the four real roots of the
+depressed quartic z^4 + 2*u2*z^2 + 4*u3*z + u4 shifted by -g1/5.  Those
+roots are isolated exactly (Sturm bisection).  Comparing a value at a root w
+with a target c builds the level polynomial value - c once; then, doubling
+the precision from START_BITS to MAX_BITS, it refines w's bracket and takes
+one integer enclosure of the level over it (intervals.eval_poly_interval)
+until the enclosure excludes zero.  The first undecided step runs an exact
+equality screen (gcd of the level with w's defining polynomial), so a
+verdict is Indeterminate only at the precision cap, never silently
+wrong.  Reality of the cubic/quartic roots is itself necessary and failures
+are reported as structured Fails.
 
 The sorted-value trick: the lower bound on r_4 uses the smallest of the
 three candidate values and the upper bound the middle one, which is
 equivalent to counting how many candidates lie on each side of the tested
 value; no algebraic-vs-algebraic sorting is ever needed.
 
-corollary_bounds needs none of this: its (6) and (8) are real-rootedness
-tests of the integer companion's derivatives (proof in its docstring).
+corollary_bounds needs none of this.  It decides all nine conditions on
+integers: one radical per condition, squared out behind a sign guard, and
+its (6) and (8) as real-rootedness tests of the integer companion's
+derivatives (proofs in its docstring).
 """
 
 from __future__ import annotations
@@ -41,10 +43,10 @@ from math import comb
 
 from .errors import PrecisionExhausted
 from .intervals import eval_poly_interval
-from .polynomial import QuadPoly
+from .polynomial import IntPoly, QuadPoly
 from .quadreal import QuadReal, sign_with_radical
 from .sturm import isolate_real_roots, refine_interval, sturm_count
-from .weil import WeilParams, _real_rooted, _sturm_chain, chi_from_a, companion_poly
+from .weil import WeilParams, _real_rooted, _sturm_chain, symmetric_v
 
 START_BITS = 32
 MAX_BITS = 4096
@@ -330,10 +332,20 @@ def trivial_bounds(a, params: WeilParams) -> BoundsReport:
 def corollary_bounds(a, params: WeilParams) -> BoundsReport:
     """The nine necessary conditions on (a_1..a_6, q), no-real-roots regime.
 
+    Every item is decided on integers.  Items 2, 3, 5 and 7 carry the one
+    radical sqrt(q), squared out behind a sign guard: e - m sqrt(q) > 0 with
+    m >= 0 iff e > 0 and e^2 > q m^2, and b sqrt(q) > |c| iff b > 0 and
+    q b^2 > c^2.  Item 4 is |base| <= coeff sqrt(W) for
+    W = 25 a1^2 - 60 a2 + 360 q >= 0, where base = B/135 with
+    B = 135 a3 + 25 a1^3 - 90 a1 a2 - 135 q a1, and
+    coeff = a1^2/27 - 4 a2/45 + 8 q/15 is exactly W/675.  So it reads
+    5 |B| <= W^(3/2), that is 25 B^2 <= W^3 (at W = 0: B = 0).
+
     Items 6 and 8 are lemma conditions (4) and (5) on both transforms f and
-    ftilde, decided on the integer companion h.  Item 6 fails with the
-    cubic's note if h''' has a non-real root, else passes iff h'' has only
-    real roots; item 8 likewise on h'' and h', with the quartic's note.
+    ftilde, decided on the integer companion h (coefficients from
+    symmetric_v).  Item 6 fails with the cubic's note if h''' has a
+    non-real root, else passes iff h'' has only real roots; item 8 likewise
+    on h'' and h', with the quartic's note.
       - The lemma's cubic is f'''/120 in w = x + r1/6, with theta - c =
         -f''(x)/30 at its roots; its quartic has the roots b of f'', with
         G(b) - c = f'(b)/6.
@@ -348,34 +360,28 @@ def corollary_bounds(a, params: WeilParams) -> BoundsReport:
         real-rootedness, so both sides give h's answer and note.
       - Multiplicities need no care: both sides list repeated roots, and
         weil._real_rooted counts the roots of the squarefree part.
-    No value is compared, so items 6 and 8 are never Indeterminate.
+    No value is compared, so no item is ever Indeterminate.
     """
     if len(a) != 6:
         raise ValueError("expected a_1..a_6")
-    a1, a2, a3, a4, a5, a6 = [int(v) for v in a]
+    a = [int(v) for v in a]
+    a1, a2, a3, a4, a5, a6 = a
     q = params.q
     report = BoundsReport()
     report.add("1", a1 * a1 < 144 * q)
-    left2 = sign_with_radical(QuadReal(a2 + 54 * q), QuadReal(-10 * abs(a1)), QuadReal(q)) > 0
-    right2 = 12 * a2 <= 72 * q + 5 * a1 * a1
-    report.add("2", left2 and right2)
-    e3a = QuadReal(Fraction(a3 + 35 * q * a1), Fraction(8 * a2 + 112 * q), q)
-    e3b = QuadReal(Fraction(-a3 - 35 * q * a1), Fraction(8 * a2 + 112 * q), q)
-    report.add("3", e3a.sign() > 0 and e3b.sign() > 0)
-    bigw = 25 * a1 * a1 - 60 * a2 + 360 * q
-    if bigw < 0:
+    e = a2 + 54 * q
+    report.add("2", e > 0 and e * e > 100 * q * a1 * a1 and 12 * a2 <= 72 * q + 5 * a1 * a1)
+    b, c = 8 * a2 + 112 * q, a3 + 35 * q * a1
+    report.add("3", b > 0 and q * b * b > c * c)
+    w = 25 * a1 * a1 - 60 * a2 + 360 * q
+    if w < 0:
         report.add("4", False, "radicand negative (condition 2 already fails)")
     else:
-        polyterm = Fraction(-5 * a1 ** 3, 27) + Fraction(2 * a1 * a2, 3) + q * a1
-        coeff = Fraction(a1 * a1, 27) - Fraction(4 * a2, 45) + Fraction(8 * q, 15)
-        base = QuadReal(a3 - polyterm)
-        lower_ok = sign_with_radical(base, QuadReal(coeff), QuadReal(bigw)) >= 0
-        upper_ok = sign_with_radical(base, QuadReal(-coeff), QuadReal(bigw)) <= 0
-        report.add("4", lower_ok and upper_ok)
-    e5 = QuadReal(a4 + 105 * q * q + 20 * q * a2)
-    m5 = abs(25 * q * a1 + 3 * a3)
-    report.add("5", sign_with_radical(e5, QuadReal(-2 * m5), QuadReal(q)) > 0)
-    h1 = companion_poly(chi_from_a((a1, a2, a3, a4, a5, a6), params), params).derivative()
+        big_b = 135 * a3 + 25 * a1 ** 3 - 90 * a1 * a2 - 135 * q * a1
+        report.add("4", 25 * big_b * big_b <= w ** 3)
+    e, m = a4 + 105 * q * q + 20 * q * a2, 25 * q * a1 + 3 * a3
+    report.add("5", e > 0 and e * e > 4 * q * m * m)
+    h1 = IntPoly([*reversed(symmetric_v(a, params)), 1]).derivative()
     h2 = h1.derivative()
     real3 = _real_rooted(_sturm_chain(h2.derivative()))
     real2 = real3 and _real_rooted(_sturm_chain(h2))  # by Rolle, real2 implies real3
@@ -383,21 +389,11 @@ def corollary_bounds(a, params: WeilParams) -> BoundsReport:
         report.add("6", False, "critical-point cubic has non-real roots")
     else:
         report.add("6", real2)
-    left7 = QuadReal(
-        Fraction(a5 + 25 * q * q * a1 + 9 * q * a3),
-        Fraction(36 * q * q + 16 * q * a2 + 4 * a4),
-        q,
-    )
-    right7 = QuadReal(
-        Fraction(-25 * q * q * a1 - 9 * q * a3 - a5),
-        Fraction(36 * q * q + 16 * q * a2 + 4 * a4),
-        q,
-    )
-    report.add("7", left7.sign() > 0 and right7.sign() > 0)
+    b, c = 36 * q * q + 16 * q * a2 + 4 * a4, a5 + 25 * q * q * a1 + 9 * q * a3
+    report.add("7", b > 0 and q * b * b > c * c)
     if not real2:
         report.add("8", False, "critical points of g are not all real")
     else:
         report.add("8", _real_rooted(_sturm_chain(h1)))
     report.add("9", a6 * a6 < 924 ** 2 * q ** 6)
     return report
-

@@ -281,10 +281,6 @@ def cross_check(spec: EnumerationSpec, numeric_sample_rate: float = 0.01, seed: 
         if spec.degree == 12 and rec.is_weil and not rec.real_roots:
             rep = corollary_bounds(rec.a, spec.params)
             triv = trivial_bounds(rec.a, spec.params)
-            if rep.indeterminates:
-                report["indeterminate"].append(
-                    {"a": list(rec.a), "conditions": rep.indeterminates}
-                )
             if rep.failures or not triv.all_pass:
                 report["violations"].append(
                     {

@@ -108,7 +108,7 @@ def _mignotte_bound(f: IntPoly) -> int:
 
 
 def _choose_prime(f: IntPoly) -> int:
-    """Smallest prime not dividing disc(f) * lc(f); keeps f squarefree mod p."""
+    """Smallest odd prime not dividing disc(f) * lc(f); keeps f squarefree mod p."""
     p = 2
     lc = abs(f.lc())
     while True:

@@ -19,10 +19,12 @@ factor_weil factors a Weil chi over Z through the same companion: each
 irreducible factor of h gives one factor of chi, irreducible except at the
 roots +-2 sqrt(q) of h, where it is a square.
 
-build_f_ftilde and symmetric_v evaluate the explicit degree-6 coefficient
-transforms f(t) = h(2 sqrt(q) - t), ftilde(t) = h(t - 2 sqrt(q)) (the test
-suite enforces the identity).  They no longer feed the bound checker, which
-decides on h itself (_real_rooted); they give lemma_check's inputs.
+symmetric_v gives the genus-6 companion h in closed form from a_1..a_6;
+corollary_bounds builds h from it and decides conditions 6 and 8 on h
+(_real_rooted).  build_f_ftilde and r_coefficients evaluate the explicit
+degree-6 coefficient transforms f(t) = h(2 sqrt(q) - t),
+ftilde(t) = h(t - 2 sqrt(q)) (the test suite enforces the identity); they
+give lemma_check's inputs.
 """
 
 from __future__ import annotations
@@ -276,7 +278,9 @@ def factor_weil(
 
 
 def symmetric_v(a: tuple[int, ...], params: WeilParams) -> tuple[int, ...]:
-    """Elementary symmetric functions v_1..v_6 of the x_i in terms of a_1..a_6."""
+    """The coefficients v_1..v_6 of h = x^6 + v_1 x^5 + ... + v_6 in terms of
+    a_1..a_6: v_i = (-1)^i e_i, with e_i the elementary symmetric functions
+    of the roots x_i of h."""
     if len(a) != 6:
         raise StructuralError("expected a_1..a_6")
     a1, a2, a3, a4, a5, a6 = a

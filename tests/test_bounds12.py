@@ -115,16 +115,28 @@ def test_corollary_item9_value():
 
 
 NONREAL_QUARTIC = "critical points of g are not all real"
+NONREAL_CUBIC = "critical-point cubic has non-real roots"
 
 # (q, a, failing conditions, note of condition 8).  Conditions 6 and 8 are
 # decided by certified comparisons here (real critical points), except where
-# the note says the quartic has non-real roots.
+# the note says the quartic has non-real roots.  The rows after the first
+# five sit on the boundary of one squared-out radical condition.
 COROLLARY_TABLE = [
     (5, (-5, 23, -60, 193, -456, 1246), [], ""),
     (2, (-5, 19, -49, 108, -192, 296), ["8"], ""),
     (3, (3, -6, -28, -22, -26, 126), ["7", "8"], ""),
     (2, (1, 6, 5, 9, 14, 14), ["6", "8"], NONREAL_QUARTIC),
     (2, (3, 10, 18, 28, 48, 80), ["6", "8"], NONREAL_QUARTIC),
+    # condition 4 passes at W = 0 with B = 0, then at 25 B^2 = W^3 with W > 0
+    (2, (0, 12, 0, 0, 0, 0), ["6", "8"], NONREAL_QUARTIC),
+    (2, (-8, -3, 280, 0, 0, 0), ["2", "5", "6", "7", "8"], NONREAL_QUARTIC),
+    # conditions 2, 5 and 7 at equality (fail), then one step inside
+    (4, (12, 24, 0, 0, 0, 0), ["2", "3", "5", "7"], ""),
+    (4, (12, 25, 0, 0, 0, 0), ["3", "5", "7"], ""),
+    (9, (0, 0, 10, -8325, 0, 0), ["5", "6", "7", "8"], NONREAL_QUARTIC),
+    (9, (0, 0, 10, -8324, 0, 0), ["6", "7", "8"], NONREAL_QUARTIC),
+    (4, (0, 0, 0, 0, 1152, 0), ["7", "8"], ""),
+    (4, (0, 0, 0, 0, 1151, 0), ["8"], ""),
 ]
 
 
@@ -134,6 +146,14 @@ def test_corollary_table(q, a, failing, note8):
     assert rep.failures == failing and not rep.indeterminates
     notes = {c.cond: c.note for c in rep.conditions}
     assert notes == {**{str(i): "" for i in range(1, 10)}, "8": note8}
+
+
+def test_corollary_condition3_equality():
+    """b sqrt(q) = |c| at square q: condition 3 fails, as do 4 to 8."""
+    rep = corollary_bounds((0, 0, 896, 0, 0, 0), WeilParams.from_q(4))
+    assert rep.failures == ["3", "4", "5", "6", "7", "8"]
+    notes = {c.cond: c.note for c in rep.conditions if c.note}
+    assert notes == {"6": NONREAL_CUBIC, "8": NONREAL_QUARTIC}
 
 
 S2 = QuadReal.sqrt(2)
@@ -298,9 +318,6 @@ def test_reports_match_parent_digest():
     """Statuses and notes of every report over the seeded corpus, pinned
     from the Fraction-based QuadReal implementation."""
     assert report_digest(report_corpus()) == (330, PINNED_REPORT_DIGEST)
-
-
-NONREAL_CUBIC = "critical-point cubic has non-real roots"
 
 
 def lemma_route(a, P):

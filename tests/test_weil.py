@@ -77,6 +77,19 @@ def test_symmetric_v_examples():
     assert symmetric_v((1, 0, 5, 0, 0, 0), P2)[2] == 5 - 10
 
 
+@pytest.mark.parametrize(
+    "q", [2, 3, 4, 5, 7, 8, 9, 25, 27, 49, 121, 125, 243, 343, 512, 529, 729, 961, 1013, 1024]
+)
+def test_symmetric_v_is_the_companion(q):
+    """symmetric_v lists h's coefficients, top down: the closed form agrees
+    with companion_poly, which solves for h and certifies it on chi."""
+    P = WeilParams.from_q(q)
+    rng = random.Random(q)
+    for _ in range(50):
+        a = tuple(rng.randint(-(10 ** i), 10 ** i) for i in range(1, 7))
+        assert IntPoly([*reversed(symmetric_v(a, P)), 1]) == companion_poly(chi_from_a(a, P), P)
+
+
 def test_r_coefficients_zero_vector():
     r = r_coefficients((0,) * 6, P2)
     q = 2
