@@ -1,26 +1,48 @@
 """Irreducible factorization in Z[t] by the Zassenhaus method.
 
-Pipeline: content/primitive split, Yun squarefree decomposition over Q,
-reduction modulo the smallest odd prime keeping f squarefree (equivalently,
-not dividing disc(f)*lc(f)), Cantor-Zassenhaus factorization there, Hensel
-lifting past the Mignotte bound, and subset recombination by increasing
-cardinality.  Degrees in this package stay <= 14, so recombination scans at
-most 2^14 subsets.
+Pipeline for the primitive part f, monicized by t -> t/lc scaling (factors
+mapped back), which keeps the Hensel machinery monic-only:
 
-Non-monic primitive polynomials are monicized by t -> t/lc scaling and the
-factors mapped back, which keeps the Hensel machinery monic-only.
+  * a degree sieve (Musser, J. ACM 25, 1978): at up to _SIEVE_PRIMES (three)
+    odd primes p not dividing lc(f) that keep f squarefree mod p,
+    distinct-degree factorization mod p, and the intersection of the subset
+    sums of the factor degrees.  An empty intersection inside 1..n-1 proves f
+    irreducible, with no further work;
+  * otherwise equal-degree splitting at the sieve prime with the fewest
+    factors, Hensel lifting past the Mignotte bound, and subset
+    recombination by increasing cardinality, skipping subsets whose degree
+    the sieve excluded.  Degrees in this package stay <= 14, so
+    recombination scans at most 2^14 subsets.
+
+A squarefree reduction mod p proves f squarefree over Q.  Only when none of
+the first three primes gives one does Yun's squarefree decomposition over Q
+run, and each of its parts goes through the pipeline above.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 from math import gcd, isqrt
 
 from .arith import is_prime
 from .errors import ExactnessError
-from .fpoly import PrimeField, factor as fp_factor_raw, fdeg, fgcd, fdiff, ftrim
+from .fpoly import (
+    DEFAULT_SEED,
+    PrimeField,
+    distinct_degree,
+    equal_degree,
+    fdeg,
+    fdiff,
+    fgcd,
+)
 from .hensel import hensel_lift_multi, _trunc
 from .polynomial import IntPoly, _div_exact, _mul, _prem, _prs
+
+# Odd primes the degree sieve reads (three measured best of 1-5 on the
+# degree-7 companions of the q=2 box); also how many an input not yet proven
+# squarefree may try for a squarefree reduction before Yun's decomposition.
+_SIEVE_PRIMES = 3
 
 
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -107,22 +129,6 @@ def _mignotte_bound(f: IntPoly) -> int:
     return (isqrt(n + 1) + 1) * (1 << n) * norm2 * abs(f.lc())
 
 
-def _choose_prime(f: IntPoly) -> int:
-    """Smallest odd prime not dividing disc(f) * lc(f); keeps f squarefree mod p."""
-    p = 2
-    lc = abs(f.lc())
-    while True:
-        p = _next_prime(p)
-        if lc % p == 0:
-            continue
-        F = PrimeField(p)
-        fp = ftrim(F, [c % p for c in f.coeffs])
-        if fdeg(fp) != f.degree:
-            continue
-        if fdeg(fgcd(F, fp, fdiff(F, fp))) == 0:
-            return p
-
-
 def _next_prime(n: int) -> int:
     n += 1
     while not is_prime(n):
@@ -130,17 +136,63 @@ def _next_prime(n: int) -> int:
     return n
 
 
-def _zassenhaus_squarefree_monic(f: IntPoly) -> list[IntPoly]:
-    """Irreducible factors of a monic squarefree f over Z."""
+def _sieve(f: IntPoly, lc: int, proven: bool):
+    """Distinct-degree data of monic f at up to _SIEVE_PRIMES odd primes
+    p that keep f squarefree mod p and do not divide lc, the leading
+    coefficient f was monicized from, with the set of degrees a proper
+    factor of f over Z can have.
+
+    A monic factor of f over Z reduces mod p to a product of irreducible
+    factors of f mod p, so its degree is a subset sum of their degrees at
+    every such prime; the returned bitmask (bit d for degree d) is the
+    intersection of those subset sums with 1..n-1, and 0 proves f
+    irreducible.  The walk stops there.  A squarefree reduction proves f
+    squarefree over Q; unless proven, a walk whose first _SIEVE_PRIMES
+    primes give none returns None.
+    """
+    n = f.degree
+    allowed = (1 << n) - 2
+    reductions = []
+    tried = 0
+    p = 2
+    while allowed and len(reductions) < _SIEVE_PRIMES:
+        if tried == _SIEVE_PRIMES and not (reductions or proven):
+            return None
+        p = _next_prime(p)
+        if lc % p == 0:
+            continue
+        tried += 1
+        F = PrimeField(p)
+        fp = [c % p for c in f.coeffs]
+        if fdeg(fgcd(F, fp, fdiff(F, fp))) > 0:
+            continue
+        parts = distinct_degree(F, fp)
+        sums = 1
+        for g, d in parts:
+            for _ in range(fdeg(g) // d):
+                sums |= sums << d
+        allowed &= sums
+        reductions.append((p, parts))
+    return allowed, reductions
+
+
+def _zassenhaus_monic(f: IntPoly, lc: int, proven: bool) -> list[IntPoly] | None:
+    """Irreducible factors of a monic f over Z, which must be squarefree
+    when proven; None when _sieve finds no squarefree reduction."""
     n = f.degree
     if n <= 1:
         return [f]
-    p = _choose_prime(f)
-    F = PrimeField(p)
-    _, modular = fp_factor_raw(F, [c % p for c in f.coeffs])
-    factors_mod = [g for g, _ in modular]
-    if len(factors_mod) == 1:
+    sieve = _sieve(f, lc, proven)
+    if sieve is None:
+        return None
+    allowed, reductions = sieve
+    if not allowed:
         return [f]
+    # split and lift at the prime with the fewest factors
+    p, parts = min(reductions, key=lambda r: sum(fdeg(g) // d for g, d in r[1]))
+    F = PrimeField(p)
+    rng = random.Random(DEFAULT_SEED)
+    factors_mod = [irr for g, d in parts for irr in equal_degree(F, g, d, rng)]
     B = 2 * _mignotte_bound(f) + 1
     k = 1
     while p ** k < B:
@@ -155,6 +207,8 @@ def _zassenhaus_squarefree_monic(f: IntPoly) -> list[IntPoly]:
     while 2 * s <= len(remaining):
         found = False
         for S in combinations(remaining, s):
+            if not (allowed >> sum(lifted[i].degree for i in S)) & 1:
+                continue
             # trial factor: symmetric-residue product of the chosen lifts
             prod = [1]
             for i in S:
@@ -184,16 +238,19 @@ def _zassenhaus_squarefree_monic(f: IntPoly) -> list[IntPoly]:
     return out
 
 
-def _factor_squarefree_primitive(f: IntPoly) -> list[IntPoly]:
-    if f.degree <= 0:
-        return []
+def _factor_primitive(f: IntPoly, proven: bool) -> list[IntPoly] | None:
+    """Irreducible factors of a primitive f of positive degree, which must
+    be squarefree when proven; None when f is not proven and _sieve finds
+    no squarefree reduction."""
     if f.is_monic():
-        return _zassenhaus_squarefree_monic(f)
+        return _zassenhaus_monic(f, 1, proven)
     # monicize: F(x) = lc^(n-1) f(x/lc) is monic over Z
     b = f.lc()
     n = f.degree
     mon = IntPoly([c * b ** (n - 1 - i) for i, c in enumerate(f.coeffs)])
-    parts = _zassenhaus_squarefree_monic(mon)
+    parts = _zassenhaus_monic(mon, b, proven)
+    if parts is None:
+        return None
     out = []
     for g in parts:
         mapped = IntPoly([c * b ** i for i, c in enumerate(g.coeffs)])
@@ -212,9 +269,14 @@ def factor_over_integers(f: IntPoly) -> tuple[int, list[tuple[IntPoly, int]]]:
         raise ValueError("cannot factor the zero polynomial")
     cont, prim = f.primitive()
     out: list[tuple[IntPoly, int]] = []
-    for sqf, mult in squarefree_decomposition(prim):
-        for irr in _factor_squarefree_primitive(sqf):
-            out.append((irr, mult))
+    if prim.degree > 0:
+        parts = _factor_primitive(prim, False)
+        if parts is not None:
+            out = [(irr, 1) for irr in parts]
+        else:
+            for sqf, mult in squarefree_decomposition(prim):
+                for irr in _factor_primitive(sqf, True):
+                    out.append((irr, mult))
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
     check = IntPoly([cont])
     for g, m in out:

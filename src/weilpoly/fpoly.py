@@ -3,6 +3,10 @@
 Two coefficient fields are supported through one small protocol: F_p with
 int elements, and F_{p^d} presented as F_p[x]/(m(x)) with tuple elements.
 Polynomials are dense coefficient lists, constant term first, trimmed.
+Over a PrimeField, ftrim, fsub, fmul and fdivmod work on the int lists
+directly and reduce each coefficient once with % p; frem, fgcd, fpow_mod
+and the factorization stages inherit that path.  ExtField elements go
+through the field's add/sub/mul calls.
 
 Factorization is the classical pipeline: squarefree decomposition (with the
 char-p p-th-root step), distinct-degree splitting by Frobenius powers, and
@@ -153,8 +157,12 @@ class ExtField:
 
 def ftrim(F, f):
     n = len(f)
-    while n and F.is_zero(f[n - 1]):
-        n -= 1
+    if isinstance(F, PrimeField):
+        while n and f[n - 1] == 0:
+            n -= 1
+    else:
+        while n and F.is_zero(f[n - 1]):
+            n -= 1
     return f[:n]
 
 
@@ -173,6 +181,11 @@ def fadd(F, f, g):
 
 
 def fsub(F, f, g):
+    if isinstance(F, PrimeField):
+        p, n = F.p, len(g)
+        if len(f) < n:
+            f = list(f) + [0] * (n - len(f))
+        return ftrim(F, [(a - b) % p for a, b in zip(f, g)] + [a % p for a in f[n:]])
     n = max(len(f), len(g))
     out = []
     for i in range(n):
@@ -185,6 +198,14 @@ def fsub(F, f, g):
 def fmul(F, f, g):
     if not f or not g:
         return []
+    if isinstance(F, PrimeField):
+        p = F.p
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if a:
+                for j, b in enumerate(g, i):
+                    out[j] += a * b
+        return ftrim(F, [c % p for c in out])
     out = [F.zero] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if F.is_zero(a):
@@ -212,6 +233,21 @@ def fdivmod(F, f, g):
         raise ZeroDivisionError
     f = list(f)
     dg = fdeg(g)
+    if isinstance(F, PrimeField):
+        # coefficients stay unreduced ints until read
+        p = F.p
+        if len(f) <= dg:
+            return [], ftrim(F, [c % p for c in f])
+        inv = pow(g[-1], p - 2, p)
+        low = g[:-1]
+        quot = [0] * (len(f) - dg)
+        for i in range(len(f) - 1 - dg, -1, -1):
+            c = f[i + dg] * inv % p
+            if c:
+                quot[i] = c
+                for j, b in enumerate(low, i):
+                    f[j] -= c * b
+        return ftrim(F, quot), ftrim(F, [c % p for c in f[:dg]])
     inv = F.inv(g[-1])
     if fdeg(f) < dg:
         return [], ftrim(F, f)

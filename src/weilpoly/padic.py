@@ -10,8 +10,11 @@ Montes refinement:
     (lowest terms) and length l has a residual polynomial of degree l/b over
     F_p, and every simple irreducible residual factor of degree D certifies
     an irreducible Q_p factor of degree D*b with slope a/b.
-  * Repeated residual factors trigger refinement: unit blocks (slope 0) are
-    split off by mod-p Hensel lifting and analyzed per residue class;
+  * Repeated residual factors trigger refinement: unit blocks (slope 0)
+    whose residue class phi is repeated are split off by mod-p Hensel
+    lifting, against the product of the simple classes, and analyzed per
+    residue class (a simple phi certifies its record by Hensel's lemma,
+    with no lift);
     residue classes t - c are shifted by a lifted approximation and re-run;
     residue classes of degree d >= 2 get a phi-adic polygon with residuals
     over F_{p^d}, and repeated linear residuals there refine phi by a lifted
@@ -250,24 +253,32 @@ class _Engine:
         F = PrimeField(p)
         gbar = ftrim(F, [c % p for c in g])
         _, parts = fpoly.factor(F, gbar, seed=self.seed)
-        if len(parts) == 1:
-            phi, e = parts[0]
-            if e == 1:
-                return [_Rec(fdeg(phi), Fraction(0), fdeg(phi), True, 1)]
-            return self._unit_power(g, phi, e, depth)
-        seeds = []
-        for phi, e in parts:
-            blk = [F.one]
-            for _ in range(e):
-                blk = fmul(F, blk, phi)
-            seeds.append(blk)
-        blocks = hensel_lift_multi(IntPoly(g), seeds, p, self.K)
+        # A simple factor phi certifies its record by Hensel's lemma, so only
+        # the blocks phi^e with e >= 2 are lifted, against the product of
+        # the simple ones; the lift of a coprime split mod p is unique.
+        repeated = [(phi, e) for phi, e in parts if e > 1]
+        if len(parts) == 1 and repeated:
+            return self._unit_power(g, *repeated[0], depth)
+        blocks = iter(())
+        if repeated:
+            seeds, simple = [], [F.one]
+            for phi, e in parts:
+                if e == 1:
+                    simple = fmul(F, simple, phi)
+                    continue
+                blk = [F.one]
+                for _ in range(e):
+                    blk = fmul(F, blk, phi)
+                seeds.append(blk)
+            if len(simple) > 1:
+                seeds.append(simple)
+            blocks = iter(hensel_lift_multi(IntPoly(g), seeds, p, self.K))
         out = []
-        for (phi, e), blk in zip(parts, blocks):
+        for phi, e in parts:
             if e == 1:
                 out.append(_Rec(fdeg(phi), Fraction(0), fdeg(phi), True, 1))
             else:
-                out.extend(self._unit_power(list(blk.coeffs), phi, e, depth))
+                out.extend(self._unit_power(list(next(blocks).coeffs), phi, e, depth))
         return out
 
     def _unit_power(self, g: list[int], phibar, e: int, depth: int) -> list[_Rec]:

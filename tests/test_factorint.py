@@ -1,8 +1,11 @@
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weilpoly import factorint
 from weilpoly.factorint import (
     discriminant,
     factor_over_integers,
@@ -11,6 +14,7 @@ from weilpoly.factorint import (
     squarefree_decomposition,
 )
 from weilpoly.polynomial import IntPoly
+from weilpoly.weil import WeilParams, chi_from_a, companion_poly
 
 
 def names(factors):
@@ -152,3 +156,102 @@ def test_discriminant_matches_sympy(body, lc, square):
     expected = sympy.discriminant(sympy.Poly(list(reversed(f.coeffs)), x))
     got = discriminant(f)
     assert type(got) is int and got == int(expected)
+
+
+def sympy_factorization(f: IntPoly):
+    """sympy.factor_list of f as (content, [(coefficients, multiplicity)]),
+    factors with positive leading coefficient, sorted like ours."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    cont, parts = sympy.factor_list(sympy.Poly(list(reversed(f.coeffs)), x))
+    cont, out = int(cont), []
+    for g, m in parts:
+        coeffs = tuple(int(c) for c in reversed(g.all_coeffs()))
+        if coeffs[-1] < 0:
+            coeffs, cont = tuple(-c for c in coeffs), cont * (-1) ** m
+        out.append((coeffs, m))
+    return cont, sorted(out, key=lambda t: (len(t[0]), t[0]))
+
+
+def ours(f: IntPoly):
+    cont, parts = factor_over_integers(f)
+    return cont, [(tuple(g.coeffs), m) for g, m in parts]
+
+
+def cyclotomic(n: int) -> IntPoly:
+    """Phi_n as t^n - 1 divided by Phi_d for the proper divisors d of n."""
+    f = IntPoly([-1] + [0] * (n - 1) + [1])
+    for d in range(1, n):
+        if n % d == 0:
+            f = f.divmod_monic(cyclotomic(d))[0]
+    return f
+
+
+T = IntPoly
+P2 = WeilParams.from_q(2)
+
+
+def _product(*fs):
+    out = IntPoly.one()
+    for f in fs:
+        out = out * f
+    return out
+
+
+@pytest.mark.parametrize(
+    "f, exit_",
+    [
+        # a q=2 scan companion: degrees {1,2,4} mod 3, {3,4} mod 5 and
+        # {2,5} mod 7 share no proper subset sum
+        (companion_poly(chi_from_a((0, 0, -1, 0, 0, 0, 0), P2), P2), "sieve"),
+        # Swinnerton-Dyer polynomials split at every prime
+        (T([1, 0, -10, 0, 1]), "lift"),
+        (T([576, 0, -960, 0, 352, 0, -40, 0, 1]), "lift"),
+        (_product(*(T([-k, 1]) for k in range(1, 8))), "lift"),
+        (_product(cyclotomic(4), cyclotomic(8), cyclotomic(11)), "lift"),
+        # squarefree, but not mod 3, 5 or 7 (each divides some n)
+        (_product(cyclotomic(5), cyclotomic(7), cyclotomic(12)), "yun"),
+        (T([-2, 0, 1]) ** 2 * T([3, 1, 0, 1]), "yun"),
+        (T([-6]) * T([-1, 3, 2]) * T([5, -1, 0, 3]) * T([-2, 5]), "lift"),
+    ],
+    ids=["sieve", "sd4", "sd8", "linear7", "cyclotomic", "cyclotomic-ramified", "yun", "non-monic"],
+)
+def test_each_exit_matches_sympy(f, exit_, monkeypatch):
+    """factor_over_integers equals sympy.factor_list, and f leaves by the
+    named exit: proven irreducible by the degree sieve, split by Hensel
+    lifting and recombination, or first split by Yun's decomposition."""
+    seen = set()
+    for name, label in (("hensel_lift_multi", "lift"), ("squarefree_decomposition", "yun")):
+        orig = getattr(factorint, name)
+
+        def spy(*args, _orig=orig, _label=label):
+            seen.add(_label)
+            return _orig(*args)
+
+        monkeypatch.setattr(factorint, name, spy)
+    assert ours(f) == sympy_factorization(f)
+    assert seen == ({"yun", "lift"} if exit_ == "yun" else {exit_} - {"sieve"})
+
+
+def test_non_squarefree_inputs_try_few_primes(monkeypatch):
+    """Without a squarefree reduction at the first _SIEVE_PRIMES odd primes
+    the search stops, and Yun's decomposition takes over."""
+    tried = []
+    orig = factorint.PrimeField
+
+    def spy(p):
+        tried.append(p)
+        return orig(p)
+
+    monkeypatch.setattr(factorint, "PrimeField", spy)
+    f = T([-2, 0, 1]) ** 2 * T([3, 1, 0, 1])
+    assert factorint._factor_primitive(f, False) is None
+    assert len(tried) == factorint._SIEVE_PRIMES and tried[0] == 3
+
+
+@pytest.mark.slow
+def test_every_q2_box_companion_matches_sympy():
+    """All 3^7 companions of the q=2 box |a_i| <= 1 against sympy."""
+    for a in itertools.product((-1, 0, 1), repeat=7):
+        h = companion_poly(chi_from_a(a, P2), P2)
+        assert ours(h) == sympy_factorization(h), a

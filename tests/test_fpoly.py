@@ -1,13 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilpoly import fpoly
 from weilpoly.fpoly import (
     ExtField,
     PrimeField,
     fdeg,
+    fdivmod,
+    fgcd,
     fmul,
+    fsub,
     ftrim,
     is_irreducible,
     squarefree_decomposition,
@@ -89,3 +94,29 @@ def test_ext_field_arithmetic():
     assert F4.mul(x, x) == F4.of_poly([1, 1])  # x^2 = x + 1
     assert F4.pow(x, 3) == F4.one
     assert F4.mul(x, F4.inv(x)) == F4.one
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 11, 13, 101]),
+    f=st.lists(st.integers(0, 10**4), max_size=12),
+    g=st.lists(st.integers(0, 10**4), max_size=9),
+)
+def test_prime_field_kernel_matches_the_generic_path(p, f, g):
+    """The int-list kernel of PrimeField against the generic loop, run
+    over the same field presented as ExtField(p, [0, 1])."""
+    Fp, Fg = PrimeField(p), ExtField(p, [0, 1])
+    f = ftrim(Fp, [c % p for c in f])
+    g = ftrim(Fp, [c % p for c in g])
+
+    def generic(op, *args):
+        out = op(Fg, *[[(c,) for c in a] for a in args])
+        if isinstance(out, tuple):
+            return tuple([c[0] for c in part] for part in out)
+        return [c[0] for c in out]
+
+    assert fmul(Fp, f, g) == generic(fmul, f, g)
+    assert fsub(Fp, f, g) == generic(fsub, f, g)
+    assert fgcd(Fp, f, g) == generic(fgcd, f, g)
+    if g:
+        assert fdivmod(Fp, f, g) == generic(fdivmod, f, g)

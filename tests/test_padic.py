@@ -334,6 +334,56 @@ def test_unit_root_count_matches_digit_search(rng):
         done += 1
 
 
+T = IntPoly
+
+
+@pytest.mark.parametrize(
+    "f, lifted, expected",
+    [
+        # (t-2)(t-1)(t^2+2) mod 5: simple factors only, nothing is lifted
+        (
+            T([-2, 1]) * T([-1, 1]) * T([2, 0, 1]) + T([0, 5]),
+            [],
+            [(1, 0, 0, 1, True, 1), (1, 0, 0, 1, True, 1), (2, 0, 0, 2, True, 1)],
+        ),
+        # (t-2)(t-3)(t-1)^2(t^2+2)^2 mod 5: the two squares are lifted
+        # against the product of the simple factors
+        (
+            (T([-1, 1]) ** 2 + T([-5])) * (T([2, 0, 1]) ** 2 + T([0, -5]))
+            * T([-2, 1]) * T([-3, 1]),
+            [3],
+            [
+                (1, 0, 0, 1, True, 1),
+                (1, 0, 0, 1, True, 1),
+                (2, 0, 0, 1, True, 1),
+                (4, 0, 0, 2, True, 1),
+            ],
+        ),
+        # (t^2+2)^2 mod 5: one repeated factor, refined without a lift
+        (T([2, 0, 1]) ** 2 + T([0, 5]), [], [(4, 0, 0, 2, True, 1)]),
+    ],
+    ids=["simple", "simple-and-repeated", "repeated"],
+)
+def test_unit_residual_records_are_pinned(f, lifted, expected, monkeypatch):
+    """Pinned records of the three shapes of a unit residual mod 5; `lifted`
+    holds the number of seeds of each Hensel lift, which only repeated
+    factors get."""
+    seeds = []
+    lift = padic.hensel_lift_multi
+
+    def counting(g, factors, p, k):
+        seeds.append(len(factors))
+        return lift(g, factors, p, k)
+
+    monkeypatch.setattr(padic, "hensel_lift_multi", counting)
+    got = [
+        (r.degree, r.slope, r.const_valuation, r.residual_degree, r.certified, r.granularity)
+        for r in qp_factor_profile(f, 5).factors
+    ]
+    assert got == expected
+    assert seeds == lifted
+
+
 def test_profile_slopes_must_match_the_newton_polygon(monkeypatch):
     # (t - 1)(t - 5) at p = 5 has root valuations 0 and 1; a fake engine
     # reports one quadratic of slope 1/2, which keeps v_p(f(0)) = 1
