@@ -351,7 +351,7 @@ def corollary_bounds(a, params: WeilParams) -> BoundsReport:
         G(b) - c = f'(b)/6.
       - F of degree d, with positive leading coefficient and F' real-rooted
         at x_1 <= ... <= x_(d-1), has only real roots iff
-        (-1)^(d-i) F(x_i) <= 0 for all i: Rolle one way, intermediate
+        (-1)^(d-i) F(x_i) >= 0 for all i: Rolle one way, intermediate
         values on the d pieces the other (a zero at an x_i is a root of F'
         too, so one more time a root of F than of F').  That is (5) for
         F = f', and (4) for F = f'', as F(x_2) is its largest value.

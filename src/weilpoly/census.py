@@ -16,10 +16,7 @@ import random
 from dataclasses import dataclass
 from math import comb, isqrt
 
-from .bounds12 import corollary_bounds, trivial_bounds
-from .classify7 import classify
 from .factorint import is_irreducible_over_z
-from .oracle import numeric_modulus_verdict, weil_oracle
 from .polynomial import IntPoly
 from .weil import WeilParams, chi_from_a, factor_weil, is_weil
 
@@ -242,6 +239,11 @@ def cross_check(spec: EnumerationSpec, numeric_sample_rate: float = 0.01, seed: 
     on every unflagged case; flagged and inconclusive instances are listed.
     Any violation lands in report["violations"], which must stay empty.
     """
+    # enumerate_weil needs none of these; the enumerate command skips them
+    from .bounds12 import corollary_bounds, trivial_bounds
+    from .classify7 import classify
+    from .oracle import numeric_modulus_verdict, weil_oracle
+
     rng = random.Random(seed)
     if spec.degree <= 4:
         numeric_sample_rate = 1.0  # full numeric cross-check at small degree

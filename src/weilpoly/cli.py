@@ -6,6 +6,10 @@ byte-stable.  Exit status contract: 0 affirmative, 1 definite negative,
 2 usage or parse error, 3 inconclusive (precision cap or uncertified
 profile).  Polynomials are written constant term first: "2,0,1" is t^2 + 2.
 The compact symmetric form "q=2^3; a=1,0,2" carries its own ground field.
+
+Each command runs in a fresh interpreter, so the module loads only what
+every command needs (parsing, the Weil predicate) and each cmd_* imports
+its own checker.
 """
 
 from __future__ import annotations
@@ -14,13 +18,8 @@ import argparse
 import json
 import sys
 from .arith import is_prime
-from .bounds12 import corollary_bounds, trivial_bounds
-from .census import EnumerationSpec, cross_check, enumerate_weil
-from .classify7 import classify
 from .errors import StructuralError, WeilpolyError
 from .fpoly import DEFAULT_SEED
-from .lmfdb import lmfdb_reconcile
-from .newton import NoMatch, PolygonCaseId, newton_polygon, polygon_case_id
 from .polynomial import poly_from_string
 from .weil import WeilParams, chi_from_a, is_weil
 
@@ -131,6 +130,8 @@ def cmd_check_weil(args) -> int:
 
 
 def cmd_bounds12(args) -> int:
+    from .bounds12 import corollary_bounds, trivial_bounds
+
     params = parse_q(args.q)
     a = parse_int_list(args.a)
     if len(a) != 6:
@@ -149,6 +150,8 @@ def cmd_bounds12(args) -> int:
 
 
 def cmd_classify14(args) -> int:
+    from .classify7 import classify
+
     params = parse_q(args.q) if args.q else None
     poly, params = parse_poly_input(args.poly, params)
     if params is None:
@@ -166,6 +169,8 @@ def cmd_classify14(args) -> int:
 
 
 def cmd_polygon(args) -> int:
+    from .newton import NoMatch, PolygonCaseId, newton_polygon, polygon_case_id
+
     if not is_prime(args.p):
         raise UsageError(f"--p {args.p} is not a prime")
     params = parse_q(args.q) if args.q else None
@@ -224,6 +229,8 @@ def _half_degree(degree: int) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .census import EnumerationSpec, enumerate_weil
+
     params = parse_q(args.q)
     g = _half_degree(args.degree)
     box = _parse_box(args.box, g) if args.box else ()
@@ -269,6 +276,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_cross_check(args) -> int:
+    from .census import EnumerationSpec, cross_check
+
     params = parse_q(args.q)
     g = _half_degree(args.degree)
     box = _parse_box(args.box, g) if args.box else ()
@@ -286,6 +295,8 @@ def cmd_cross_check(args) -> int:
 
 
 def cmd_lmfdb(args) -> int:
+    from .lmfdb import lmfdb_reconcile
+
     params = parse_q(args.q)
     report = lmfdb_reconcile(
         params, args.g, args.cache_dir, allow_network=args.allow_network

@@ -1,0 +1,173 @@
+"""The package's public surface and what each entry point loads.
+
+`weilpoly/__init__.py` exports its names lazily (PEP 562), and the CLI
+imports each command's checker inside that command.  These tests pin the
+exported names, check that lazy lookup returns the defining module's own
+objects, and run fresh interpreters to see which modules a command loads.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import weilpoly
+
+PACKAGE_DIR = Path(weilpoly.__file__).resolve().parent
+SUBMODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
+
+# the public names of `weilpoly`, by defining module
+EXPORTED = {
+    "bounds12": [
+        "BoundsReport",
+        "Status",
+        "corollary_bounds",
+        "lemma_check",
+        "lemma_quantities",
+        "trivial_bounds",
+    ],
+    "census": ["EnumerationSpec", "cross_check", "enumerate_weil"],
+    "classify7": ["Classification", "classify", "multiplicity_options", "power_case"],
+    "errors": [
+        "DomainMismatchError",
+        "ExactnessError",
+        "PrecisionExhausted",
+        "StructuralError",
+        "UncertifiedProfileError",
+        "UnprovenPrimeError",
+        "WeilpolyError",
+    ],
+    "factorint": ["factor_over_integers", "is_irreducible_over_z"],
+    "lmfdb": ["lmfdb_reconcile"],
+    "newton": [
+        "NewtonPolygon",
+        "lattice_vertex_check",
+        "load_case_table",
+        "newton_polygon",
+        "polygon_case_id",
+    ],
+    "padic": ["FactorRecord", "PadicFactorProfile", "qp_factor_profile"],
+    "polynomial": ["IntPoly", "QuadPoly", "poly_from_string", "poly_to_string"],
+    "quadreal": ["QuadReal"],
+    "sturm": ["all_roots_real_positive", "sturm_count"],
+    "weil": [
+        "WeilParams",
+        "WeilVerdict",
+        "build_f_ftilde",
+        "check_symmetry",
+        "chi_from_a",
+        "companion_poly",
+        "factor_weil",
+        "is_weil",
+        "real_root_reduction",
+        "symmetric_v",
+    ],
+}
+ALL_NAMES = sorted(name for names in EXPORTED.values() for name in names)
+
+
+def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports weilpoly from this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def test_all_is_the_pinned_list():
+    assert len(ALL_NAMES) == 48
+    assert sorted(weilpoly.__all__) == ALL_NAMES
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTED.items() for n in names])
+def test_each_name_is_its_defining_modules_object(module, name):
+    home = importlib.import_module(f"weilpoly.{module}")
+    assert getattr(weilpoly, name) is getattr(home, name)
+
+
+def test_star_import_binds_exactly_the_exported_names():
+    namespace = {}
+    exec("from weilpoly import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == ALL_NAMES
+    assert all(namespace[name] is getattr(weilpoly, name) for name in ALL_NAMES)
+
+
+def test_every_submodule_resolves_after_a_bare_import():
+    assert len(SUBMODULES) == 18
+    proc = run_fresh(
+        "import sys, weilpoly\n"
+        "for name in sys.argv[1:]:\n"
+        "    assert getattr(weilpoly, name) is sys.modules['weilpoly.' + name], name\n",
+        *SUBMODULES,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        weilpoly.no_such_name
+    assert not hasattr(weilpoly, "no_such_name")
+
+
+def test_import_error_inside_a_submodule_propagates():
+    # a None entry in sys.modules makes importing weilpoly.padic fail
+    proc = run_fresh(
+        "import sys, weilpoly\n"
+        "sys.modules['weilpoly.padic'] = None\n"
+        "weilpoly.qp_factor_profile\n"
+    )
+    assert proc.returncode == 1
+    assert "ModuleNotFoundError" in proc.stderr and "AttributeError" not in proc.stderr
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_each_module_imports_alone(module):
+    """With no eager __init__ to fix the order, a cycle would show only here
+    or in the one command that reaches it."""
+    proc = run_fresh(f"import weilpoly.{module}")
+    assert proc.returncode == 0, proc.stderr
+
+
+LOADED = (
+    "import contextlib, io, json, sys\n"
+    "from weilpoly.cli import main\n"
+    "if sys.argv[1:]:\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        code = main(sys.argv[1:])\n"
+    "    assert code == 0, code\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.startswith('weilpoly.'))))\n"
+)
+
+
+def loaded_by(*argv: str) -> set[str]:
+    """The weilpoly submodules a fresh interpreter holds after `import
+    weilpoly.cli` and, when argv is given, one successful command."""
+    proc = run_fresh(LOADED, *argv)
+    assert proc.returncode == 0, proc.stderr
+    return {name.removeprefix("weilpoly.") for name in json.loads(proc.stdout)}
+
+
+def test_cli_import_loads_no_checker():
+    loaded = loaded_by()
+    unloaded = {"bounds12", "census", "classify7", "padic", "lmfdb", "oracle", "newton", "sturm", "intervals"}
+    assert not loaded & unloaded, sorted(loaded & unloaded)
+    assert {"cli", "errors", "arith", "polynomial", "weil", "fpoly"} <= loaded
+
+
+def test_check_weil_leaves_padic_unloaded():
+    loaded = loaded_by("check-weil", "--q", "2", "2,0,1")
+    assert "weil" in loaded and "padic" not in loaded
+
+
+def test_enumerate_leaves_classify7_unloaded():
+    loaded = loaded_by("enumerate", "--degree", "2", "--q", "2")
+    assert "census" in loaded and "classify7" not in loaded
