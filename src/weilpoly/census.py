@@ -239,10 +239,14 @@ def cross_check(spec: EnumerationSpec, numeric_sample_rate: float = 0.01, seed: 
     on every unflagged case; flagged and inconclusive instances are listed.
     Any violation lands in report["violations"], which must stay empty.
     """
-    # enumerate_weil needs none of these; the enumerate command skips them
-    from .bounds12 import corollary_bounds, trivial_bounds
-    from .classify7 import classify
+    # enumerate_weil needs none of these; the enumerate command skips them,
+    # and each degree loads only its own checker
     from .oracle import numeric_modulus_verdict, weil_oracle
+
+    if spec.degree == 12:
+        from .bounds12 import corollary_bounds, trivial_bounds
+    if spec.degree == 14:
+        from .classify7 import classify
 
     rng = random.Random(seed)
     if spec.degree <= 4:

@@ -3,10 +3,14 @@
 Two coefficient fields are supported through one small protocol: F_p with
 int elements, and F_{p^d} presented as F_p[x]/(m(x)) with tuple elements.
 Polynomials are dense coefficient lists, constant term first, trimmed.
-Over a PrimeField, ftrim, fsub, fmul and fdivmod work on the int lists
-directly and reduce each coefficient once with % p; frem, fgcd, fpow_mod
-and the factorization stages inherit that path.  ExtField elements go
-through the field's add/sub/mul calls.
+Over a PrimeField, ftrim, fadd, fsub, fscale, fmul, fdivmod, frem and
+fmulmod work on the int lists directly and reduce each coefficient once
+with % p.  frem and fmulmod share one in-place reduction that builds no
+quotient, needs no inverse for a monic divisor, and leaves a product
+unreduced until it is reduced modulo the divisor.  fgcd, fmonic, fpow_mod
+(square-and-multiply from the top bit of the exponent, starting at the
+base) and the factorization stages inherit that path.  ExtField elements
+go through the field's add/sub/mul calls.
 
 Factorization is the classical pipeline: squarefree decomposition (with the
 char-p p-th-root step), distinct-degree splitting by Frobenius powers, and
@@ -171,6 +175,12 @@ def fdeg(f) -> int:
 
 
 def fadd(F, f, g):
+    if isinstance(F, PrimeField):
+        p = F.p
+        if len(f) < len(g):
+            f, g = g, f
+        out = [(a + b) % p for a, b in zip(f, g)]
+        return ftrim(F, out + [a % p for a in f[len(g):]])
     n = max(len(f), len(g))
     out = []
     for i in range(n):
@@ -200,12 +210,7 @@ def fmul(F, f, g):
         return []
     if isinstance(F, PrimeField):
         p = F.p
-        out = [0] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
-            if a:
-                for j, b in enumerate(g, i):
-                    out[j] += a * b
-        return ftrim(F, [c % p for c in out])
+        return ftrim(F, [c % p for c in _int_mul(f, g)])
     out = [F.zero] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if F.is_zero(a):
@@ -215,7 +220,20 @@ def fmul(F, f, g):
     return ftrim(F, out)
 
 
+def _int_mul(f, g):
+    """The product of two nonzero int lists, coefficients left unreduced."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g, i):
+                out[j] += a * b
+    return out
+
+
 def fscale(F, f, c):
+    if isinstance(F, PrimeField):
+        p = F.p
+        return ftrim(F, [a * c % p for a in f])
     return ftrim(F, [F.mul(a, c) for a in f])
 
 
@@ -264,7 +282,40 @@ def fdivmod(F, f, g):
 
 
 def frem(F, f, g):
-    return fdivmod(F, f, g)[1]
+    if not isinstance(F, PrimeField):
+        return fdivmod(F, f, g)[1]
+    if not g:
+        raise ZeroDivisionError
+    return _reduce(F.p, list(f), g)
+
+
+def _reduce(p, f, g):
+    """f mod g over F_p, reducing the int list f in place; builds no
+    quotient, and needs no inverse when g is monic."""
+    dg = len(g) - 1
+    if len(f) > dg:
+        low = g[:-1]
+        inv = 1 if g[-1] == 1 else pow(g[-1], p - 2, p)
+        for i in range(len(f) - 1, dg - 1, -1):
+            c = f[i] * inv % p
+            if c:
+                for j, b in enumerate(low, i - dg):
+                    f[j] -= c * b
+        del f[dg:]
+    f = [c % p for c in f]
+    n = len(f)
+    while n and f[n - 1] == 0:
+        n -= 1
+    return f[:n]
+
+
+def fmulmod(F, f, g, m):
+    """f * g mod m; over F_p the product stays unreduced until _reduce."""
+    if not isinstance(F, PrimeField):
+        return frem(F, fmul(F, f, g), m)
+    if not f or not g:
+        return []
+    return _reduce(F.p, _int_mul(f, g), m)
 
 
 def fgcd(F, f, g):
@@ -275,13 +326,15 @@ def fgcd(F, f, g):
 
 
 def fpow_mod(F, f, n, m):
-    out = [F.one]
+    """f^n mod m, squaring from the most significant bit of n down."""
+    if n == 0:
+        return [F.one]
     base = frem(F, f, m)
-    while n:
-        if n & 1:
-            out = frem(F, fmul(F, out, base), m)
-        base = frem(F, fmul(F, base, base), m)
-        n >>= 1
+    out = base
+    for bit in bin(n)[3:]:
+        out = fmulmod(F, out, out, m)
+        if bit == "1":
+            out = fmulmod(F, out, base, m)
     return out
 
 
@@ -385,7 +438,7 @@ def equal_degree(F, f, d, rng: random.Random) -> list[list]:
                 o //= 2
                 k += 1
             for _ in range(k * d - 1):
-                t = frem(F, fmul(F, t, t), f)
+                t = fmulmod(F, t, t, f)
                 acc = fadd(F, acc, t)
             g = fgcd(F, acc, f)
         else:

@@ -10,15 +10,24 @@ Montes refinement:
     (lowest terms) and length l has a residual polynomial of degree l/b over
     F_p, and every simple irreducible residual factor of degree D certifies
     an irreducible Q_p factor of degree D*b with slope a/b.
-  * Repeated residual factors trigger refinement: unit blocks (slope 0)
-    whose residue class phi is repeated are split off by mod-p Hensel
-    lifting, against the product of the simple classes, and analyzed per
-    residue class (a simple phi certifies its record by Hensel's lemma,
-    with no lift);
+  * Residual polynomials are multiplicative (Guardia-Montes-Nart, Trans.
+    AMS 364, 2012): on a side of f = g h, f's residual polynomial is g's
+    times h's, and a factor with no root of that slope adds a nonzero
+    constant.  So f's positive-slope records are read off f itself, and its
+    unit records off f mod p = t^m u with u factored; the unit and
+    positive-valuation roots are not split apart by a lift.
+  * Repeated residual factors trigger refinement, and only they are
+    Hensel-lifted: unit blocks (slope 0) whose residue class phi is
+    repeated are split off f by one mod-p Hensel lift, against the product
+    of the simple classes times t^m, and analyzed per residue class (a
+    simple phi certifies its record by Hensel's lemma, with no lift);
     residue classes t - c are shifted by a lifted approximation and re-run;
     residue classes of degree d >= 2 get a phi-adic polygon with residuals
     over F_{p^d}, and repeated linear residuals there refine phi by a lifted
-    correction.  Integer-slope parts are peeled by the scaling t -> p*t.
+    correction.  Integer-slope parts are peeled by the scaling t -> p*t,
+    which turns them into unit blocks; the positive part is lifted off the
+    unit roots for that only when a side of integer slope has a repeated
+    residual, since the scaling keeps every other residual polynomial.
   * Whatever remains (a repeated residual on a fractional-slope segment, or
     anything past the refinement depth) becomes an uncertified block record
     carrying the block degree, its slope, and the granularity its factor
@@ -217,15 +226,27 @@ class _Engine:
             raise _PrecisionShort
         if m == n:
             return self._analyze_positive(g, depth)
-        # mixed: split off the unit part by a mod-p coprime Hensel lift
-        F = PrimeField(p)
-        gbar = ftrim(F, [c % p for c in g])
-        tpart = [0] * m + [1]
-        upart = fpoly.fdivmod(F, gbar, tpart)[0]
-        gp, gu = hensel_lift_pair(IntPoly(g), tpart, upart, p, self.K)
-        return self._analyze_positive(list(gp.coeffs), depth) + self.analyze_unit(
-            list(gu.coeffs), depth
-        )
+        # Mixed: m roots of positive valuation.  Residual polynomials are
+        # multiplicative and the unit roots add only a unit constant to each
+        # positive-slope side, so those sides' records are read off g itself,
+        # as the positive part's own polygon would give them, and the unit
+        # records off g mod p with t^m left out; neither needs a lift.  Only
+        # the scaling t -> p t refines anything more, and only on a side of
+        # integer slope with a repeated residual: then the positive part is
+        # split off by a Hensel lift and analyzed alone.
+        hull = lower_hull(self._points(g))
+        recs = []
+        for start, end in zip(hull, hull[1:]):
+            if end[0] > m:
+                break
+            recs += _side_records(g, start, end, p, self.K, self.seed)
+        if any(not r.certified and r.slope.denominator == 1 for r in recs):
+            tpart = [0] * m + [1]
+            upart = [c % p for c in g[m:]]
+            gp, gu = hensel_lift_pair(IntPoly(g), tpart, upart, p, self.K)
+            recs = self._analyze_positive(list(gp.coeffs), depth)
+            return recs + self.analyze_unit(list(gu.coeffs), depth)
+        return recs + self.analyze_unit(g, depth, m)
 
     def _analyze_positive(self, g: list[int], depth: int) -> list[_Rec]:
         """All roots of g have strictly positive valuation."""
@@ -247,21 +268,25 @@ class _Engine:
 
     # -- unit blocks ---------------------------------------------------------------
 
-    def analyze_unit(self, g: list[int], depth: int) -> list[_Rec]:
+    def analyze_unit(self, g: list[int], depth: int, m: int = 0) -> list[_Rec]:
+        """Records of the unit roots of g, whose m lowest coefficients are
+        divisible by p and whose coefficient m is a unit (g mod p is t^m
+        times the reduction of its unit part)."""
         g = self._red(g)
         p = self.p
         F = PrimeField(p)
-        gbar = ftrim(F, [c % p for c in g])
+        gbar = ftrim(F, [c % p for c in g[m:]])
         _, parts = fpoly.factor(F, gbar, seed=self.seed)
         # A simple factor phi certifies its record by Hensel's lemma, so only
         # the blocks phi^e with e >= 2 are lifted, against the product of
-        # the simple ones; the lift of a coprime split mod p is unique.
+        # the simple ones times t^m; the lift of a coprime split mod p is
+        # unique, so a block is the one the unit part alone would give.
         repeated = [(phi, e) for phi, e in parts if e > 1]
-        if len(parts) == 1 and repeated:
+        if len(parts) == 1 and repeated and not m:
             return self._unit_power(g, *repeated[0], depth)
         blocks = iter(())
         if repeated:
-            seeds, simple = [], [F.one]
+            seeds, simple = [], [0] * m + [1]
             for phi, e in parts:
                 if e == 1:
                     simple = fmul(F, simple, phi)
@@ -490,13 +515,14 @@ def profile_weil(
 
     Agreement with chi's engine.  Residual polynomials are multiplicative: a
     factor with no root of valuation n/2 contributes a nonzero constant.
-    chi's engine splits off the unit roots by a Hensel lift and scales
-    t -> pt while every root valuation is >= 1; the scaling divides
-    coefficient i by the same power of p by which it lowers the side's
-    heights, so it keeps the residual polynomial.  The engine therefore
-    reads the same residual polynomial up to a unit and certifies the same
-    records.  For odd n the slope is fractional and the engine never refines
-    a fractional side, so its uncertified blocks there are the ones above.
+    chi's engine reads positive-slope sides off chi itself, or off a
+    positive part it has Hensel-lifted and scaled by t -> pt while every
+    root valuation is >= 1; the scaling divides coefficient i by the same
+    power of p by which it lowers the side's heights, so it keeps the
+    residual polynomial.  The engine therefore reads the same residual
+    polynomial up to a unit and certifies the same records.  For odd n the
+    slope is fractional and the engine never refines a fractional side, so
+    its uncertified blocks there are the ones above.
 
     Routes.  The companion route mirrors the records of qp_factor_profile(h)
     of slope below n/2 (h's engine is skipped when there are none) and adds

@@ -1,17 +1,22 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weilpoly import fpoly
 from weilpoly.fpoly import (
     ExtField,
     PrimeField,
+    distinct_degree,
+    fadd,
     fdeg,
     fdivmod,
     fgcd,
     fmul,
+    fpow_mod,
+    frem,
+    fscale,
     fsub,
     ftrim,
     is_irreducible,
@@ -101,22 +106,40 @@ def test_ext_field_arithmetic():
     p=st.sampled_from([2, 3, 5, 7, 11, 13, 101]),
     f=st.lists(st.integers(0, 10**4), max_size=12),
     g=st.lists(st.integers(0, 10**4), max_size=9),
+    k=st.integers(0, 10**4),
 )
-def test_prime_field_kernel_matches_the_generic_path(p, f, g):
+@example(p=7, f=[3, 1], g=[1, 2, 0, 5], k=3)  # dividend shorter than a non-monic divisor
+@example(p=5, f=[1, 2, 3, 4, 1, 2, 3], g=[2, 0, 3], k=0)  # non-monic divisor
+@example(p=3, f=[2, 0, 1, 1, 2, 1], g=[1, 1, 0, 1], k=2)  # monic divisor
+def test_prime_field_kernel_matches_the_generic_path(p, f, g, k):
     """The int-list kernel of PrimeField against the generic loop, run
     over the same field presented as ExtField(p, [0, 1])."""
     Fp, Fg = PrimeField(p), ExtField(p, [0, 1])
     f = ftrim(Fp, [c % p for c in f])
     g = ftrim(Fp, [c % p for c in g])
+    k %= p
 
     def generic(op, *args):
-        out = op(Fg, *[[(c,) for c in a] for a in args])
+        out = op(Fg, *[[(c,) for c in a] if isinstance(a, list) else a for a in args])
         if isinstance(out, tuple):
             return tuple([c[0] for c in part] for part in out)
         return [c[0] for c in out]
 
     assert fmul(Fp, f, g) == generic(fmul, f, g)
+    assert fadd(Fp, f, g) == generic(fadd, f, g)
     assert fsub(Fp, f, g) == generic(fsub, f, g)
+    assert fscale(Fp, f, k) == generic(fscale, f, (k,))
     assert fgcd(Fp, f, g) == generic(fgcd, f, g)
     if g:
         assert fdivmod(Fp, f, g) == generic(fdivmod, f, g)
+        assert frem(Fp, f, g) == generic(frem, f, g)
+        for n in (0, 1, p, p**2, p**7, (p**3 - 1) // 2):
+            assert fpow_mod(Fp, f, n, g) == generic(fpow_mod, f, n, g), n
+        power = frem(Fp, [1], g)
+        for _ in range(p):
+            power = frem(Fp, fmul(Fp, power, f), g)
+        assert fpow_mod(Fp, f, p, g) == power
+    if fdeg(f) > 0:
+        for part, _ in squarefree_decomposition(Fp, f):
+            got = distinct_degree(Fg, [(c,) for c in part])
+            assert distinct_degree(Fp, part) == [([c[0] for c in h], d) for h, d in got]

@@ -171,3 +171,9 @@ def test_check_weil_leaves_padic_unloaded():
 def test_enumerate_leaves_classify7_unloaded():
     loaded = loaded_by("enumerate", "--degree", "2", "--q", "2")
     assert "census" in loaded and "classify7" not in loaded
+
+
+def test_degree_2_cross_check_loads_no_degree_12_or_14_checker():
+    loaded = loaded_by("cross-check", "--degree", "2", "--q", "5", "--box", "-4:4")
+    assert "census" in loaded and "oracle" in loaded
+    assert not loaded & {"classify7", "padic", "bounds12"}, sorted(loaded)

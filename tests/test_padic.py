@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import random
 from fractions import Fraction
 
@@ -382,6 +383,153 @@ def test_unit_residual_records_are_pinned(f, lifted, expected, monkeypatch):
     ]
     assert got == expected
     assert seeds == lifted
+
+
+@pytest.mark.parametrize(
+    "f, lifted, expected",
+    [
+        # (t^2-5)(t-50)(t-1)(t-2): sides of slope 2 and 1/2 with simple
+        # residuals are read off f, and the unit roots are simple
+        (
+            T([-5, 0, 1]) * T([-50, 1]) * T([-1, 1]) * T([-2, 1]),
+            ([], []),
+            [
+                (1, 0, 0, 1, True, 1),
+                (1, 0, 0, 1, True, 1),
+                (2, Fraction(1, 2), 1, 1, True, 1),
+                (1, 2, 2, 1, True, 1),
+            ],
+        ),
+        # (t-5)(t^2-5)((t-1)^2-5)(t-2): the block (t-1)^2 is lifted off f
+        # itself, against (t-2) t^3
+        (
+            T([-5, 1]) * T([-5, 0, 1]) * (T([-1, 1]) ** 2 + T([-5])) * T([-2, 1]),
+            ([], [[[1, 3, 1], [0, 0, 0, 3, 1]]]),
+            [
+                (1, 0, 0, 1, True, 1),
+                (2, 0, 0, 1, True, 1),
+                (2, Fraction(1, 2), 1, 1, True, 1),
+                (1, 1, 1, 1, True, 1),
+            ],
+        ),
+        # (t-5)(t-30)(t-2)(t-3): the slope-1 residual (y-1)^2 is repeated,
+        # so the positive part is split off and refined after t -> 5t
+        (
+            T([-5, 1]) * T([-30, 1]) * T([-2, 1]) * T([-3, 1]),
+            ([[[0, 0, 1], [1, 0, 1]]], []),
+            [
+                (1, 0, 0, 1, True, 1),
+                (1, 0, 0, 1, True, 1),
+                (1, 1, 1, 1, True, 1),
+                (1, 1, 1, 1, True, 1),
+            ],
+        ),
+    ],
+    ids=["simple-positive-sides", "repeated-unit-block", "repeated-integer-slope"],
+)
+def test_mixed_valuation_records_are_pinned(f, lifted, expected, monkeypatch):
+    """Pinned records of inputs with unit and positive-valuation roots mod 5;
+    `lifted` holds the seeds of each Hensel lift the engine starts, pair
+    lifts first: the positive-slope sides are read off f unless one of
+    integer slope has a repeated residual."""
+    pairs, multis = [], []
+    pair, multi = padic.hensel_lift_pair, padic.hensel_lift_multi
+
+    def counting_pair(g, g0, h0, p, k):
+        pairs.append([list(g0), list(h0)])
+        return pair(g, g0, h0, p, k)
+
+    def counting_multi(g, factors, p, k):
+        multis.append([list(fac) for fac in factors])
+        return multi(g, factors, p, k)
+
+    monkeypatch.setattr(padic, "hensel_lift_pair", counting_pair)
+    monkeypatch.setattr(padic, "hensel_lift_multi", counting_multi)
+    got = [
+        (r.degree, r.slope, r.const_valuation, r.residual_degree, r.certified, r.granularity)
+        for r in qp_factor_profile(f, 5).factors
+    ]
+    assert got == expected
+    assert (pairs, multis) == lifted
+
+
+def mixed_valuation_corpus(size=3000, seed="mixed-valuation"):
+    """Seeded monic inputs of degree 2 to 9 at p in {2, 3, 5, 7}, each with
+    p | f(0).  Half have random coefficients whose m lowest are divisible by
+    p, so m roots have positive valuation (1 <= m <= n).  Half are a
+    positive part (roots +-p^k or 2p^k, or Eisenstein-like blocks) times a
+    unit part holding a square, perturbed by multiples of p^s."""
+    rng = random.Random(seed)
+    for i in range(size):
+        p = (2, 3, 5, 7)[i % 4]
+        if i % 8 < 4:
+            n = rng.randint(2, 9)
+            m = rng.randint(1, n)
+            coeffs = []
+            for j in range(n):
+                c = rng.randint(-2 * p, 2 * p)
+                if j < m:
+                    c *= p ** rng.randint(1, 3)
+                elif j == m and c % p == 0:
+                    c += 1
+                coeffs.append(c)
+            if coeffs[0] == 0:
+                coeffs[0] = p
+            yield p, IntPoly(coeffs + [1])
+            continue
+        pos = IntPoly([1])
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.6:
+                root = rng.choice((1, -1, 2)) * p ** rng.randint(1, 2)
+                pos = pos * IntPoly([-root, 1])
+            else:
+                e = rng.randint(2, 3)
+                const = p * rng.choice((1, -1, 2, -2))
+                low = [p * rng.randint(-1, 1) for _ in range(e - 1)]
+                pos = pos * IntPoly([const, *low, 1])
+        if rng.random() < 0.7:
+            phi = IntPoly([rng.randint(-p, p) or 1, 1])
+        else:
+            phi = IntPoly([rng.randint(1, p), rng.randint(-1, 1), 1])
+        unit = phi * phi
+        for _ in range(rng.randint(0, 2)):
+            unit = unit * IntPoly([rng.randint(-p, p), 1])
+        f = pos * unit
+        if f.degree > 9:
+            f = pos * phi * phi
+        if f.degree > 9:
+            f = pos * IntPoly([1, 1])
+        s = rng.randint(1, 3)
+        noise = [p**s * rng.randint(-1, 1) for _ in range(f.degree)]
+        f = IntPoly([c + d for c, d in zip(f.coeffs, noise + [0])])
+        if f[0] == 0:
+            f = IntPoly([p**4, *f.coeffs[1:]])
+        yield p, f
+
+
+def test_mixed_valuation_profiles_match_the_pinned_digest():
+    """Every record of qp_factor_profile, or the error it raises, over the
+    mixed-valuation corpus, pinned as one digest.  The digest was computed
+    before the engine stopped lifting the unit/positive split."""
+    digest = hashlib.sha256()
+    outcomes = collections.Counter()
+    for p, f in mixed_valuation_corpus():
+        try:
+            profile = qp_factor_profile(f, p)
+        except (StructuralError, UncertifiedProfileError) as exc:
+            row = f"{type(exc).__name__}: {exc}"
+            outcomes[type(exc).__name__] += 1
+        else:
+            row = [
+                (r.degree, str(r.slope), r.const_valuation, r.residual_degree, r.certified, r.granularity)
+                for r in profile.factors
+            ]
+            outcomes["certified" if profile.fully_certified else "partial"] += 1
+        digest.update(f"{p}|{list(f.coeffs)}|{row}\n".encode())
+    assert outcomes == {"certified": 2805, "partial": 178, "StructuralError": 17}
+    assert digest.hexdigest() == (
+        "a32237ee6a1d28117841240cd4e29bd926850f60431b6521e73c66a62d1f7f25"
+    )
 
 
 def test_profile_slopes_must_match_the_newton_polygon(monkeypatch):
