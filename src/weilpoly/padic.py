@@ -13,21 +13,21 @@ Montes refinement:
   * Residual polynomials are multiplicative (Guardia-Montes-Nart, Trans.
     AMS 364, 2012): on a side of f = g h, f's residual polynomial is g's
     times h's, and a factor with no root of that slope adds a nonzero
-    constant.  So f's positive-slope records are read off f itself, and its
-    unit records off f mod p = t^m u with u factored; the unit and
-    positive-valuation roots are not split apart by a lift.
-  * Repeated residual factors trigger refinement, and only they are
-    Hensel-lifted: unit blocks (slope 0) whose residue class phi is
-    repeated are split off f by one mod-p Hensel lift, against the product
-    of the simple classes times t^m, and analyzed per residue class (a
-    simple phi certifies its record by Hensel's lemma, with no lift);
-    residue classes t - c are shifted by a lifted approximation and re-run;
-    residue classes of degree d >= 2 get a phi-adic polygon with residuals
-    over F_{p^d}, and repeated linear residuals there refine phi by a lifted
-    correction.  Integer-slope parts are peeled by the scaling t -> p*t,
-    which turns them into unit blocks; the positive part is lifted off the
-    unit roots for that only when a side of integer slope has a repeated
-    residual, since the scaling keeps every other residual polynomial.
+    constant.  So every root cluster is read off f itself: the
+    positive-slope records off f's sides, and the unit records off
+    f mod p = t^m u with u factored, a simple residue class phi certifying
+    its record by Hensel's lemma.
+  * Repeated residual factors trigger refinement, still on f itself: a
+    repeated unit class t - c is shifted to 0, which gives its roots
+    positive valuation and leaves the others units, and read as above; a
+    repeated class phi of degree d >= 2 gets a phi-adic polygon over the
+    abscissas 0..e of its multiplicity, with residuals over F_{p^d}, and
+    repeated linear residuals there refine phi by a lifted correction.
+    Integer-slope parts are peeled by the scaling t -> p*t, which turns
+    them into unit classes.  The one Hensel lift splits the positive part
+    off the unit roots for that scaling, and only when a side of integer
+    slope has a repeated residual, since the scaling keeps every other
+    residual polynomial.
   * Whatever remains (a repeated residual on a fractional-slope segment, or
     anything past the refinement depth) becomes an uncertified block record
     carrying the block degree, its slope, and the granularity its factor
@@ -57,16 +57,17 @@ from fractions import Fraction
 from math import gcd
 
 from . import fpoly
-from .arith import vp
+from .arith import is_prime, vp
 from .errors import ExactnessError, StructuralError, UncertifiedProfileError
 from .factorint import discriminant
-from .fpoly import DEFAULT_SEED, ExtField, PrimeField, fdeg, fmul, ftrim
-from .hensel import hensel_lift_multi, hensel_lift_pair
+from .fpoly import DEFAULT_SEED, ExtField, PrimeField, fdeg, ftrim
+from .hensel import hensel_lift_pair
 from .newton import lower_hull, newton_polygon
 from .polynomial import IntPoly
 from .weil import WeilParams, WeilVerdict
 
 _ATTEMPTS = 4  # precision tries, K doubling after each
+_MAX_DEPTH = 8  # refinement steps of one root cluster
 
 
 @dataclass(frozen=True)
@@ -176,12 +177,11 @@ def _side_records(g, start, end, p: int, K: int, seed: int) -> list[_Rec]:
 
 
 class _Engine:
-    def __init__(self, p: int, K: int, seed: int, max_depth: int):
+    def __init__(self, p: int, K: int, seed: int):
         self.p = p
         self.K = K
         self.mod = p ** K
         self.seed = seed
-        self.max_depth = max_depth
 
     # -- helpers ---------------------------------------------------------------
 
@@ -207,146 +207,117 @@ class _Engine:
                 pts.append((i, v))
         return pts
 
-    # -- top-level analysis ------------------------------------------------------
+    # -- analysis ----------------------------------------------------------------
 
     def analyze(self, g: list[int], depth: int) -> list[_Rec]:
+        """Records of the roots of the monic g: g mod p is t^m times the
+        reduction of its unit part, its m roots of positive valuation are
+        read by _positive and its unit roots by analyze_unit, both off g."""
         g = self._red(g)
         n = fdeg(g)
         if n <= 0:
             return []
-        if self._vp(g[0]) is None:
-            raise _PrecisionShort
-        p = self.p
         m = 0
-        while m <= n and g[m] % p == 0:
+        while m <= n and g[m] % self.p == 0:
             m += 1
-        if m == 0:
-            return self.analyze_unit(g, depth)
         if m > n:  # pragma: no cover - leading coefficient must be a unit
             raise _PrecisionShort
-        if m == n:
-            return self._analyze_positive(g, depth)
-        # Mixed: m roots of positive valuation.  Residual polynomials are
-        # multiplicative and the unit roots add only a unit constant to each
-        # positive-slope side, so those sides' records are read off g itself,
-        # as the positive part's own polygon would give them, and the unit
-        # records off g mod p with t^m left out; neither needs a lift.  Only
-        # the scaling t -> p t refines anything more, and only on a side of
-        # integer slope with a repeated residual: then the positive part is
-        # split off by a Hensel lift and analyzed alone.
+        return self._positive(g, m, depth) + self.analyze_unit(g, depth, m)
+
+    def _positive(self, g: list[int], m: int, depth: int) -> list[_Rec]:
+        """Records of the m roots of positive valuation of the reduced g,
+        whose m lowest coefficients are divisible by p and whose coefficient
+        m is a unit.  Its other roots are units, which add only a unit
+        constant to the residual polynomial of each side of positive slope,
+        so those sides' records are read off g itself.  Only the scaling
+        t -> p t refines anything more, and only on a side of integer slope
+        with a repeated residual: then the positive part is split off by a
+        Hensel lift (it is g itself when m = deg g) and scaled, which keeps
+        every residual polynomial."""
+        if not m:
+            return []
+        if g[0] == 0:
+            raise _PrecisionShort
+        p = self.p
         hull = lower_hull(self._points(g))
         recs = []
         for start, end in zip(hull, hull[1:]):
             if end[0] > m:
                 break
             recs += _side_records(g, start, end, p, self.K, self.seed)
-        if any(not r.certified and r.slope.denominator == 1 for r in recs):
-            tpart = [0] * m + [1]
-            upart = [c % p for c in g[m:]]
-            gp, gu = hensel_lift_pair(IntPoly(g), tpart, upart, p, self.K)
-            recs = self._analyze_positive(list(gp.coeffs), depth)
-            return recs + self.analyze_unit(list(gu.coeffs), depth)
-        return recs + self.analyze_unit(g, depth, m)
+        # the scaling needs every root valuation >= 1
+        if min(r.slope for r in recs) < 1 or all(
+            r.certified or r.slope.denominator > 1 for r in recs
+        ):
+            return recs
+        if m < fdeg(g):
+            tpart, upart = [0] * m + [1], [c % p for c in g[m:]]
+            g = self._red(hensel_lift_pair(IntPoly(g), tpart, upart, p, self.K)[0].coeffs)
+        scaled = [g[i] // p ** (m - i) for i in range(m + 1)]
+        return [replace(r, slope=r.slope + 1) for r in self.analyze(scaled, depth)]
 
-    def _analyze_positive(self, g: list[int], depth: int) -> list[_Rec]:
-        """All roots of g have strictly positive valuation."""
-        g = self._red(g)
-        n = fdeg(g)
-        pts = self._points(g)
-        hull = lower_hull(pts)
-        if self._vp(g[0]) is None:
-            raise _PrecisionShort
-        # integral scaling when every root valuation is >= 1
-        if all(v >= n - i for i, v in pts):
-            scaled = [g[i] // self.p ** (n - i) for i in range(n + 1)]
-            inner = self.analyze(scaled, depth)
-            return [replace(r, slope=r.slope + 1) for r in inner]
-        out: list[_Rec] = []
-        for start, end in zip(hull, hull[1:]):
-            out.extend(_side_records(g, start, end, self.p, self.K, self.seed))
-        return out
-
-    # -- unit blocks ---------------------------------------------------------------
-
-    def analyze_unit(self, g: list[int], depth: int, m: int = 0) -> list[_Rec]:
-        """Records of the unit roots of g, whose m lowest coefficients are
-        divisible by p and whose coefficient m is a unit (g mod p is t^m
-        times the reduction of its unit part)."""
-        g = self._red(g)
-        p = self.p
-        F = PrimeField(p)
-        gbar = ftrim(F, [c % p for c in g[m:]])
+    def analyze_unit(self, g: list[int], depth: int, m: int) -> list[_Rec]:
+        """Records of the unit roots of the reduced g, whose m lowest
+        coefficients are divisible by p and whose coefficient m is a unit.
+        A simple residue class phi certifies its record by Hensel's lemma; a
+        repeated one is refined on g itself."""
+        F = PrimeField(self.p)
+        gbar = ftrim(F, [c % self.p for c in g[m:]])
         _, parts = fpoly.factor(F, gbar, seed=self.seed)
-        # A simple factor phi certifies its record by Hensel's lemma, so only
-        # the blocks phi^e with e >= 2 are lifted, against the product of
-        # the simple ones times t^m; the lift of a coprime split mod p is
-        # unique, so a block is the one the unit part alone would give.
-        repeated = [(phi, e) for phi, e in parts if e > 1]
-        if len(parts) == 1 and repeated and not m:
-            return self._unit_power(g, *repeated[0], depth)
-        blocks = iter(())
-        if repeated:
-            seeds, simple = [], [0] * m + [1]
-            for phi, e in parts:
-                if e == 1:
-                    simple = fmul(F, simple, phi)
-                    continue
-                blk = [F.one]
-                for _ in range(e):
-                    blk = fmul(F, blk, phi)
-                seeds.append(blk)
-            if len(simple) > 1:
-                seeds.append(simple)
-            blocks = iter(hensel_lift_multi(IntPoly(g), seeds, p, self.K))
         out = []
         for phi, e in parts:
             if e == 1:
                 out.append(_Rec(fdeg(phi), Fraction(0), fdeg(phi), True, 1))
             else:
-                out.extend(self._unit_power(list(next(blocks).coeffs), phi, e, depth))
+                out.extend(self._unit_power(g, phi, e, depth))
         return out
 
     def _unit_power(self, g: list[int], phibar, e: int, depth: int) -> list[_Rec]:
-        """g == phibar^e mod p with phibar irreducible, e >= 2."""
+        """Records of the e deg phibar roots of the reduced g in the residue
+        class phibar^e, phibar irreducible mod p and e >= 2.  g's other roots
+        lie in other classes, so the rest of g adds only a unit constant to
+        each residual polynomial of the cluster."""
         d = fdeg(phibar)
-        n = fdeg(g)
         if depth <= 0:
-            return [_Rec(n, Fraction(0), None, False, d)]
-        if d == 1:
-            # shift by the lifted residue root and re-run on positive slopes
-            c = (-phibar[0] * pow(phibar[1], -1, self.p)) % self.p
-            shifted = self._red(IntPoly(self._red(g)).compose_linear(1, c).coeffs)
-            out = []
-            if not shifted or shifted[0] % self.mod == 0:
-                # the shift hit a root to full working precision: that root is
-                # certified (the separation bound rules out a second one), so
-                # peel the linear factor t and continue with the cofactor
-                out.append(_Rec(1, Fraction(0), 1, True, 1))
-                shifted = shifted[1:]
-                if fdeg(shifted) <= 0:
-                    return out
-            inner = self.analyze(shifted, depth - 1)
-            return out + [replace(r, slope=Fraction(0)) for r in inner]
-        return self._phi_adic(g, phibar, e, depth)
+            return [_Rec(e * d, Fraction(0), None, False, d)]
+        if d > 1:
+            return self._phi_adic(g, phibar, e, depth)
+        # shift the class t - c to 0: its e roots get positive valuation,
+        # and every other root stays a unit
+        c = (-phibar[0] * pow(phibar[1], -1, self.p)) % self.p
+        shifted = self._red(IntPoly(g).compose_linear(1, c).coeffs)
+        out = []
+        if shifted[0] == 0:
+            # the shift hit a root to full working precision: that root is
+            # certified (the separation bound rules out a second one), so
+            # peel the linear factor t and continue with the cofactor
+            out.append(_Rec(1, Fraction(0), 1, True, 1))
+            shifted, e = shifted[1:], e - 1
+        inner = self._positive(shifted, e, depth - 1)
+        return out + [replace(r, slope=Fraction(0)) for r in inner]
 
-    def _phi_expand(self, g: list[int], phi: list[int]) -> list[list[int]]:
+    def _phi_expand(self, g: list[int], phi: list[int], count: int) -> list[list[int]]:
+        """The first count digits of g's phi-adic expansion, mod p^K."""
         digits = []
-        cur = IntPoly(self._red(g))
-        phi_poly = IntPoly(phi)
-        while not cur.is_zero():
-            quot, rem = cur.divmod_monic(phi_poly)
-            digits.append(self._red(list(rem.coeffs)))
-            cur = quot
+        cur, phi_poly = IntPoly(g), IntPoly(phi)
+        for _ in range(count):
+            cur, rem = cur.divmod_monic(phi_poly)
+            digits.append(self._red(rem.coeffs))
         return digits
 
     def _phi_adic(self, g: list[int], phibar, e: int, depth: int) -> list[_Rec]:
+        """The cluster phibar^e, deg phibar >= 2, by the phi-adic polygon of
+        g over the abscissas 0..e: the rest of g is coprime to phibar, so its
+        digit 0 is a unit and g's digit e has valuation 0.  A repeated linear
+        residual at integer phi-slope refines phi, at most depth times; past
+        that it is left as an uncertified block."""
         p = self.p
         d = fdeg(phibar)
         Fd = ExtField(p, list(phibar))
         phi = [c % p for c in phibar]
         budget = depth
         while True:
-            digits = self._phi_expand(g, phi)
+            digits = self._phi_expand(g, phi, e + 1)
             pts = []
             for j, digit in enumerate(digits):
                 vals = [self._vp(c) for c in digit]
@@ -403,14 +374,12 @@ class _Engine:
                 return out
             phi = refine_to
             budget -= 1
-            if budget < 0:
-                return [_Rec(fdeg(g), Fraction(0), None, False, d)]
 
 
-def qp_factor_profile(
-    f: IntPoly, p: int, max_depth: int = 8, seed: int = DEFAULT_SEED
-) -> PadicFactorProfile:
+def qp_factor_profile(f: IntPoly, p: int, seed: int = DEFAULT_SEED) -> PadicFactorProfile:
     """Certified Q_p factor profile of a squarefree integer polynomial."""
+    if not is_prime(p):
+        raise StructuralError(f"p = {p} is not a prime")
     if f.is_zero() or f.degree < 1:
         raise StructuralError("need a nonconstant polynomial")
     if f[0] == 0:
@@ -432,7 +401,7 @@ def qp_factor_profile(
         work = IntPoly([c * b ** (f.degree - 1 - i) for i, c in enumerate(f.coeffs)])
     for attempt in range(1, _ATTEMPTS + 1):
         try:
-            recs = _Engine(p, K, seed, max_depth).analyze(list(work.coeffs), max_depth)
+            recs = _Engine(p, K, seed).analyze(list(work.coeffs), _MAX_DEPTH)
             break
         except _PrecisionShort as exc:
             if attempt == _ATTEMPTS:
@@ -515,14 +484,15 @@ def profile_weil(
 
     Agreement with chi's engine.  Residual polynomials are multiplicative: a
     factor with no root of valuation n/2 contributes a nonzero constant.
-    chi's engine reads positive-slope sides off chi itself, or off a
-    positive part it has Hensel-lifted and scaled by t -> pt while every
-    root valuation is >= 1; the scaling divides coefficient i by the same
-    power of p by which it lowers the side's heights, so it keeps the
-    residual polynomial.  The engine therefore reads the same residual
-    polynomial up to a unit and certifies the same records.  For odd n the
-    slope is fractional and the engine never refines a fractional side, so
-    its uncertified blocks there are the ones above.
+    chi's engine reads positive-slope sides off chi itself, and only when a
+    side of integer slope has a repeated residual off a positive part it
+    has Hensel-lifted and scaled by t -> pt (every root valuation >= 1).
+    The scaling divides coefficient i by the same power of p by which it
+    lowers the side's heights, so it keeps the residual polynomial.  The
+    engine therefore reads the same residual polynomial up to a unit and
+    certifies the same records.  For odd n the slope is fractional and the
+    engine never refines a fractional side, so its uncertified blocks there
+    are the ones above.
 
     Routes.  The companion route mirrors the records of qp_factor_profile(h)
     of slope below n/2 (h's engine is skipped when there are none) and adds

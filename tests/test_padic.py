@@ -278,6 +278,12 @@ def test_not_squarefree_rejected():
         qp_factor_profile(IntPoly([0, 1, 1]), 2)
 
 
+@pytest.mark.parametrize("p", [4, 1, 0])
+def test_p_must_be_prime(p):
+    with pytest.raises(StructuralError, match="not a prime"):
+        qp_factor_profile(IntPoly([3, 0, 1]), p)
+
+
 def test_eisenstein_law(rng):
     for _ in range(30):
         p = rng.choice([2, 3, 5])
@@ -338,21 +344,32 @@ def test_unit_root_count_matches_digit_search(rng):
 T = IntPoly
 
 
+def counting_lifts(monkeypatch):
+    """The seeds of each Hensel lift the engine starts, as they start."""
+    lifts = []
+    pair = padic.hensel_lift_pair
+
+    def counting(g, g0, h0, p, k):
+        lifts.append([list(g0), list(h0)])
+        return pair(g, g0, h0, p, k)
+
+    monkeypatch.setattr(padic, "hensel_lift_pair", counting)
+    return lifts
+
+
 @pytest.mark.parametrize(
-    "f, lifted, expected",
+    "f, expected",
     [
-        # (t-2)(t-1)(t^2+2) mod 5: simple factors only, nothing is lifted
+        # (t-2)(t-1)(t^2+2) mod 5: simple factors only
         (
             T([-2, 1]) * T([-1, 1]) * T([2, 0, 1]) + T([0, 5]),
-            [],
             [(1, 0, 0, 1, True, 1), (1, 0, 0, 1, True, 1), (2, 0, 0, 2, True, 1)],
         ),
-        # (t-2)(t-3)(t-1)^2(t^2+2)^2 mod 5: the two squares are lifted
-        # against the product of the simple factors
+        # (t-2)(t-3)(t-1)^2(t^2+2)^2 mod 5: both squares are refined on f
+        # itself
         (
             (T([-1, 1]) ** 2 + T([-5])) * (T([2, 0, 1]) ** 2 + T([0, -5]))
             * T([-2, 1]) * T([-3, 1]),
-            [3],
             [
                 (1, 0, 0, 1, True, 1),
                 (1, 0, 0, 1, True, 1),
@@ -360,29 +377,21 @@ T = IntPoly
                 (4, 0, 0, 2, True, 1),
             ],
         ),
-        # (t^2+2)^2 mod 5: one repeated factor, refined without a lift
-        (T([2, 0, 1]) ** 2 + T([0, 5]), [], [(4, 0, 0, 2, True, 1)]),
+        # (t^2+2)^2 mod 5: one repeated factor
+        (T([2, 0, 1]) ** 2 + T([0, 5]), [(4, 0, 0, 2, True, 1)]),
     ],
     ids=["simple", "simple-and-repeated", "repeated"],
 )
-def test_unit_residual_records_are_pinned(f, lifted, expected, monkeypatch):
-    """Pinned records of the three shapes of a unit residual mod 5; `lifted`
-    holds the number of seeds of each Hensel lift, which only repeated
-    factors get."""
-    seeds = []
-    lift = padic.hensel_lift_multi
-
-    def counting(g, factors, p, k):
-        seeds.append(len(factors))
-        return lift(g, factors, p, k)
-
-    monkeypatch.setattr(padic, "hensel_lift_multi", counting)
+def test_unit_residual_records_are_pinned(f, expected, monkeypatch):
+    """Pinned records of the three shapes of a unit residual mod 5.  A
+    repeated residue class is read off f itself, so no Hensel lift runs."""
+    lifts = counting_lifts(monkeypatch)
     got = [
         (r.degree, r.slope, r.const_valuation, r.residual_degree, r.certified, r.granularity)
         for r in qp_factor_profile(f, 5).factors
     ]
     assert got == expected
-    assert seeds == lifted
+    assert lifts == []
 
 
 @pytest.mark.parametrize(
@@ -392,7 +401,7 @@ def test_unit_residual_records_are_pinned(f, lifted, expected, monkeypatch):
         # residuals are read off f, and the unit roots are simple
         (
             T([-5, 0, 1]) * T([-50, 1]) * T([-1, 1]) * T([-2, 1]),
-            ([], []),
+            [],
             [
                 (1, 0, 0, 1, True, 1),
                 (1, 0, 0, 1, True, 1),
@@ -400,11 +409,11 @@ def test_unit_residual_records_are_pinned(f, lifted, expected, monkeypatch):
                 (1, 2, 2, 1, True, 1),
             ],
         ),
-        # (t-5)(t^2-5)((t-1)^2-5)(t-2): the block (t-1)^2 is lifted off f
-        # itself, against (t-2) t^3
+        # (t-5)(t^2-5)((t-1)^2-5)(t-2): the block (t-1)^2 is read off f
+        # itself, shifted by 1
         (
             T([-5, 1]) * T([-5, 0, 1]) * (T([-1, 1]) ** 2 + T([-5])) * T([-2, 1]),
-            ([], [[[1, 3, 1], [0, 0, 0, 3, 1]]]),
+            [],
             [
                 (1, 0, 0, 1, True, 1),
                 (2, 0, 0, 1, True, 1),
@@ -416,7 +425,7 @@ def test_unit_residual_records_are_pinned(f, lifted, expected, monkeypatch):
         # so the positive part is split off and refined after t -> 5t
         (
             T([-5, 1]) * T([-30, 1]) * T([-2, 1]) * T([-3, 1]),
-            ([[[0, 0, 1], [1, 0, 1]]], []),
+            [[[0, 0, 1], [1, 0, 1]]],
             [
                 (1, 0, 0, 1, True, 1),
                 (1, 0, 0, 1, True, 1),
@@ -429,28 +438,67 @@ def test_unit_residual_records_are_pinned(f, lifted, expected, monkeypatch):
 )
 def test_mixed_valuation_records_are_pinned(f, lifted, expected, monkeypatch):
     """Pinned records of inputs with unit and positive-valuation roots mod 5;
-    `lifted` holds the seeds of each Hensel lift the engine starts, pair
-    lifts first: the positive-slope sides are read off f unless one of
-    integer slope has a repeated residual."""
-    pairs, multis = [], []
-    pair, multi = padic.hensel_lift_pair, padic.hensel_lift_multi
-
-    def counting_pair(g, g0, h0, p, k):
-        pairs.append([list(g0), list(h0)])
-        return pair(g, g0, h0, p, k)
-
-    def counting_multi(g, factors, p, k):
-        multis.append([list(fac) for fac in factors])
-        return multi(g, factors, p, k)
-
-    monkeypatch.setattr(padic, "hensel_lift_pair", counting_pair)
-    monkeypatch.setattr(padic, "hensel_lift_multi", counting_multi)
+    `lifted` holds the seeds of each Hensel lift the engine starts: the
+    positive-slope sides are read off f unless one of integer slope has a
+    repeated residual."""
+    lifts = counting_lifts(monkeypatch)
     got = [
         (r.degree, r.slope, r.const_valuation, r.residual_degree, r.certified, r.granularity)
         for r in qp_factor_profile(f, 5).factors
     ]
     assert got == expected
-    assert (pairs, multis) == lifted
+    assert lifts == lifted
+
+
+def _digit_cluster(k):
+    """(t - r)^2 - 5^(2k+1) with r = 1 + 5 + ... + 5^(k-1): shifting the
+    class of r to 0 and scaling t -> 5t leaves the same shape with k - 1
+    digits, so its two roots take k shifts to separate."""
+    return T([-(5**k - 1) // 4, 1]) ** 2 - T([5 ** (2 * k + 1)])
+
+
+def _phi_digit_cluster(k):
+    """(t^2 + 2 + 5 + ... + 5^k)^2 - 5^(2k+1): each phi-adic polygon of the
+    class (t^2+2)^2 mod 5 has the residual (y+1)^2 until k refinements of
+    phi = t^2 + 2 have been made."""
+    return T([2 + 5 * (5**k - 1) // 4, 0, 1]) ** 2 - T([5 ** (2 * k + 1)])
+
+
+@pytest.mark.parametrize(
+    "f, expected",
+    [
+        # 8 shifts separate the roots, within the depth of 8
+        (_digit_cluster(8), [(2, 0, 1, True, 1)]),
+        # 9 are needed: the depth runs out on a block of the class's degree
+        (_digit_cluster(9), [(2, 0, None, False, 1)]),
+        (
+            _digit_cluster(9) * T([3, 1]) * T([-2, 1]),
+            [(1, 0, 1, True, 1), (1, 0, 1, True, 1), (2, 0, None, False, 1)],
+        ),
+        # 8 refinements of phi separate the roots, 9 exhaust the budget
+        (_phi_digit_cluster(8), [(4, 0, 2, True, 1)]),
+        (_phi_digit_cluster(9), [(4, 0, None, False, 2)]),
+        (
+            _phi_digit_cluster(9) * T([3, 1]) * T([-2, 1]) * T([-5, 1]),
+            [
+                (1, 0, 1, True, 1),
+                (1, 0, 1, True, 1),
+                (4, 0, None, False, 2),
+                (1, 1, 1, True, 1),
+            ],
+        ),
+    ],
+    ids=["shifts-8", "shifts-9", "shifts-9-cofactor", "phi-8", "phi-9", "phi-9-cofactor"],
+)
+def test_refinement_depth_is_pinned(f, expected):
+    """Clusters at p = 5 that need k refinement steps: within the depth of 8
+    they certify, past it they leave one uncertified block of the cluster's
+    own degree, also when f has other roots."""
+    got = [
+        (r.degree, r.slope, r.residual_degree, r.certified, r.granularity)
+        for r in qp_factor_profile(f, 5).factors
+    ]
+    assert got == expected
 
 
 def mixed_valuation_corpus(size=3000, seed="mixed-valuation"):
@@ -507,13 +555,12 @@ def mixed_valuation_corpus(size=3000, seed="mixed-valuation"):
         yield p, f
 
 
-def test_mixed_valuation_profiles_match_the_pinned_digest():
-    """Every record of qp_factor_profile, or the error it raises, over the
-    mixed-valuation corpus, pinned as one digest.  The digest was computed
-    before the engine stopped lifting the unit/positive split."""
+def profile_digest(corpus):
+    """Outcome counts, and one digest of every record of qp_factor_profile
+    or the error it raises, over the (p, f) of a corpus."""
     digest = hashlib.sha256()
     outcomes = collections.Counter()
-    for p, f in mixed_valuation_corpus():
+    for p, f in corpus:
         try:
             profile = qp_factor_profile(f, p)
         except (StructuralError, UncertifiedProfileError) as exc:
@@ -526,10 +573,60 @@ def test_mixed_valuation_profiles_match_the_pinned_digest():
             ]
             outcomes["certified" if profile.fully_certified else "partial"] += 1
         digest.update(f"{p}|{list(f.coeffs)}|{row}\n".encode())
+    return outcomes, digest.hexdigest()
+
+
+def test_mixed_valuation_profiles_match_the_pinned_digest():
+    """Every record of qp_factor_profile, or the error it raises, over the
+    mixed-valuation corpus, pinned as one digest.  The digest was computed
+    before the engine stopped lifting the unit/positive split."""
+    outcomes, digest = profile_digest(mixed_valuation_corpus())
     assert outcomes == {"certified": 2805, "partial": 178, "StructuralError": 17}
-    assert digest.hexdigest() == (
-        "a32237ee6a1d28117841240cd4e29bd926850f60431b6521e73c66a62d1f7f25"
-    )
+    assert digest == "a32237ee6a1d28117841240cd4e29bd926850f60431b6521e73c66a62d1f7f25"
+
+
+def repeated_class_corpus(size=3000, seed="repeated-class"):
+    """Seeded monic inputs at p in {2, 3, 5, 7}: a unit residue class phi^e
+    (deg phi 1 to 3, e = 2 or 3) perturbed by multiples of p^s, times a
+    perturbed t^m (0 <= m <= 2) and up to two linear factors in other unit
+    classes."""
+    rng = random.Random(seed)
+    for i in range(size):
+        p = (2, 3, 5, 7)[i % 4]
+        d = rng.randint(1, 3)
+        phi = [rng.randint(-p, p) for _ in range(d)] + [1]
+        if phi[0] % p == 0:
+            phi[0] += 1
+        phi = IntPoly(phi)
+        e = rng.randint(2, 3)
+        s = rng.randint(1, 4)
+        f = phi**e + IntPoly([p**s * rng.randint(-2, 2) for _ in range(e * d)])
+        m = rng.randint(0, 2)
+        if m:
+            low = [p ** rng.randint(1, 3) * rng.randint(-2, 2) for _ in range(m)]
+            low[0] = low[0] or p
+            f = f * IntPoly(low + [1])
+        used = {0}
+        for _ in range(rng.randint(0, 2)):
+            c = rng.randrange(p)
+            if c in used or phi.evaluate(c) % p == 0:
+                continue
+            used.add(c)
+            f = f * IntPoly([-(c + p * rng.randint(-1, 1)), 1])
+        yield p, f
+
+
+def test_repeated_class_profiles_match_the_pinned_digest():
+    """As for the mixed-valuation corpus; this digest was computed before the
+    engine stopped lifting repeated unit classes off f."""
+    outcomes, digest = profile_digest(repeated_class_corpus())
+    assert outcomes == {
+        "certified": 2744,
+        "partial": 185,
+        "StructuralError": 67,
+        "UncertifiedProfileError": 4,
+    }
+    assert digest == "fb654bbb347b4c4c5bec8eb7fa86833b884138000a1e2d1c58fdf410c146a0c7"
 
 
 def test_profile_slopes_must_match_the_newton_polygon(monkeypatch):
