@@ -36,6 +36,7 @@ derivatives (proofs in its docstring).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -317,9 +318,31 @@ def lemma_check(r) -> BoundsReport:
     return report
 
 
+def _integers(a) -> list[int]:
+    """The a_i as ints; a non-integer one (1.5, Fraction(3, 2), '7') is a
+    ValueError, never truncated or parsed."""
+    try:
+        return [operator.index(v) for v in a]
+    except TypeError:
+        raise ValueError(f"expected integer coefficients, got {list(a)!r}") from None
+
+
+def _cubic_real_rooted(cubic: IntPoly) -> bool:
+    """Whether the integer cubic has only real roots: iff its discriminant
+    is >= 0.  With roots x_1, x_2, x_3 and leading coefficient a it is
+    a^4 prod_(i<j) (x_i - x_j)^2.  Three real roots make every factor a
+    square, >= 0 (0 exactly at a repeated root).  One real root r and a
+    pair z, conj(z) give (z - conj(z))^2 = -4 Im(z)^2 < 0 and
+    ((r - z)(r - conj(z)))^2 = |r - z|^4 > 0, so a negative product."""
+    d, c, b, a = cubic.coeffs
+    disc = 18 * a * b * c * d - 4 * b ** 3 * d + b * b * c * c - 4 * a * c ** 3 - 27 * a * a * d * d
+    return disc >= 0
+
+
 def trivial_bounds(a, params: WeilParams) -> BoundsReport:
     """|a_i| < C(2g, i) q^(i/2), decided on squares; equality fails (it needs
     all roots real, excluded in the no-real-roots regime this feeds)."""
+    a = _integers(a)
     g = len(a)
     q = params.q
     report = BoundsReport()
@@ -360,11 +383,22 @@ def corollary_bounds(a, params: WeilParams) -> BoundsReport:
         real-rootedness, so both sides give h's answer and note.
       - Multiplicities need no care: both sides list repeated roots, and
         weil._real_rooted counts the roots of the squarefree part.
+    The derivatives are decided top-down, so a Weil input costs one Sturm
+    chain and a non-real cubic none:
+      - the cubic h''' (leading coefficient 120) by its discriminant, with
+        no Sturm chain (_cubic_real_rooted);
+      - if it is real-rooted, h' by its Sturm chain;
+      - h'' by its own chain only when h' fails.  By Rolle, a real-rooted
+        F of degree d >= 2 has a real-rooted F': between its k distinct
+        roots lie k - 1 roots of F', and a root of F of multiplicity m is
+        one of F' of multiplicity m - 1, which makes
+        (k - 1) + (d - k) = d - 1 real roots with multiplicity.  So a
+        real-rooted h' settles h'' too.
     No value is compared, so no item is ever Indeterminate.
     """
     if len(a) != 6:
         raise ValueError("expected a_1..a_6")
-    a = [int(v) for v in a]
+    a = _integers(a)
     a1, a2, a3, a4, a5, a6 = a
     q = params.q
     report = BoundsReport()
@@ -383,8 +417,9 @@ def corollary_bounds(a, params: WeilParams) -> BoundsReport:
     report.add("5", e > 0 and e * e > 4 * q * m * m)
     h1 = IntPoly([*reversed(symmetric_v(a, params)), 1]).derivative()
     h2 = h1.derivative()
-    real3 = _real_rooted(_sturm_chain(h2.derivative()))
-    real2 = real3 and _real_rooted(_sturm_chain(h2))  # by Rolle, real2 implies real3
+    real3 = _cubic_real_rooted(h2.derivative())
+    real1 = real3 and _real_rooted(_sturm_chain(h1))
+    real2 = real1 or (real3 and _real_rooted(_sturm_chain(h2)))  # by Rolle, real1 implies real2
     if not real3:
         report.add("6", False, "critical-point cubic has non-real roots")
     else:
@@ -394,6 +429,6 @@ def corollary_bounds(a, params: WeilParams) -> BoundsReport:
     if not real2:
         report.add("8", False, "critical points of g are not all real")
     else:
-        report.add("8", _real_rooted(_sturm_chain(h1)))
+        report.add("8", real1)
     report.add("9", a6 * a6 < 924 ** 2 * q ** 6)
     return report

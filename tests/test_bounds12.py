@@ -17,9 +17,10 @@ from weilpoly.bounds12 import (
 )
 from weilpoly.census import sample_weil12_no_real_roots
 from weilpoly.cli import main
+from weilpoly.oracle import count_real_roots_descartes
 from weilpoly.quadreal import QuadReal
-from weilpoly.polynomial import IntPoly
-from weilpoly.weil import WeilParams, _from_companion, r_coefficients
+from weilpoly.polynomial import IntPoly, QuadPoly
+from weilpoly.weil import WeilParams, _from_companion, _real_rooted, _sturm_chain, r_coefficients, symmetric_v
 
 from conftest import r_vector_from_roots
 
@@ -380,3 +381,108 @@ def test_corollary_6_and_8_match_the_lemma_route():
     assert ((fail, ""), (fail, NONREAL_QUARTIC)) in outcomes  # h'' not, h''' real-rooted
     assert ((ok, ""), (fail, "")) in outcomes  # h' not, h'' real-rooted
     assert ((ok, ""), (ok, "")) in outcomes
+
+
+def descartes_real_rooted(p: IntPoly) -> bool:
+    """Whether p has only real roots, by the Descartes oracle: its distinct
+    real roots number the degree of its squarefree part."""
+    qp = QuadPoly(p.coeffs)
+    return count_real_roots_descartes(qp) == qp.squarefree_part().degree
+
+
+def test_corollary_6_and_8_match_descartes_bisection():
+    """Corollary conditions 6 and 8 against real-root counts of h''', h''
+    and h' by Descartes bisection (no Sturm chain, no discriminant)."""
+    corpus = [x for kind, x in report_corpus(2) if kind == "corollary"]
+    corpus += repeated_root_companions(random.Random(11), 300)
+    for q, a in corpus:
+        P = WeilParams.from_q(q)
+        h1 = IntPoly([*reversed(symmetric_v(a, P)), 1]).derivative()
+        h2 = h1.derivative()
+        real1, real2, real3 = (descartes_real_rooted(p) for p in (h1, h2, h2.derivative()))
+        want6 = (Status.FAIL, NONREAL_CUBIC) if not real3 else (Status.PASS if real2 else Status.FAIL, "")
+        want8 = (Status.FAIL, NONREAL_QUARTIC) if not real2 else (Status.PASS if real1 else Status.FAIL, "")
+        rep = corollary_bounds(a, P)
+        got = [(c.status, c.note) for c in rep.conditions if c.cond in ("6", "8")]
+        assert got == [want6, want8], (q, a)
+
+
+def _cubic(*factors) -> IntPoly:
+    out = IntPoly.one()
+    for f in factors:
+        out = out * IntPoly(f)
+    return out
+
+
+# (integer cubic built from factors, real-rooted?)
+CUBICS = [
+    (_cubic([-1, 1], [-2, 1], [3, 1]), True),  # distinct real roots
+    (_cubic([120], [1, 2], [-3, 5], [7, 1]), True),
+    (_cubic([-1, 1], [-1, 1], [2, 1]), True),  # a double root
+    (_cubic([120], [3, 2], [3, 2], [-1, 4]), True),
+    (_cubic([-2, 1], [-2, 1], [-2, 1]), True),  # a triple root
+    (_cubic([120], [5, 3], [5, 3], [5, 3]), True),
+    (_cubic([0, 1], [0, 1], [0, 1]), True),
+    (_cubic([-1, 1], [1, 1, 1]), False),  # a real root times a non-real pair
+    (_cubic([120], [4, 3], [5, -2, 1]), False),
+    (_cubic([0, 1], [1, 0, 1]), False),
+    (_cubic([-1, 1], [1, -2, 2]), False),  # the pair's real part at the real root
+]
+
+
+@pytest.mark.parametrize("cubic, real", CUBICS)
+def test_cubic_discriminant_criterion(cubic, real):
+    assert cubic.degree == 3
+    assert bounds12._cubic_real_rooted(cubic) is real
+    assert _real_rooted(_sturm_chain(cubic)) is real
+    assert descartes_real_rooted(cubic) is real
+
+
+# One input per outcome class of conditions 6 and 8, with the Sturm chains
+# corollary_bounds builds for it: the cubic is decided by its discriminant,
+# h' by a chain, and h'' by a chain only when h' fails.
+CHAIN_CASES = [
+    (2, (3, 8, 13, 25, 38, 64), ((Status.PASS, ""), (Status.PASS, "")), 1),
+    (2, (-2, 9, -13, 32, -32, 72), ((Status.PASS, ""), (Status.FAIL, "")), 2),
+    (2, (3, 8, 5, 25, 38, 64), ((Status.FAIL, ""), (Status.FAIL, NONREAL_QUARTIC)), 2),
+    (2, (0, 8, -6, 31, 10, 76), ((Status.FAIL, NONREAL_CUBIC), (Status.FAIL, NONREAL_QUARTIC)), 0),
+]
+
+
+def count_sturm_chains(monkeypatch) -> list:
+    """Every h that corollary_bounds builds a Sturm chain for, from now on."""
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return _sturm_chain(h)
+
+    monkeypatch.setattr(bounds12, "_sturm_chain", counting)
+    return calls
+
+
+@pytest.mark.parametrize("q, a, outcome, chains", CHAIN_CASES)
+def test_corollary_sturm_chain_count(monkeypatch, q, a, outcome, chains):
+    calls = count_sturm_chains(monkeypatch)
+    rep = corollary_bounds(a, WeilParams.from_q(q))
+    assert tuple((c.status, c.note) for c in rep.conditions if c.cond in ("6", "8")) == outcome
+    assert len(calls) == chains
+
+
+def test_weil_inputs_cost_one_sturm_chain(monkeypatch):
+    calls = count_sturm_chains(monkeypatch)
+    for q in (2, 3, 4, 5, 9):
+        P = WeilParams.from_q(q)
+        for a in sample_weil12_no_real_roots(P, 10, seed=q):
+            del calls[:]
+            assert corollary_bounds(a, P).all_pass
+            assert len(calls) == 1, (q, a)
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, Fraction(3, 2), Fraction(1), "7", None])
+def test_bounds_reject_non_integer_coefficients(bad):
+    a = (bad, 0, 0, 0, 0, 0)
+    with pytest.raises(ValueError):
+        corollary_bounds(a, P2)
+    with pytest.raises(ValueError):
+        trivial_bounds(a, P2)
