@@ -28,7 +28,6 @@ from math import gcd
 from .arith import is_prime, vp
 from .errors import StructuralError, UncertifiedProfileError
 from .factorint import factor_over_integers
-from .fpoly import DEFAULT_SEED
 from .newton import (
     CaseRecord,
     NoMatch,
@@ -157,14 +156,11 @@ def evaluate_side_conditions(profile, rec, n: int) -> tuple[bool, list[str]]:
     return not failed, failed
 
 
-def classify(f: IntPoly, params: WeilParams, seed: int = DEFAULT_SEED) -> Classification:
+def classify(f: IntPoly, params: WeilParams) -> Classification:
     """Full decision for degree-14 inputs; malformed inputs get rejecting verdicts."""
     if f.is_zero() or f.degree != 14 or not f.is_monic():
         return Classification("not_degree_14")
-    try:
-        if not check_symmetry(f, params):
-            return Classification("not_symmetric")
-    except StructuralError:
+    if not check_symmetry(f, params):
         return Classification("not_symmetric")
 
     verdict = is_weil(f, params)
@@ -201,7 +197,7 @@ def classify(f: IntPoly, params: WeilParams, seed: int = DEFAULT_SEED) -> Classi
     np_ = newton_polygon(f, params.p)
     match = polygon_case_id(np_, params)
     try:
-        profile = profile_weil(f, verdict, params, seed=seed)
+        profile = profile_weil(f, verdict, params)
         tate = tate_condition_profile(profile, params.n)
     except UncertifiedProfileError as exc:
         return Classification("inconclusive", detail=str(exc))

@@ -156,7 +156,7 @@ def cmd_classify14(args) -> int:
     poly, params = parse_poly_input(args.poly, params)
     if params is None:
         raise UsageError("no ground field: pass --q or use the compact input form")
-    result = classify(poly, params, seed=args.seed)
+    result = classify(poly, params)
     doc = {"q": params.q, "classification": result.to_dict()}
     emit(doc)
     if result.verdict == "accepted" or (
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=DEFAULT_SEED,
-        help="seed for randomized internals (equal-degree splitting)",
+        help="seed of cross-check's numeric-oracle sample",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

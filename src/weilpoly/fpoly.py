@@ -15,8 +15,8 @@ go through the field's add/sub/mul calls.
 Factorization is the classical pipeline: squarefree decomposition (with the
 char-p p-th-root step), distinct-degree splitting by Frobenius powers, and
 equal-degree splitting (Cantor-Zassenhaus; trace construction in
-characteristic 2).  The equal-degree stage draws from a deterministic seeded
-generator so outputs are bit-reproducible.
+characteristic 2).  The factorization is unique, so no draw can change it;
+the equal-degree draws are fixed, which keeps the run time reproducible.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 
 from .arith import prime_factors
+from .polynomial import _mul
 
 DEFAULT_SEED = 1729
 
@@ -210,7 +211,7 @@ def fmul(F, f, g):
         return []
     if isinstance(F, PrimeField):
         p = F.p
-        return ftrim(F, [c % p for c in _int_mul(f, g)])
+        return ftrim(F, [c % p for c in _mul(f, g)])
     out = [F.zero] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if F.is_zero(a):
@@ -218,16 +219,6 @@ def fmul(F, f, g):
         for j, b in enumerate(g):
             out[i + j] = F.add(out[i + j], F.mul(a, b))
     return ftrim(F, out)
-
-
-def _int_mul(f, g):
-    """The product of two nonzero int lists, coefficients left unreduced."""
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g, i):
-                out[j] += a * b
-    return out
 
 
 def fscale(F, f, c):
@@ -313,9 +304,7 @@ def fmulmod(F, f, g, m):
     """f * g mod m; over F_p the product stays unreduced until _reduce."""
     if not isinstance(F, PrimeField):
         return frem(F, fmul(F, f, g), m)
-    if not f or not g:
-        return []
-    return _reduce(F.p, _int_mul(f, g), m)
+    return _reduce(F.p, _mul(f, g), m)
 
 
 def fgcd(F, f, g):
@@ -452,16 +441,17 @@ def equal_degree(F, f, d, rng: random.Random) -> list[list]:
     return left + right
 
 
-def factor(F, f, seed: int = DEFAULT_SEED) -> tuple[object, list[tuple[list, int]]]:
+def factor(F, f) -> tuple[object, list[tuple[list, int]]]:
     """Complete factorization: (leading coefficient, [(monic irreducible, mult)]).
 
-    Deterministic for a fixed seed; factors sorted by (degree, coefficients).
+    The unique factorization, factors sorted by (degree, coefficients); the
+    equal-degree draws are fixed, which keeps the run time reproducible.
     """
     f = ftrim(F, list(f))
     if not f:
         raise ValueError("cannot factor the zero polynomial")
     lc = f[-1]
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     out = []
     for g, e in squarefree_decomposition(F, f):
         for h, d in distinct_degree(F, g):

@@ -14,10 +14,9 @@ import time
 from pathlib import Path
 
 from .errors import UncertifiedProfileError
-from .factorint import factor_over_integers
-from .padic import qp_factor_profile, tate_condition_profile
+from .padic import profile_weil, tate_condition_profile
 from .polynomial import IntPoly
-from .weil import WeilParams, is_weil
+from .weil import WeilParams, factor_weil, is_weil
 
 API_URL = (
     "https://www.lmfdb.org/api/av_fq_isog/?g=i{g}&q=i{q}"
@@ -103,11 +102,11 @@ def lmfdb_reconcile(
             )
             continue
         if rec.get("is_simple"):
-            _, factors = factor_over_integers(poly)
+            _, factors = factor_weil(poly, verdict, params)
             if len(factors) == 1 and factors[0][1] == 1:
                 try:
                     if not tate_condition_profile(
-                        qp_factor_profile(poly, params.p), params.n
+                        profile_weil(poly, verdict, params), params.n
                     ):
                         report["mismatches"].append(
                             {

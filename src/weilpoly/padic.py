@@ -60,7 +60,7 @@ from . import fpoly
 from .arith import is_prime, vp
 from .errors import ExactnessError, StructuralError, UncertifiedProfileError
 from .factorint import discriminant
-from .fpoly import DEFAULT_SEED, ExtField, PrimeField, fdeg, ftrim
+from .fpoly import ExtField, PrimeField, fdeg, ftrim
 from .hensel import hensel_lift_pair
 from .newton import lower_hull, newton_polygon
 from .polynomial import IntPoly
@@ -142,7 +142,7 @@ class _Rec:
     granularity: int
 
 
-def _side_records(g, start, end, p: int, K: int, seed: int) -> list[_Rec]:
+def _side_records(g, start, end, p: int, K: int) -> list[_Rec]:
     """Ore's records of the Newton side of g from vertex start to vertex end,
     its coefficients read mod p^K.
 
@@ -164,7 +164,7 @@ def _side_records(g, start, end, p: int, K: int, seed: int) -> list[_Rec]:
         idx = x1 + j * b
         c = g[idx] % mod if idx < len(g) else 0
         res.append((c // p ** (y1 - j * a)) % p)
-    _, parts = fpoly.factor(PrimeField(p), res, seed=seed)
+    _, parts = fpoly.factor(PrimeField(p), res)
     slope = Fraction(a, b)
     out = []
     for psi, mult in parts:
@@ -177,11 +177,10 @@ def _side_records(g, start, end, p: int, K: int, seed: int) -> list[_Rec]:
 
 
 class _Engine:
-    def __init__(self, p: int, K: int, seed: int):
+    def __init__(self, p: int, K: int):
         self.p = p
         self.K = K
         self.mod = p ** K
-        self.seed = seed
 
     # -- helpers ---------------------------------------------------------------
 
@@ -244,7 +243,7 @@ class _Engine:
         for start, end in zip(hull, hull[1:]):
             if end[0] > m:
                 break
-            recs += _side_records(g, start, end, p, self.K, self.seed)
+            recs += _side_records(g, start, end, p, self.K)
         # the scaling needs every root valuation >= 1
         if min(r.slope for r in recs) < 1 or all(
             r.certified or r.slope.denominator > 1 for r in recs
@@ -263,7 +262,7 @@ class _Engine:
         repeated one is refined on g itself."""
         F = PrimeField(self.p)
         gbar = ftrim(F, [c % self.p for c in g[m:]])
-        _, parts = fpoly.factor(F, gbar, seed=self.seed)
+        _, parts = fpoly.factor(F, gbar)
         out = []
         for phi, e in parts:
             if e == 1:
@@ -310,12 +309,14 @@ class _Engine:
         g over the abscissas 0..e: the rest of g is coprime to phibar, so its
         digit 0 is a unit and g's digit e has valuation 0.  A repeated linear
         residual at integer phi-slope refines phi, at most depth times; past
-        that it is left as an uncertified block."""
+        that it is left as an uncertified block.  A refined phi that divides
+        g to full working precision is peeled as a certified factor."""
         p = self.p
         d = fdeg(phibar)
         Fd = ExtField(p, list(phibar))
         phi = [c % p for c in phibar]
         budget = depth
+        peeled: list[_Rec] = []
         while True:
             digits = self._phi_expand(g, phi, e + 1)
             pts = []
@@ -327,9 +328,13 @@ class _Engine:
             if not pts or pts[-1][0] != e or pts[-1][1] != 0:
                 raise _PrecisionShort
             if pts[0][0] != 0:
-                # phi divides g mod p^K exactly at index 0: cannot happen for
-                # squarefree input at adequate precision
-                raise _PrecisionShort
+                # phi divides g to full working precision: that factor is
+                # certified (the separation bound rules out a second one), so
+                # peel it and continue with the cofactor, as _unit_power does
+                peeled.append(_Rec(d, Fraction(0), d, True, 1))
+                g = self._red(IntPoly(g).divmod_monic(IntPoly(phi))[0].coeffs)
+                e -= 1
+                continue
             hull = lower_hull(pts)
             out: list[_Rec] = []
             refine_to = None
@@ -346,7 +351,7 @@ class _Engine:
                     digit = digits[idx] if idx < len(digits) else []
                     red = [(c // p ** need) % p for c in digit]
                     coeffs.append(Fd.of_poly(red))
-                _, parts = fpoly.factor(Fd, coeffs, seed=self.seed)
+                _, parts = fpoly.factor(Fd, coeffs)
                 for psi, mult in parts:
                     dpsi = fdeg(psi)
                     if mult == 1:
@@ -371,12 +376,12 @@ class _Engine:
                             )
                         )
             if refine_to is None:
-                return out
+                return peeled + out
             phi = refine_to
             budget -= 1
 
 
-def qp_factor_profile(f: IntPoly, p: int, seed: int = DEFAULT_SEED) -> PadicFactorProfile:
+def qp_factor_profile(f: IntPoly, p: int) -> PadicFactorProfile:
     """Certified Q_p factor profile of a squarefree integer polynomial."""
     if not is_prime(p):
         raise StructuralError(f"p = {p} is not a prime")
@@ -401,7 +406,7 @@ def qp_factor_profile(f: IntPoly, p: int, seed: int = DEFAULT_SEED) -> PadicFact
         work = IntPoly([c * b ** (f.degree - 1 - i) for i, c in enumerate(f.coeffs)])
     for attempt in range(1, _ATTEMPTS + 1):
         try:
-            recs = _Engine(p, K, seed).analyze(list(work.coeffs), _MAX_DEPTH)
+            recs = _Engine(p, K).analyze(list(work.coeffs), _MAX_DEPTH)
             break
         except _PrecisionShort as exc:
             if attempt == _ATTEMPTS:
@@ -444,9 +449,7 @@ def _profile(f: IntPoly, p: int, recs, vertices) -> PadicFactorProfile:
     return profile
 
 
-def profile_weil(
-    chi: IntPoly, verdict: WeilVerdict, params: WeilParams, seed: int = DEFAULT_SEED
-) -> PadicFactorProfile:
+def profile_weil(chi: IntPoly, verdict: WeilVerdict, params: WeilParams) -> PadicFactorProfile:
     """The Q_p factor profile of a squarefree q-Weil chi, for verdict =
     is_weil(chi, params), read off the companion h = verdict.companion and
     off chi's Newton side of slope n/2 (q = p^n).
@@ -509,25 +512,25 @@ def profile_weil(
         raise StructuralError("profile_weil needs a Weil verdict")
     h, p, n = verdict.companion, params.p, params.n
     if h[0] == 0:
-        return qp_factor_profile(chi, p, seed=seed)
+        return qp_factor_profile(chi, p)
     recs = []
     (x, y), (g, _) = newton_polygon(h, p).vertices[-2:]  # h's least root valuation
     if 2 * y < n * (g - x):
         try:
-            inner = qp_factor_profile(h, p, seed=seed)
+            inner = qp_factor_profile(h, p)
         except UncertifiedProfileError:
-            return qp_factor_profile(chi, p, seed=seed)
+            return qp_factor_profile(chi, p)
         for r in inner.factors:
             if 2 * r.slope.numerator < n * r.slope.denominator:
                 if not r.certified:
-                    return qp_factor_profile(chi, p, seed=seed)
+                    return qp_factor_profile(chi, p)
                 recs += (r, _Rec(r.degree, n - r.slope, r.residual_degree, True, 1))
     vertices = newton_polygon(chi, p).vertices
     for start, end in zip(vertices, vertices[1:]):
         if 2 * (start[1] - end[1]) == n * (end[0] - start[0]):
-            middle = _side_records(chi.coeffs, start, end, p, start[1] + 1, seed)
+            middle = _side_records(chi.coeffs, start, end, p, start[1] + 1)
             if n % 2 == 0 and not all(r.certified for r in middle):
-                return qp_factor_profile(chi, p, seed=seed)
+                return qp_factor_profile(chi, p)
             recs += middle
     profile = _profile(chi, p, recs, vertices)
     shapes = [

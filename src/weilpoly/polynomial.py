@@ -40,8 +40,8 @@ def _mul(f, g) -> list[int]:
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
+            for j, b in enumerate(g, i):
+                out[j] += a * b
     return out
 
 

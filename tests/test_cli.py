@@ -187,6 +187,22 @@ def test_cross_check_violation_exit(tmp_path, capsys):
     assert code == 0
 
 
+def test_seed_leaves_classify14_output_unchanged(capsys):
+    """--seed is accepted before any command; classify14 reads no seed."""
+    assert main(["--seed", "7", "classify14", "q=2; a=0,0,-1,0,0,0,0"]) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / "classify_ordinary.golden").read_text()
+
+
+def test_seed_leaves_the_cross_check_report_unchanged(capsys):
+    """--seed picks cross-check's numeric-oracle sample, which adds no
+    output when every sampled instance passes."""
+    argv = ["cross-check", "--degree", "14", "--q", "2", "--box", "-1:1,0:0,0:0,-1:1,0:0,0:0,-1:1"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main(["--seed", "7", *argv]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_classify_inconclusive_paths(capsys):
     # a non-symmetric input is a definite negative, exit 1
     coeffs = ",".join(["1"] + ["0"] * 13 + ["1"])

@@ -617,16 +617,29 @@ def repeated_class_corpus(size=3000, seed="repeated-class"):
 
 
 def test_repeated_class_profiles_match_the_pinned_digest():
-    """As for the mixed-valuation corpus; this digest was computed before the
-    engine stopped lifting repeated unit classes off f."""
+    """As for the mixed-valuation corpus.  The digest was re-pinned when the
+    phi-adic refinement learned to peel a refined phi that divides f to full
+    working precision: exactly the 4 rows that had run out of precision
+    retries changed, each to the merged profiles of its factors over Z."""
     outcomes, digest = profile_digest(repeated_class_corpus())
-    assert outcomes == {
-        "certified": 2744,
-        "partial": 185,
-        "StructuralError": 67,
-        "UncertifiedProfileError": 4,
-    }
-    assert digest == "fb654bbb347b4c4c5bec8eb7fa86833b884138000a1e2d1c58fdf410c146a0c7"
+    assert outcomes == {"certified": 2748, "partial": 185, "StructuralError": 67}
+    assert digest == "0a7abf0cdf6ef69ec087ce5f3af1ca6c8436b8d2e5256826485cbce8087bb2a2"
+
+
+def test_refined_phi_dividing_f_is_peeled():
+    """t^4 - 2t^3 - 5t^2 + 6t - 7 = (t^2 - t + 1)(t^2 - t - 7) at p = 2: both
+    factors reduce to t^2 + t + 1, whose first refinement t^2 - t + 1
+    divides f exactly.  The profile is the merged profiles of the factors."""
+    f = IntPoly([-7, 6, -5, -2, 1])
+    parts = [IntPoly([1, -1, 1]), IntPoly([-7, -1, 1])]
+    assert parts[0] * parts[1] == f
+    merged = sorted(
+        (r for g in parts for r in qp_factor_profile(g, 2).factors),
+        key=lambda r: (r.slope, r.degree, not r.certified),
+    )
+    profile = qp_factor_profile(f, 2)
+    assert profile.fully_certified
+    assert list(profile.factors) == merged
 
 
 def test_profile_slopes_must_match_the_newton_polygon(monkeypatch):
