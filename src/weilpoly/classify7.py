@@ -36,7 +36,7 @@ from .newton import (
     newton_polygon,
     polygon_case_id,
 )
-from .padic import profile_has_root_of_valuation, profile_weil, tate_condition_profile
+from .padic import _profile_weil, profile_has_root_of_valuation, tate_condition_profile
 from .polynomial import IntPoly
 from .weil import WeilParams, check_symmetry, factor_weil, is_weil
 
@@ -197,7 +197,7 @@ def classify(f: IntPoly, params: WeilParams) -> Classification:
     np_ = newton_polygon(f, params.p)
     match = polygon_case_id(np_, params)
     try:
-        profile = profile_weil(f, verdict, params)
+        profile = _profile_weil(f, verdict, params, np_.vertices)
         tate = tate_condition_profile(profile, params.n)
     except UncertifiedProfileError as exc:
         return Classification("inconclusive", detail=str(exc))

@@ -508,14 +508,20 @@ def profile_weil(chi: IntPoly, verdict: WeilVerdict, params: WeilParams) -> Padi
     are checked against chi's Newton polygon, and those of the companion
     route also for symmetry under s -> n - s.
     """
+    return _profile_weil(chi, verdict, params, newton_polygon(chi, params.p).vertices)
+
+
+def _profile_weil(chi: IntPoly, verdict: WeilVerdict, params: WeilParams, vertices):
+    """profile_weil, given the vertices of chi's Newton polygon at p."""
     if not verdict.is_weil:
         raise StructuralError("profile_weil needs a Weil verdict")
     h, p, n = verdict.companion, params.p, params.n
     if h[0] == 0:
         return qp_factor_profile(chi, p)
     recs = []
-    (x, y), (g, _) = newton_polygon(h, p).vertices[-2:]  # h's least root valuation
-    if 2 * y < n * (g - x):
+    # h has a root of valuation below n/2 exactly when chi has one (see the
+    # middle side), that is when chi's polygon is more than one side
+    if len(vertices) > 2:
         try:
             inner = qp_factor_profile(h, p)
         except UncertifiedProfileError:
@@ -525,7 +531,6 @@ def profile_weil(chi: IntPoly, verdict: WeilVerdict, params: WeilParams) -> Padi
                 if not r.certified:
                     return qp_factor_profile(chi, p)
                 recs += (r, _Rec(r.degree, n - r.slope, r.residual_degree, True, 1))
-    vertices = newton_polygon(chi, p).vertices
     for start, end in zip(vertices, vertices[1:]):
         if 2 * (start[1] - end[1]) == n * (end[0] - start[0]):
             middle = _side_records(chi.coeffs, start, end, p, start[1] + 1)

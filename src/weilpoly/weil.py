@@ -121,8 +121,12 @@ def companion_poly(chi: IntPoly, params: WeilParams) -> IntPoly:
     """
     if not check_symmetry(chi, params):
         raise StructuralError("companion polynomial needs a symmetric input")
+    return _companion(chi, params.q)
+
+
+def _companion(chi: IntPoly, q: int) -> IntPoly:
+    """companion_poly for a chi whose symmetry is already checked."""
     g = chi.degree // 2
-    q = params.q
     c = [0] * (g + 1)
     for i in range(g, -1, -1):
         acc = chi[g + i]
@@ -188,8 +192,8 @@ def is_weil(chi: IntPoly, params: WeilParams) -> WeilVerdict:
     """Decide the q-Weil property by exact Sturm counts on the companion."""
     if not check_symmetry(chi, params):
         return WeilVerdict(False, (), None, reason="not symmetric")
-    h = companion_poly(chi, params)
     q = params.q
+    h = _companion(chi, q)
     chain = _sturm_chain(h)
     verdict = True
     reason = ""

@@ -1,11 +1,12 @@
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilpoly import factorint
+from weilpoly import factorint, weil
 from weilpoly.factorint import (
     discriminant,
     factor_over_integers,
@@ -199,27 +200,59 @@ def _product(*fs):
 
 
 @pytest.mark.parametrize(
-    "f, exit_",
+    "f, stages",
     [
         # a q=2 scan companion: degrees {1,2,4} mod 3, {3,4} mod 5 and
         # {2,5} mod 7 share no proper subset sum
-        (companion_poly(chi_from_a((0, 0, -1, 0, 0, 0, 0), P2), P2), "sieve"),
+        (companion_poly(chi_from_a((0, 0, -1, 0, 0, 0, 0), P2), P2), set()),
         # Swinnerton-Dyer polynomials split at every prime
-        (T([1, 0, -10, 0, 1]), "lift"),
-        (T([576, 0, -960, 0, 352, 0, -40, 0, 1]), "lift"),
-        (_product(*(T([-k, 1]) for k in range(1, 8))), "lift"),
-        (_product(cyclotomic(4), cyclotomic(8), cyclotomic(11)), "lift"),
+        (T([1, 0, -10, 0, 1]), {"lift"}),
+        (T([576, 0, -960, 0, 352, 0, -40, 0, 1]), {"lift"}),
+        (_product(*(T([-k, 1]) for k in range(1, 8))), {"roots"}),
+        (_product(cyclotomic(4), cyclotomic(8), cyclotomic(11)), {"lift"}),
         # squarefree, but not mod 3, 5 or 7 (each divides some n)
-        (_product(cyclotomic(5), cyclotomic(7), cyclotomic(12)), "yun"),
-        (T([-2, 0, 1]) ** 2 * T([3, 1, 0, 1]), "yun"),
-        (T([-6]) * T([-1, 3, 2]) * T([5, -1, 0, 3]) * T([-2, 5]), "lift"),
+        (_product(cyclotomic(5), cyclotomic(7), cyclotomic(12)), {"yun", "lift"}),
+        # Yun's parts t^2-2 and t^3+t+3 have no integer root, so degrees 1
+        # and n-1 go and the sieve proves each irreducible
+        (T([-2, 0, 1]) ** 2 * T([3, 1, 0, 1]), {"yun"}),
+        # the rational root 2/5 goes first, the cubic and quadratic are lifted
+        (T([-6]) * T([-1, 3, 2]) * T([5, -1, 0, 3]) * T([-2, 5]), {"roots", "lift"}),
+        # 0 among the roots: the others are read off the t coefficient
+        (T([0, 1]) * T([-1, 1]) * T([2, 1]) * T([3, 1, 1]), {"roots"}),
+        (T([0, 1]) * T([-1, 1]) * T([-17, 1]) * T([22, 1]) * T([7, 0, 1]), {"roots"}),
+        # a repeated integer root: no prime keeps f squarefree, so Yun runs
+        (T([-2, 1]) ** 2 * T([3, 1]) * T([1, 0, 1]), {"yun", "roots"}),
+        (T([0, 1]) ** 3 * T([-1, 1]) * T([5, 0, 1]), {"yun", "roots"}),
+        # squarefree, but not mod 3, 5 or 7: Yun hands the whole of f back as
+        # proven, and the roots must still be divided out before degrees 1
+        # and n-1 leave the sieve; (t-2)(t^2-105) has only those degrees, so
+        # without the root step it would be called irreducible
+        (T([-2, 1]) * T([-105, 0, 1]), {"yun", "roots"}),
+        (_product(cyclotomic(5), cyclotomic(7), cyclotomic(12), T([-2, 1])), {"yun", "roots", "lift"}),
+        # non-monic, with rational roots 2/3 and -4/5
+        (T([-2, 3]) * T([4, 5]) * T([1, 0, 2]), {"roots"}),
+        (T([12]) * T([-2, 3]) * T([1, 1, 0, 7]), {"roots"}),
     ],
-    ids=["sieve", "sd4", "sd8", "linear7", "cyclotomic", "cyclotomic-ramified", "yun", "non-monic"],
+    ids=[
+        "sieve", "sd4", "sd8", "linear7", "cyclotomic", "cyclotomic-ramified", "yun", "non-monic",
+        "root-zero", "root-zero-wide", "root-repeated", "root-zero-repeated", "root-ramified-trap",
+        "root-ramified-cyclotomic", "root-non-monic", "root-non-monic-content",
+    ],
 )
-def test_each_exit_matches_sympy(f, exit_, monkeypatch):
-    """factor_over_integers equals sympy.factor_list, and f leaves by the
-    named exit: proven irreducible by the degree sieve, split by Hensel
-    lifting and recombination, or first split by Yun's decomposition."""
+def test_each_exit_matches_sympy(f, stages, monkeypatch):
+    """factor_over_integers equals sympy.factor_list, and f passes through
+    the named stages: integer roots divided out first ("roots"), Hensel
+    lifting and recombination ("lift"), Yun's decomposition first ("yun");
+    none of them when the degree sieve proves f irreducible."""
+    got, seen = ours_with_stages(f, monkeypatch)
+    assert got == sympy_factorization(f)
+    assert seen == stages
+
+
+def ours_with_stages(f: IntPoly, monkeypatch):
+    """ours(f) and the stages it passed through: "roots" when _integer_roots
+    divided out a linear factor, "lift" and "yun" when hensel_lift_multi and
+    squarefree_decomposition ran."""
     seen = set()
     for name, label in (("hensel_lift_multi", "lift"), ("squarefree_decomposition", "yun")):
         orig = getattr(factorint, name)
@@ -229,8 +262,63 @@ def test_each_exit_matches_sympy(f, exit_, monkeypatch):
             return _orig(*args)
 
         monkeypatch.setattr(factorint, name, spy)
+    roots = factorint._integer_roots
+
+    def roots_spy(*args):
+        linear, cofactor = roots(*args)
+        if linear:
+            seen.add("roots")
+        return linear, cofactor
+
+    monkeypatch.setattr(factorint, "_integer_roots", roots_spy)
+    return ours(f), seen
+
+
+P8 = WeilParams.from_q(8)
+
+
+@pytest.mark.parametrize(
+    "roots, rest",
+    [
+        ((-5, 5), T([1, 0, -30, 0, 1])),  # roots +-sqrt(15 +- sqrt 224), inside
+        ((-5, -4, 0, 3, 5), T([-2, 0, 1])),
+        ((1, 2, 5), T([1, -3, 0, 1])),  # the cubic's roots lie in (-2, 2)
+        ((-5, -3, -1, 1, 3, 5), T([-30, 0, 1])),
+        ((-2,), T([1, -3, 1]) * T([-3, 0, 1]) * T([1, -3, 0, 1])),
+    ],
+)
+def test_q8_companions_with_integer_roots(roots, rest, monkeypatch):
+    """Degree-7 companions at q=8 (roots in [-2 sqrt 8, 2 sqrt 8], so up to
+    +-5) with integer roots, through the Weil chi they come from."""
+    h = _product(*(T([-r, 1]) for r in roots), rest)
+    chi = weil._from_companion(h, P8.q)
+    verdict = weil.is_weil(chi, P8)
+    assert verdict.is_weil and verdict.companion == h
+    got, seen = ours_with_stages(h, monkeypatch)
+    assert got == sympy_factorization(h)
+    assert "roots" in seen
+    _, parts = weil.factor_weil(chi, verdict, P8)
+    assert [(g.degree, m) for g, m in parts][: len(roots)] == [(2, 1)] * len(roots)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [T([-(10**30), 0, 1]), T([-(10**15), 1]) * T([1, 0, 1]), T([-(10**150), 1]) * T([1, 0, 1])],
+    ids=["square-1e30", "root-1e15", "root-1e150"],
+)
+def test_root_step_cost_does_not_grow_with_the_root(f):
+    """Newton lifting reaches a root r in O(log log r) steps: no divisor of
+    f(0) is ever tried."""
+    ours(f)  # warm
+    best = min(_timed(ours, f) for _ in range(3))
     assert ours(f) == sympy_factorization(f)
-    assert seen == ({"yun", "lift"} if exit_ == "yun" else {exit_} - {"sieve"})
+    assert best < 0.05, best
+
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - start
 
 
 def test_non_squarefree_inputs_try_few_primes(monkeypatch):
