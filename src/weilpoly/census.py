@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 from math import comb, isqrt
 
 from .factorint import is_irreducible_over_z
@@ -99,17 +100,9 @@ def enumerate_weil(spec: EnumerationSpec, shard: tuple[int, int] | None = None):
         values = list(first_range)
         chunk = (len(values) + total - 1) // total
         first_range = values[idx * chunk : (idx + 1) * chunk]
-    for a1 in first_range:
-        yield from _scan(spec, box, (a1,))
-
-
-def _scan(spec: EnumerationSpec, box, prefix):
-    if len(prefix) == len(box):
-        yield from _emit(spec, prefix)
-        return
-    lo, hi = box[len(prefix)]
-    for v in range(lo, hi + 1):
-        yield from _scan(spec, box, prefix + (v,))
+    rest = (range(lo, hi + 1) for lo, hi in box[1:])
+    for a in product(first_range, *rest):
+        yield from _emit(spec, a)
 
 
 def _emit(spec: EnumerationSpec, a):
@@ -121,7 +114,7 @@ def _emit(spec: EnumerationSpec, a):
         return
     if spec.irreducible_only and not _is_irreducible(chi, verdict, spec.params):
         return
-    yield CensusRecord(tuple(a), verdict.is_weil, bool(verdict.real_roots))
+    yield CensusRecord(a, verdict.is_weil, bool(verdict.real_roots))
 
 
 def _is_irreducible(chi: IntPoly, verdict, params: WeilParams) -> bool:

@@ -7,14 +7,15 @@ companion (weil.factor_weil), any other input by Zassenhaus on f itself.
 The verdicts keep their order: when every multiplicity is divisible by 7, f
 is the seventh power of the quadratic prod g^(m/7) read off the
 factorization and routes to the multiplicity-7 criterion; any other
-reducible input is terminal; only then is a non-Weil input rejected.  Last
-come real-root exclusion, the Newton-polygon case table and the Tate
-divisibility criterion, evaluated independently and cross-checked.  Both
-read the Q_p factor profile, which padic.profile_weil takes from the
-companion too: it mirrors h's profile below slope n/2 and reads f's Newton
-side of slope n/2 by Ore's residual polynomial, and runs the engine on f
-only when h's profile there is uncertified, h(0) = 0, or n is even and that
-side's residual polynomial is not squarefree.  The Tate criterion is ground truth; the table's role is explanatory, and
+reducible input is terminal; only then is a non-Weil input rejected.  The
+irreducible Weil f left has no real root.  Last come the Newton-polygon case
+table and the Tate divisibility criterion, evaluated independently and
+cross-checked.  Both read the Q_p factor profile, which padic.profile_weil
+takes from the companion too: it mirrors h's profile below slope n/2 and
+reads f's Newton side of slope n/2 by Ore's residual polynomial, and runs
+the engine on f only when h's profile there is uncertified, h(0) = 0, or n
+is even and that side's residual polynomial is not squarefree.  The Tate
+criterion is ground truth; the table's role is explanatory, and
 disagreements are first-class outcomes (the printed table has known
 transcription defects, flagged in the table file).
 """
@@ -189,10 +190,8 @@ def classify(f: IntPoly, params: WeilParams) -> Classification:
 
     if not verdict.is_weil:
         return Classification("not_weil", detail=verdict.reason)
-    if verdict.real_roots:
-        return Classification("has_real_root")
-    # irreducible over Q of degree 14 cannot have the rational/quadratic real
-    # roots +-sqrt(q); reaching here means no real roots at all
+    # f is irreducible of degree 14, so it has no factor t -+ sqrt(q) or
+    # t^2 - q: no real roots at all
 
     np_ = newton_polygon(f, params.p)
     match = polygon_case_id(np_, params)

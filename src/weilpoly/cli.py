@@ -228,20 +228,32 @@ def _half_degree(degree: int) -> int:
     return degree // 2
 
 
-def cmd_enumerate(args) -> int:
-    from .census import EnumerationSpec, enumerate_weil
+def _enumeration_spec(args, **filters):
+    """The EnumerationSpec of --degree, --q and --box; UsageError for a box
+    beyond census.RECORD_CAP, raised before any output is opened."""
+    from .census import RECORD_CAP, EnumerationSpec
 
     params = parse_q(args.q)
     g = _half_degree(args.degree)
     box = _parse_box(args.box, g) if args.box else ()
+    spec = EnumerationSpec(degree=args.degree, params=params, box=box, **filters)
+    if spec.size() > RECORD_CAP:
+        raise UsageError(
+            f"box holds {spec.size()} candidates, beyond the record cap "
+            f"{RECORD_CAP}; narrow it with --box"
+        )
+    return spec
+
+
+def cmd_enumerate(args) -> int:
+    from .census import enumerate_weil
+
     filters = set((args.filter or "").split(",")) - {""}
     unknown = filters - {"weil", "irreducible", "no-real-roots"}
     if unknown:
         raise UsageError(f"unknown filters: {sorted(unknown)}")
-    spec = EnumerationSpec(
-        degree=args.degree,
-        params=params,
-        box=box,
+    spec = _enumeration_spec(
+        args,
         weil_only="weil" in filters,
         irreducible_only="irreducible" in filters,
         no_real_roots="no-real-roots" in filters,
@@ -253,8 +265,8 @@ def cmd_enumerate(args) -> int:
     try:
         rows = list(enumerate_weil(spec))
         if args.format == "csv":
-            header = ",".join(f"a{i}" for i in range(1, g + 1)) + ",is_weil"
-            out.write(header + "\n")
+            names = (f"a{i}" for i in range(1, args.degree // 2 + 1))
+            out.write(",".join(names) + ",is_weil\n")
             for rec in rows:
                 out.write(
                     ",".join(str(v) for v in rec.a)
@@ -263,7 +275,7 @@ def cmd_enumerate(args) -> int:
         else:
             doc = {
                 "schema_version": SCHEMA_VERSION,
-                "q": params.q,
+                "q": spec.params.q,
                 "degree": args.degree,
                 "count": len(rows),
                 "rows": [{"a": list(r.a), "is_weil": r.is_weil} for r in rows],
@@ -276,15 +288,10 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_cross_check(args) -> int:
-    from .census import EnumerationSpec, cross_check
+    from .census import cross_check
 
-    params = parse_q(args.q)
-    g = _half_degree(args.degree)
-    box = _parse_box(args.box, g) if args.box else ()
-    spec = EnumerationSpec(
-        degree=args.degree,
-        params=params,
-        box=box,
+    spec = _enumeration_spec(
+        args,
         weil_only=True,
         irreducible_only=args.degree == 14,
         no_real_roots=args.degree == 12,

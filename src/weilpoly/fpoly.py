@@ -1,16 +1,16 @@
 """Polynomial arithmetic and factorization over finite fields.
 
-Two coefficient fields are supported through one small protocol: F_p with
-int elements, and F_{p^d} presented as F_p[x]/(m(x)) with tuple elements.
-Polynomials are dense coefficient lists, constant term first, trimmed.
-Over a PrimeField, ftrim, fadd, fsub, fscale, fmul, fdivmod, frem and
-fmulmod work on the int lists directly and reduce each coefficient once
-with % p.  frem and fmulmod share one in-place reduction that builds no
-quotient, needs no inverse for a monic divisor, and leaves a product
-unreduced until it is reduced modulo the divisor.  fgcd, fmonic, fpow_mod
-(square-and-multiply from the top bit of the exponent, starting at the
-base) and the factorization stages inherit that path.  ExtField elements
-go through the field's add/sub/mul calls.
+Two coefficient fields are supported: F_p with int elements, and F_{p^d}
+presented as F_p[x]/(m(x)) with tuple elements.  Both give zero, one,
+order, char, of_int, mul, inv, pow and random.  Polynomials are dense
+coefficient lists, constant term first, trimmed.  Over a PrimeField, ftrim,
+fadd, fsub, fscale, fmul, fdivmod, frem and fmulmod work on the int lists
+directly and reduce each coefficient once with % p.  frem and fmulmod share
+one in-place reduction that builds no quotient, needs no inverse for a
+monic divisor, and leaves a product unreduced until it is reduced modulo
+the divisor.  fgcd, fmonic, fpow_mod (square-and-multiply from the top bit
+of the exponent, starting at the base) and the factorization stages inherit
+that path.  ExtField elements go through the field's add/sub/mul calls.
 
 Factorization is the classical pipeline: squarefree decomposition (with the
 char-p p-th-root step), distinct-degree splitting by Frobenius powers, and
@@ -48,15 +48,6 @@ class PrimeField:
     def of_int(self, n: int) -> int:
         return n % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
 
@@ -65,9 +56,6 @@ class PrimeField:
 
     def pow(self, a, n):
         return pow(a, n, self.p)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def random(self, rng: random.Random):
         return rng.randrange(self.p)
@@ -140,12 +128,13 @@ class ExtField:
     def pow(self, a, n):
         out = self.one
         base = a
-        while n:
+        while True:
             if n & 1:
                 out = self.mul(out, base)
-            base = self.mul(base, base)
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = self.mul(base, base)
 
     def is_zero(self, a) -> bool:
         return all(x == 0 for x in a)

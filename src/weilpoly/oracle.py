@@ -2,11 +2,12 @@
 
 Nothing here shares code with the Sturm-based Weil predicate: real roots are
 isolated by Descartes bisection, and the modulus oracle decides the Weil
-property factor-by-factor over Z with explicit discriminant case analysis
-(plus companion-root isolation for even-degree factors beyond the quartic
-cases).  A Durand-Kerner complex root finder with certified disks backs the
-sampled numeric modulus check used by the census; it reports None whenever a
-disk straddles the circle |z| = sqrt(q), and callers fall back to the exact
+property factor-by-factor over Z, with explicit discriminant case analysis
+for degrees 1 and 2 and, for an even-degree factor beyond them, Descartes
+counts of its companion's real roots and of those beyond +-2 sqrt(q).  A
+Durand-Kerner complex root finder with certified disks backs the sampled
+numeric modulus check used by the census; it reports None whenever a disk
+straddles the circle |z| = sqrt(q), and callers fall back to the exact
 oracle.
 """
 
@@ -104,9 +105,13 @@ def weil_oracle(chi: IntPoly, params: WeilParams) -> bool:
     Each irreducible factor must have all roots of modulus sqrt(q): linear
     factors force q square with root +-sqrt(q) at even total multiplicity;
     quadratics are either complex with constant q, or t^2 - q (again with
-    even multiplicity); higher even-degree factors must be q-palindromic with
-    all companion roots real in [-2 sqrt q, 2 sqrt q] (isolated by the
-    Descartes oracle); odd-degree irreducibles of degree > 1 are impossible.
+    even multiplicity); odd-degree irreducibles of degree > 1 are
+    impossible.  A factor g of even degree >= 4 must be q-palindromic with
+    all companion roots real in [-2 sqrt q, 2 sqrt q].  Its companion h is
+    irreducible, since a split of h would split g, so h's roots are simple
+    and irrational, and none is +-2 sqrt(q), where g would be a square.
+    The Descartes oracle counts them all real; Descartes' rule of signs,
+    exact once they are, finds none beyond +-2 sqrt(q).
     """
     q = params.q
     if chi.is_zero() or not chi.is_monic():
@@ -137,53 +142,18 @@ def weil_oracle(chi: IntPoly, params: WeilParams) -> bool:
         else:
             if not check_symmetry(g, params):
                 return False
-            h = companion_poly(g, params)
-            hq = h.to_quad(None if is_square(q) else q)
-            sf = hq.squarefree_part()
-            brackets = descartes_isolate(sf)
-            if len(brackets) != sf.degree:
+            h = companion_poly(g, params).to_quad(None if is_square(q) else q)
+            if len(descartes_isolate(h)) != h.degree:
                 return False
+            # every root is real, so Descartes' rule is exact: the
+            # variations of h(x + 2 sqrt q) and h(-x - 2 sqrt q) count the
+            # roots beyond 2 sqrt q and below -2 sqrt q
             two_rq = QuadReal.sqrt(q) * 2
-            for lo, hi in brackets:
-                # the root is > two_rq iff the polynomial has a sign change
-                # beyond two_rq; decide by exact evaluations
-                if not _bracket_within(sf, lo, hi, two_rq):
+            for sign in (1, -1):
+                beyond = h.compose_linear(QuadReal(sign), two_rq * sign)
+                if descartes_variations(beyond.coeffs):
                     return False
     return sqrt_mult[1] % 2 == 0 and sqrt_mult[-1] % 2 == 0
-
-
-def _bracket_within(sf: QuadPoly, lo: Fraction, hi: Fraction, bound: QuadReal) -> bool:
-    """Is the single root of sf in the bracket within [-bound, bound]?"""
-    lo_f, hi_f = Fraction(lo), Fraction(hi)
-    if lo_f == hi_f:
-        v = QuadReal(lo_f)
-        return (v + bound).sign() >= 0 and (bound - v).sign() >= 0
-    # the bound itself may be the bracketed root
-    for signed in (bound, -bound):
-        if sf.evaluate(signed).is_zero():
-            inside = (signed - QuadReal(lo_f)).sign() > 0 and (
-                QuadReal(hi_f) - signed
-            ).sign() >= 0
-            if inside:
-                return True
-    blo = (-bound).interval(96)
-    bhi = bound.interval(96)
-    s_hi = sf.evaluate(hi_f).sign()
-    for _ in range(512):
-        if lo_f >= blo[1] and hi_f <= bhi[0]:
-            return True
-        if hi_f < blo[0] or lo_f > bhi[1]:
-            return False
-        mid = (lo_f + hi_f) / 2
-        s = sf.evaluate(mid).sign()
-        if s == 0:
-            v = QuadReal(mid)
-            return (v + bound).sign() >= 0 and (bound - v).sign() >= 0
-        if s == s_hi:
-            hi_f = mid
-        else:
-            lo_f = mid
-    raise RuntimeError("bracket refinement did not converge")
 
 
 # -- numeric certified modulus check ---------------------------------------------

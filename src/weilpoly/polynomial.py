@@ -289,14 +289,17 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "IntPoly":
+        if n < 0:
+            raise ValueError("a polynomial has no negative powers in Z[t]")
         out = IntPoly.one()
         base = self
-        while n:
+        while True:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def derivative(self) -> "IntPoly":
         return IntPoly([i * self.coeffs[i] for i in range(1, len(self.coeffs))])

@@ -182,12 +182,13 @@ class QuadReal:
             return self.inverse() ** (-n)
         out = QuadReal(1)
         base = self
-        while n:
+        while True:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     # -- exact decisions --------------------------------------------------------
 

@@ -12,8 +12,11 @@ The predicate runs over Z.  h is solved from chi's coefficients and
 certified by expanding t^g * h(t + q/t) back into chi's coefficients.  The
 Sturm chain of h is a primitive pseudo-remainder sequence in Z[x].  Its signs
 at +-2 sqrt(q) come from writing each member there as A + B sqrt(q) with
-integers A, B.  The multiplicities of +-sqrt(q) in chi come from exact monic
-division by t^2 - q, or by t -+ sqrt(q) when q is a square.
+integers A, B.  The roots +-sqrt(q) of chi are read off h's roots
++-2 sqrt(q), by exact monic division of h by x^2 - 4q, or by x -+ 2 sqrt(q)
+when q is a square: t + q/t -+ 2 sqrt(q) = (t -+ sqrt(q))^2 / t and
+(t + q/t)^2 - 4q = (t^2 - q)^2 / t^2, so a root of h of multiplicity m there
+is a root of chi of multiplicity 2m.
 
 factor_weil factors a Weil chi over Z through the same companion: each
 irreducible factor of h gives one factor of chi, irreducible except at the
@@ -169,18 +172,23 @@ def _real_rooted(chain: list[list[int]]) -> bool:
     return _variations_right(at_neg_inf) - _variations_right(at_inf) == len(chain[0]) - 1
 
 
-def _real_root_divisors(q: int) -> list[tuple[tuple[int, ...], IntPoly]]:
+def _real_root_divisors(q: int) -> list[tuple[tuple[int, ...], IntPoly, IntPoly]]:
     """The monic integer factors carrying the roots +-sqrt(q), each with the
-    signs of the roots it carries: t -+ sqrt(q) for square q, else t^2 - q."""
+    signs of the roots it carries and the divisor of the companion over
+    them: t -+ sqrt(q) and x -+ 2 sqrt(q) for square q, else t^2 - q and
+    x^2 - 4q."""
     if is_square(q):
         r = isqrt(q)
-        return [((1,), IntPoly([-r, 1])), ((-1,), IntPoly([r, 1]))]
-    return [((1, -1), IntPoly([-q, 0, 1]))]
+        return [
+            ((1,), IntPoly([-r, 1]), IntPoly([-2 * r, 1])),
+            ((-1,), IntPoly([r, 1]), IntPoly([2 * r, 1])),
+        ]
+    return [((1, -1), IntPoly([-q, 0, 1]), IntPoly([-4 * q, 0, 1]))]
 
 
-def _multiplicity(chi: IntPoly, factor: IntPoly) -> int:
-    """How often the monic factor divides chi, by exact division over Z."""
-    m, cur = 0, chi.coeffs
+def _multiplicity(p: IntPoly, factor: IntPoly) -> int:
+    """How often the monic factor divides p, by exact division over Z."""
+    m, cur = 0, p.coeffs
     while True:
         quot, rem = _divmod_monic(cur, factor.coeffs)
         if any(rem):
@@ -215,12 +223,10 @@ def is_weil(chi: IntPoly, params: WeilParams) -> WeilVerdict:
         if high or low:
             verdict, reason = False, "companion root outside [-2 sqrt(q), 2 sqrt(q)]"
     roots = []
-    for signs, factor in _real_root_divisors(q):
-        m = _multiplicity(chi, factor)
+    for signs, _, divisor in _real_root_divisors(q):
+        m = _multiplicity(h, divisor)
         if m:
-            roots += [(sign, m) for sign in signs]
-            if m % 2 != 0:
-                verdict, reason = False, "odd multiplicity at a real root"
+            roots += [(sign, 2 * m) for sign in signs]
     return WeilVerdict(verdict, tuple(roots), h, reason=reason)
 
 
@@ -262,13 +268,12 @@ def factor_weil(
     if not verdict.is_weil:
         raise StructuralError("factor_weil needs the verdict of a Weil polynomial")
     q = params.q
-    squares = [(root, root * root) for _, root in _real_root_divisors(q)]
+    squares = {divisor: factor for _, factor, divisor in _real_root_divisors(q)}
     _, parts = factor_over_integers(verdict.companion)
     out = []
     for h_i, m in parts:
-        chi_i = _from_companion(h_i, q)
-        root = next((r for r, square in squares if square == chi_i), None)
-        out.append((chi_i, m) if root is None else (root, 2 * m))
+        factor = squares.get(h_i)
+        out.append((_from_companion(h_i, q), m) if factor is None else (factor, 2 * m))
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
     check = IntPoly.one()
     for g, m in out:
@@ -378,7 +383,7 @@ def real_root_reduction(chi: IntPoly, params: WeilParams) -> RealRootReduction:
         raise StructuralError("real_root_reduction expects degree 12")
     if not check_symmetry(chi, params):
         raise StructuralError("real_root_reduction expects a symmetric input")
-    for signs, factor in _real_root_divisors(params.q):
+    for signs, factor, _ in _real_root_divisors(params.q):
         if _multiplicity(chi, factor):
             quot, rem = chi.divmod_monic(factor * factor)
             if not rem.is_zero():

@@ -70,6 +70,12 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert main(["enumerate", "--degree", "2", "--q", "3", "--box", "-4:4", "--out", missing]) == 2
     assert main(["enumerate", "--degree", "2", "--q", "3", "--box", "4:-4"]) == 2
     assert main(["cross-check", "--degree", "2", "--q", "3", "--box", "4:-4"]) == 2
+    # boxes beyond census.RECORD_CAP, refused before --out is opened
+    assert main(["enumerate", "--degree", "14", "--q", "2"]) == 2
+    assert main(["cross-check", "--degree", "14", "--q", "2"]) == 2
+    capped = tmp_path / "capped.json"
+    assert main(["enumerate", "--degree", "14", "--q", "2", "--out", str(capped)]) == 2
+    assert not capped.exists()
     err = capsys.readouterr().err
     assert "error" in err
 

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weilpoly import polynomial
 from weilpoly.errors import StructuralError
+from weilpoly.fpoly import ExtField
 from weilpoly.polynomial import (
     IntPoly,
     QuadPoly,
@@ -107,3 +109,25 @@ def test_content_primitive():
     assert c == 6 and prim == IntPoly([1, -2, 3])
     c, prim = IntPoly([-4, -8]).primitive()
     assert c == -4 and prim.lc() > 0
+
+
+def test_pow_squares_only_while_bits_remain(monkeypatch):
+    """IntPoly, QuadReal and ExtField powers match repeated products,
+    square-and-multiply stops squaring after the top bit, and an IntPoly
+    refuses a negative power instead of looping."""
+    g, x = IntPoly([1, -2, 3]), QuadReal(1, 2, 3)
+    F = ExtField(3, [2, 2, 1])
+    e = (1, 2)
+    by_g, by_x, by_e = IntPoly.one(), QuadReal(1), F.one
+    for n in range(7):
+        assert (g ** n, x ** n, F.pow(e, n)) == (by_g, by_x, by_e)
+        by_g, by_x, by_e = by_g * g, by_x * x, F.mul(by_e, e)
+    with pytest.raises(ValueError):
+        g ** -1
+    calls = []
+    mul = polynomial._mul
+    monkeypatch.setattr(polynomial, "_mul", lambda f, h: calls.append(1) or mul(f, h))
+    for n, products in ((1, 1), (4, 3)):
+        calls.clear()
+        g ** n
+        assert len(calls) == products

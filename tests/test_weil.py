@@ -191,6 +191,7 @@ def test_is_weil_verdict_table(chi, q, expected):
     v = is_weil(chi, P)
     companion = None if v.companion is None else list(v.companion.coeffs)
     assert (v.is_weil, v.real_roots, companion, v.reason) == expected
+    assert weil_oracle(chi, P) == v.is_weil
 
 
 def test_is_weil_implies_symmetry():
@@ -338,6 +339,74 @@ def test_factor_weil_matches_sympy(case):
         key=lambda fm: (fm[0].degree, fm[0].coeffs),
     )
     assert factor_weil(chi, is_weil(chi, P), P) == (coeff, expected)
+
+
+OUTSIDE = "companion root outside [-2 sqrt(q), 2 sqrt(q)]"
+
+
+@pytest.mark.parametrize(
+    "q, h, reason",
+    [
+        # degree 4: h = x^2 - c, both roots just inside (c = 4q - 1) or just
+        # outside +-2 sqrt(q).  Outside, c = 4q + 1 splits chi into
+        # (t^2 - t - q)(t^2 + t - q), so c is the next value that keeps chi
+        # irreducible: c, c - 4q and c (c - 4q) are not squares
+        (3, [-11, 0, 1], ""),
+        (3, [-14, 0, 1], OUTSIDE),
+        (4, [-15, 0, 1], ""),
+        (4, [-19, 0, 1], OUTSIDE),
+        # degree 6: the top root of h within 0.03 of 2 sqrt(q), the others
+        # well inside
+        (3, [3, 1, -4, 1], ""),
+        (3, [-7, -10, 0, 1], OUTSIDE),
+        (4, [-11, -13, 0, 1], ""),
+        (4, [-13, -13, 0, 1], OUTSIDE),
+        (4, [13, -13, 0, 1], OUTSIDE),  # h(-x): the bottom root past -4
+        # degree 8: the top root within 0.008 of 2 sqrt(q)
+        (3, [1, 8, -4, -3, 1], ""),
+        (3, [9, -1, -9, -1, 1], OUTSIDE),
+        (3, [9, 1, -9, 1, 1], OUTSIDE),  # h(-x)
+        (4, [1, -12, -13, 0, 1], ""),
+        (4, [-1, -12, -13, 0, 1], OUTSIDE),
+    ],
+)
+def test_oracle_and_is_weil_at_the_edge(q, h, reason):
+    """Irreducible symmetric chi whose real-rooted companion has an extreme
+    root just inside or just outside [-2 sqrt q, 2 sqrt q]."""
+    P = WeilParams.from_q(q)
+    chi = chi_of_companion(IntPoly(h), q)
+    assert factor_over_integers(chi) == (1, [(chi, 1)])
+    v = is_weil(chi, P)
+    companion = list(v.companion.coeffs)
+    assert (v.is_weil, v.real_roots, companion, v.reason) == (not reason, (), h, reason)
+    assert weil_oracle(chi, P) == v.is_weil
+
+
+@pytest.mark.parametrize(
+    "q, extra, real_roots, factors",
+    [
+        # chi = (t^2 + t + q) * extra; t^2 + t + q is Weil with companion x + 1
+        (3, [([-3, 0, 1], 2)], ((1, 2), (-1, 2)), [([-3, 0, 1], 2), ([3, 1, 1], 1)]),
+        (2, [([-2, 0, 1], 4)], ((1, 4), (-1, 4)), [([-2, 0, 1], 4), ([2, 1, 1], 1)]),
+        (9, [([-3, 1], 2)], ((1, 2),), [([-3, 1], 2), ([9, 1, 1], 1)]),
+        (9, [([-3, 1], 4)], ((1, 4),), [([-3, 1], 4), ([9, 1, 1], 1)]),
+        (9, [([3, 1], 2)], ((-1, 2),), [([3, 1], 2), ([9, 1, 1], 1)]),
+        (4, [([2, 1], 4)], ((-1, 4),), [([2, 1], 4), ([4, 1, 1], 1)]),
+        (9, [([-9, 0, 1], 2)], ((1, 2), (-1, 2)), [([-3, 1], 2), ([3, 1], 2), ([9, 1, 1], 1)]),
+        (4, [([-4, 0, 1], 4)], ((1, 4), (-1, 4)), [([-2, 1], 4), ([2, 1], 4), ([4, 1, 1], 1)]),
+        (9, [([-3, 1], 2), ([3, 1], 4)], ((1, 2), (-1, 4)), [([-3, 1], 2), ([3, 1], 4), ([9, 1, 1], 1)]),
+    ],
+)
+def test_real_roots_and_square_factors(q, extra, real_roots, factors):
+    """chi times (t -+ sqrt q)^(2k) or (t^2 - q)^(2k): the multiplicities
+    read off the companion, and the square factors in factor_weil."""
+    P = WeilParams.from_q(q)
+    chi = IntPoly([q, 1, 1])
+    for f, m in extra:
+        chi = chi * IntPoly(f) ** m
+    v = is_weil(chi, P)
+    assert v.is_weil and v.real_roots == real_roots
+    assert factor_weil(chi, v, P) == (1, [(IntPoly(f), m) for f, m in factors])
 
 
 def test_factor_weil_needs_a_weil_verdict():
