@@ -169,7 +169,7 @@ def cmd_classify14(args) -> int:
 
 
 def cmd_polygon(args) -> int:
-    from .newton import NoMatch, PolygonCaseId, newton_polygon, polygon_case_id
+    from .newton import PolygonCaseId, newton_polygon, polygon_case_id
 
     if not is_prime(args.p):
         raise UsageError(f"--p {args.p} is not a prime")
@@ -193,7 +193,7 @@ def cmd_polygon(args) -> int:
         if isinstance(match, PolygonCaseId):
             doc["case"] = match.case_id
             doc["text_ambiguous"] = match.text_ambiguous
-        elif isinstance(match, NoMatch):
+        else:
             doc["case"] = None
             doc["nearest_cases"] = list(match.nearest)
     emit(doc)

@@ -287,17 +287,20 @@ def _zassenhaus_monic(f: IntPoly, lc: int, proven: bool) -> list[IntPoly] | None
     return out
 
 
+def _monicize(f: IntPoly) -> IntPoly:
+    """lc^(n-1) f(t/lc), monic over Z: its roots are lc times f's."""
+    b, n = f.lc(), f.degree
+    return IntPoly([c * b ** (n - 1 - i) for i, c in enumerate(f.coeffs[:-1])] + [1])
+
+
 def _factor_primitive(f: IntPoly, proven: bool) -> list[IntPoly] | None:
     """Irreducible factors of a primitive f of positive degree, which must
     be squarefree when proven; None when f is not proven and _sieve finds
     no squarefree reduction."""
     if f.is_monic():
         return _zassenhaus_monic(f, 1, proven)
-    # monicize: F(x) = lc^(n-1) f(x/lc) is monic over Z
     b = f.lc()
-    n = f.degree
-    mon = IntPoly([c * b ** (n - 1 - i) for i, c in enumerate(f.coeffs)])
-    parts = _zassenhaus_monic(mon, b, proven)
+    parts = _zassenhaus_monic(_monicize(f), b, proven)
     if parts is None:
         return None
     out = []

@@ -48,6 +48,11 @@ class PrimeField:
     def of_int(self, n: int) -> int:
         return n % self.p
 
+    def of_poly(self, coeffs: list[int]) -> int:
+        """Reduce an F_p[x] coefficient list mod x, as ExtField.of_poly does
+        mod its modulus: a t-adic digit is a 1-tuple."""
+        return coeffs[0] % self.p if coeffs else 0
+
     def mul(self, a, b):
         return (a * b) % self.p
 

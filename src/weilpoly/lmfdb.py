@@ -4,7 +4,9 @@ Network access is opt-in; every response is cached on disk as a JSON
 document {url, timestamp, body}, keyed by the query, and a cold cache
 without network permission yields an explicit Skipped status, never a
 failure.  For fetched classes the Weil predicate (and the Tate criterion on
-irreducible classes) is asserted and mismatches reported.
+irreducible classes) is asserted and mismatches reported.  A malformed cache
+ends in a report too: a body with no list of classes is skipped, and a record
+whose poly is not a list of JSON integers is an unparseable mismatch.
 """
 
 from __future__ import annotations
@@ -52,10 +54,15 @@ def _load_classes(cache_dir, g: int, q: int, allow_network: bool):
 
 
 def _poly_from_record(rec, g: int, q: int) -> IntPoly | None:
-    coeffs = rec.get("poly")
-    if not isinstance(coeffs, list) or len(coeffs) != 2 * g + 1:
+    """The class's Weil polynomial; None unless rec is an object whose poly
+    is a list of 2g + 1 JSON integers."""
+    coeffs = rec.get("poly") if isinstance(rec, dict) else None
+    if (
+        not isinstance(coeffs, list)
+        or len(coeffs) != 2 * g + 1
+        or any(type(c) is not int for c in coeffs)
+    ):
         return None
-    coeffs = [int(c) for c in coeffs]
     # orientation: the constant term of a Weil polynomial is q^g
     if coeffs[0] == q ** g and coeffs[-1] == 1:
         return IntPoly(coeffs)
@@ -86,13 +93,16 @@ def lmfdb_reconcile(
         report["status"] = "skipped"
         report["reason"] = "cache cold and network not permitted"
         return report
-    records = body.get("data", body if isinstance(body, list) else [])
+    records = body.get("data") if isinstance(body, dict) else body
+    if not isinstance(records, list):
+        report["status"] = "skipped"
+        report["reason"] = "response holds no list of classes"
+        return report
     for rec in records:
         poly = _poly_from_record(rec, g, params.q)
         if poly is None:
-            report["mismatches"].append(
-                {"label": rec.get("label"), "problem": "unparseable polynomial"}
-            )
+            label = rec.get("label") if isinstance(rec, dict) else None
+            report["mismatches"].append({"label": label, "problem": "unparseable polynomial"})
             continue
         report["classes"] += 1
         verdict = is_weil(poly, params)

@@ -9,7 +9,11 @@ Montes refinement:
   * Newton-polygon segments are read off exactly; a segment of slope -a/b
     (lowest terms) and length l has a residual polynomial of degree l/b over
     F_p, and every simple irreducible residual factor of degree D certifies
-    an irreducible Q_p factor of degree D*b with slope a/b.
+    an irreducible Q_p factor of degree D*b with slope a/b.  The t-adic
+    polygon is the phi-adic one for phi = t (Guardia-Montes-Nart), so one
+    reader, _side, reads every side: t-adic, shifted and phi-adic alike,
+    each from its digits (1-tuples of the coefficients when phi = t), and
+    one rule, _records, turns its residual factors into records.
   * Residual polynomials are multiplicative (Guardia-Montes-Nart, Trans.
     AMS 364, 2012): on a side of f = g h, f's residual polynomial is g's
     times h's, and a factor with no root of that slope adds a nonzero
@@ -44,7 +48,7 @@ q-Weil chi (q = p^n) through its companion h, as factor_weil factors it (the
 companion route, proved in its docstring): each Q_p factor of h of slope
 s < n/2 gives two factors of chi, of slopes s and n - s, read off h's profile
 at half the degree and a far smaller K, and chi's side of slope n/2 is read
-on chi's exact coefficients by _side_records, the side reader of the engine.
+on chi's exact coefficients by _side, the one side reader of the engine.
 The engine runs on chi itself (the fallback) only when h(0) = 0, when h's
 profile below slope n/2 is not fully certified or its retries run out, or
 when n is even and the middle side's residual polynomial is not squarefree.
@@ -52,14 +56,14 @@ when n is even and the middle side's residual polynomial is not squarefree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from . import fpoly
 from .arith import is_prime, vp
 from .errors import ExactnessError, StructuralError, UncertifiedProfileError
-from .factorint import discriminant
+from .factorint import _monicize, discriminant
 from .fpoly import ExtField, PrimeField, fdeg, ftrim
 from .hensel import hensel_lift_pair
 from .newton import lower_hull, newton_polygon
@@ -133,46 +137,53 @@ class _PrecisionShort(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class _Rec:
-    degree: int
-    slope: Fraction
-    residual_degree: int | None
-    certified: bool
-    granularity: int
+def _rec(degree, slope, residual_degree, certified, granularity=1) -> FactorRecord:
+    return FactorRecord(
+        degree, slope, int(degree * slope), residual_degree, certified, granularity
+    )
 
 
-def _side_records(g, start, end, p: int, K: int) -> list[_Rec]:
-    """Ore's records of the Newton side of g from vertex start to vertex end,
-    its coefficients read mod p^K.
+def _reslope(r: FactorRecord, slope) -> FactorRecord:
+    return _rec(r.degree, slope, r.residual_degree, r.certified, r.granularity)
 
-    A side of root valuation a/b (lowest terms) and length l has a residual
-    polynomial of degree l/b over F_p.  Each simple irreducible factor psi of
-    it certifies a Q_p factor of degree b * deg psi and residual degree
-    deg psi; a repeated factor psi^m leaves an uncertified block of degree
-    m * b * deg psi whose factor degrees are multiples of b * deg psi.
+
+def _side(digits, start, end, p: int, K: int, F):
+    """The slope h/e (lowest terms) of the Newton side of digits from vertex
+    start to vertex end, and the factorization over F of its residual
+    polynomial.
+
+    digits are coefficient lists read mod p^K: 1-tuples of the coefficients
+    for a t-adic polygon over F_p, the phi-adic digits for a phi-adic one
+    over F_{p^d}.  The residual coefficient j is digit x1 + j e read at
+    height y1 - j h and reduced into F.
     """
     (x1, y1), (x2, y2) = start, end
-    rise, run = y1 - y2, x2 - x1
-    d = gcd(rise, run)
-    a, b = rise // d, run // d
     if y1 + 1 > K:
         raise _PrecisionShort
-    mod = p**K
+    g = gcd(y1 - y2, x2 - x1)
+    h, e = (y1 - y2) // g, (x2 - x1) // g
     res = []
-    for j in range(run // b + 1):
-        idx = x1 + j * b
-        c = g[idx] % mod if idx < len(g) else 0
-        res.append((c // p ** (y1 - j * a)) % p)
-    _, parts = fpoly.factor(PrimeField(p), res)
-    slope = Fraction(a, b)
+    for j in range(g + 1):
+        idx = x1 + j * e
+        digit = digits[idx] if idx < len(digits) else ()
+        res.append(F.of_poly([(c // p ** (y1 - j * h)) % p for c in digit]))
+    return Fraction(h, e), fpoly.factor(F, res)[1]
+
+
+def _records(parts, slope, e: int, d: int) -> list[FactorRecord]:
+    """Ore's records of a side of ramification e whose residual polynomial
+    over F_{p^d} factors as parts, for roots of valuation slope.  Each simple
+    irreducible factor psi certifies a Q_p factor of degree e d deg psi and
+    residual degree d deg psi; a repeated psi^m leaves an uncertified block
+    of degree m e d deg psi whose factor degrees are multiples of
+    e d deg psi."""
     out = []
-    for psi, mult in parts:
-        deg_psi = fdeg(psi)
-        if mult == 1:
-            out.append(_Rec(deg_psi * b, slope, deg_psi, True, 1))
+    for psi, m in parts:
+        deg = e * d * fdeg(psi)
+        if m == 1:
+            out.append(_rec(deg, slope, d * fdeg(psi), True))
         else:
-            out.append(_Rec(mult * deg_psi * b, slope, None, False, deg_psi * b))
+            out.append(_rec(m * deg, slope, None, False, deg))
     return out
 
 
@@ -198,17 +209,19 @@ class _Engine:
             return None
         return vp(c, self.p)
 
-    def _points(self, g: list[int]):
+    def _points(self, digits):
+        """(j, the least valuation in digit j) for every digit that is not
+        zero mod p^K."""
         pts = []
-        for i, c in enumerate(g):
-            v = self._vp(c)
-            if v is not None:
-                pts.append((i, v))
+        for j, digit in enumerate(digits):
+            vals = [v for v in map(self._vp, digit) if v is not None]
+            if vals:
+                pts.append((j, min(vals)))
         return pts
 
     # -- analysis ----------------------------------------------------------------
 
-    def analyze(self, g: list[int], depth: int) -> list[_Rec]:
+    def analyze(self, g: list[int], depth: int) -> list[FactorRecord]:
         """Records of the roots of the monic g: g mod p is t^m times the
         reduction of its unit part, its m roots of positive valuation are
         read by _positive and its unit roots by analyze_unit, both off g."""
@@ -223,27 +236,27 @@ class _Engine:
             raise _PrecisionShort
         return self._positive(g, m, depth) + self.analyze_unit(g, depth, m)
 
-    def _positive(self, g: list[int], m: int, depth: int) -> list[_Rec]:
+    def _positive(self, g: list[int], m: int, depth: int) -> list[FactorRecord]:
         """Records of the m roots of positive valuation of the reduced g,
         whose m lowest coefficients are divisible by p and whose coefficient
-        m is a unit.  Its other roots are units, which add only a unit
-        constant to the residual polynomial of each side of positive slope,
-        so those sides' records are read off g itself.  Only the scaling
-        t -> p t refines anything more, and only on a side of integer slope
-        with a repeated residual: then the positive part is split off by a
-        Hensel lift (it is g itself when m = deg g) and scaled, which keeps
-        every residual polynomial."""
+        m is a unit, so the hull of g[:m+1] is g's hull cut at m.  Its other
+        roots are units, which add only a unit constant to the residual
+        polynomial of each side of positive slope, so those sides' records
+        are read off g itself.  Only the scaling t -> p t refines anything
+        more, and only on a side of integer slope with a repeated residual:
+        then the positive part is split off by a Hensel lift (it is g itself
+        when m = deg g) and scaled, which keeps every residual polynomial."""
         if not m:
             return []
         if g[0] == 0:
             raise _PrecisionShort
         p = self.p
-        hull = lower_hull(self._points(g))
+        digits = [(c,) for c in g[: m + 1]]
+        hull = lower_hull(self._points(digits))
         recs = []
         for start, end in zip(hull, hull[1:]):
-            if end[0] > m:
-                break
-            recs += _side_records(g, start, end, p, self.K)
+            slope, parts = _side(digits, start, end, p, self.K, PrimeField(p))
+            recs += _records(parts, slope, slope.denominator, 1)
         # the scaling needs every root valuation >= 1
         if min(r.slope for r in recs) < 1 or all(
             r.certified or r.slope.denominator > 1 for r in recs
@@ -253,9 +266,9 @@ class _Engine:
             tpart, upart = [0] * m + [1], [c % p for c in g[m:]]
             g = self._red(hensel_lift_pair(IntPoly(g), tpart, upart, p, self.K)[0].coeffs)
         scaled = [g[i] // p ** (m - i) for i in range(m + 1)]
-        return [replace(r, slope=r.slope + 1) for r in self.analyze(scaled, depth)]
+        return [_reslope(r, r.slope + 1) for r in self.analyze(scaled, depth)]
 
-    def analyze_unit(self, g: list[int], depth: int, m: int) -> list[_Rec]:
+    def analyze_unit(self, g: list[int], depth: int, m: int) -> list[FactorRecord]:
         """Records of the unit roots of the reduced g, whose m lowest
         coefficients are divisible by p and whose coefficient m is a unit.
         A simple residue class phi certifies its record by Hensel's lemma; a
@@ -266,19 +279,19 @@ class _Engine:
         out = []
         for phi, e in parts:
             if e == 1:
-                out.append(_Rec(fdeg(phi), Fraction(0), fdeg(phi), True, 1))
+                out.append(_rec(fdeg(phi), Fraction(0), fdeg(phi), True))
             else:
                 out.extend(self._unit_power(g, phi, e, depth))
         return out
 
-    def _unit_power(self, g: list[int], phibar, e: int, depth: int) -> list[_Rec]:
+    def _unit_power(self, g: list[int], phibar, e: int, depth: int) -> list[FactorRecord]:
         """Records of the e deg phibar roots of the reduced g in the residue
         class phibar^e, phibar irreducible mod p and e >= 2.  g's other roots
         lie in other classes, so the rest of g adds only a unit constant to
         each residual polynomial of the cluster."""
         d = fdeg(phibar)
         if depth <= 0:
-            return [_Rec(e * d, Fraction(0), None, False, d)]
+            return [_rec(e * d, Fraction(0), None, False, d)]
         if d > 1:
             return self._phi_adic(g, phibar, e, depth)
         # shift the class t - c to 0: its e roots get positive valuation,
@@ -290,10 +303,10 @@ class _Engine:
             # the shift hit a root to full working precision: that root is
             # certified (the separation bound rules out a second one), so
             # peel the linear factor t and continue with the cofactor
-            out.append(_Rec(1, Fraction(0), 1, True, 1))
+            out.append(_rec(1, Fraction(0), 1, True))
             shifted, e = shifted[1:], e - 1
         inner = self._positive(shifted, e, depth - 1)
-        return out + [replace(r, slope=Fraction(0)) for r in inner]
+        return out + [_reslope(r, Fraction(0)) for r in inner]
 
     def _phi_expand(self, g: list[int], phi: list[int], count: int) -> list[list[int]]:
         """The first count digits of g's phi-adic expansion, mod p^K."""
@@ -304,7 +317,7 @@ class _Engine:
             digits.append(self._red(rem.coeffs))
         return digits
 
-    def _phi_adic(self, g: list[int], phibar, e: int, depth: int) -> list[_Rec]:
+    def _phi_adic(self, g: list[int], phibar, e: int, depth: int) -> list[FactorRecord]:
         """The cluster phibar^e, deg phibar >= 2, by the phi-adic polygon of
         g over the abscissas 0..e: the rest of g is coprime to phibar, so its
         digit 0 is a unit and g's digit e has valuation 0.  A repeated linear
@@ -316,68 +329,39 @@ class _Engine:
         Fd = ExtField(p, list(phibar))
         phi = [c % p for c in phibar]
         budget = depth
-        peeled: list[_Rec] = []
+        peeled: list[FactorRecord] = []
         while True:
             digits = self._phi_expand(g, phi, e + 1)
-            pts = []
-            for j, digit in enumerate(digits):
-                vals = [self._vp(c) for c in digit]
-                vals = [v for v in vals if v is not None]
-                if vals:
-                    pts.append((j, min(vals)))
+            pts = self._points(digits)
             if not pts or pts[-1][0] != e or pts[-1][1] != 0:
                 raise _PrecisionShort
             if pts[0][0] != 0:
                 # phi divides g to full working precision: that factor is
                 # certified (the separation bound rules out a second one), so
                 # peel it and continue with the cofactor, as _unit_power does
-                peeled.append(_Rec(d, Fraction(0), d, True, 1))
+                peeled.append(_rec(d, Fraction(0), d, True))
                 g = self._red(IntPoly(g).divmod_monic(IntPoly(phi))[0].coeffs)
                 e -= 1
                 continue
             hull = lower_hull(pts)
-            out: list[_Rec] = []
-            refine_to = None
-            for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-                rise, run = y1 - y2, x2 - x1
-                gg = gcd(rise, run)
-                h, ee = rise // gg, run // gg  # phi-slope -h/ee
-                coeffs = []
-                for j in range((x2 - x1) // ee + 1):
-                    idx = x1 + j * ee
-                    need = y1 - j * h
-                    if need + 1 > self.K:
-                        raise _PrecisionShort
-                    digit = digits[idx] if idx < len(digits) else []
-                    red = [(c // p ** need) % p for c in digit]
-                    coeffs.append(Fd.of_poly(red))
-                _, parts = fpoly.factor(Fd, coeffs)
-                for psi, mult in parts:
-                    dpsi = fdeg(psi)
-                    if mult == 1:
-                        out.append(_Rec(ee * dpsi * d, Fraction(0), d * dpsi, True, 1))
-                    elif dpsi == 1 and ee == 1 and refine_to is None and budget > 0:
-                        # refine phi by the lifted residual root: the cluster's
-                        # roots satisfy v(phi(rho)/p^h - c) > 0
-                        c_elem = Fd.neg(psi[0])  # psi = y - c, root c = -psi[0]
-                        lift = [int(x) % p for x in c_elem]
-                        refine_to = [
-                            (phi[i] - p ** h * (lift[i] if i < len(lift) else 0))
-                            for i in range(len(phi))
-                        ]
-                    else:
-                        out.append(
-                            _Rec(
-                                mult * ee * dpsi * d,
-                                Fraction(0),
-                                None,
-                                False,
-                                ee * dpsi * d,
-                            )
-                        )
-            if refine_to is None:
-                return peeled + out
-            phi = refine_to
+            sides = [_side(digits, a, b, p, self.K, Fd) for a, b in zip(hull, hull[1:])]
+            repeated = [
+                (slope.numerator, psi)
+                for slope, parts in sides
+                for psi, m in parts
+                if m > 1 and fdeg(psi) == 1 and slope.denominator == 1
+            ]
+            if not (budget and repeated):
+                return peeled + [
+                    r
+                    for slope, parts in sides
+                    for r in _records(parts, Fraction(0), slope.denominator, d)
+                ]
+            # refine phi by the lifted residual root c = -psi[0]: the
+            # cluster's roots satisfy v(phi(rho)/p^h - c) > 0
+            h, psi = repeated[0]
+            lift = Fd.neg(psi[0])
+            phi = [phi[i] - p**h * lift[i] for i in range(d)] + [phi[d]]
             budget -= 1
 
 
@@ -399,11 +383,8 @@ def qp_factor_profile(f: IntPoly, p: int) -> PadicFactorProfile:
         )
     v0 = vp(f[0], p)
     K = 2 * vp(disc, p) + v0 + 4
-    work = f
-    if f.lc() != 1:
-        # normalize to monic over Z_p: multiply by lc^(n-1) and substitute t/lc
-        b = f.lc()
-        work = IntPoly([c * b ** (f.degree - 1 - i) for i, c in enumerate(f.coeffs)])
+    # lc is a unit at p, so lc^(n-1) f(t/lc) has f's root valuations
+    work = _monicize(f)
     for attempt in range(1, _ATTEMPTS + 1):
         try:
             recs = _Engine(p, K).analyze(list(work.coeffs), _MAX_DEPTH)
@@ -423,17 +404,7 @@ def _profile(f: IntPoly, p: int, recs, vertices) -> PadicFactorProfile:
     checked against the vertices of f's Newton polygon: walked from f's unit
     leading coefficient, each record goes left by its degree and up by its
     constant valuation, and records of one slope make one side."""
-    factors = tuple(
-        FactorRecord(
-            degree=r.degree,
-            slope=r.slope,
-            const_valuation=r.degree * r.slope.numerator // r.slope.denominator,
-            residual_degree=r.residual_degree,
-            certified=r.certified,
-            granularity=r.granularity,
-        )
-        for r in sorted(recs, key=lambda r: (r.slope, r.degree, not r.certified))
-    )
+    factors = tuple(sorted(recs, key=lambda r: (r.slope, r.degree, not r.certified)))
     profile = PadicFactorProfile(
         p=p, degree=f.degree, const_valuation=vp(f[0], p), factors=factors
     )
@@ -482,8 +453,9 @@ def profile_weil(chi: IntPoly, verdict: WeilVerdict, params: WeilParams) -> Padi
     factor psi of that side's residual polynomial certifies an irreducible
     Q_p factor of chi of degree e deg psi and residual degree deg psi, where
     e is the denominator of n/2, and a repeated psi^m leaves a block whose
-    factor degrees are multiples of e deg psi (_side_records, the reader
-    chi's engine uses).  The side is read on chi's exact coefficients.
+    factor degrees are multiples of e deg psi (_side and _records, which
+    read every t-adic, shifted and phi-adic side of chi's engine).  The side
+    is read on chi's exact coefficients.
 
     Agreement with chi's engine.  Residual polynomials are multiplicative: a
     factor with no root of valuation n/2 contributes a nonzero constant.
@@ -530,10 +502,12 @@ def _profile_weil(chi: IntPoly, verdict: WeilVerdict, params: WeilParams, vertic
             if 2 * r.slope.numerator < n * r.slope.denominator:
                 if not r.certified:
                     return qp_factor_profile(chi, p)
-                recs += (r, _Rec(r.degree, n - r.slope, r.residual_degree, True, 1))
+                recs += (r, _reslope(r, n - r.slope))
     for start, end in zip(vertices, vertices[1:]):
         if 2 * (start[1] - end[1]) == n * (end[0] - start[0]):
-            middle = _side_records(chi.coeffs, start, end, p, start[1] + 1)
+            digits = [(c,) for c in chi.coeffs]
+            slope, parts = _side(digits, start, end, p, start[1] + 1, PrimeField(p))
+            middle = _records(parts, slope, slope.denominator, 1)
             if n % 2 == 0 and not all(r.certified for r in middle):
                 return qp_factor_profile(chi, p)
             recs += middle

@@ -18,6 +18,7 @@ result is marked as its own squarefree part.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -203,7 +204,12 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        coeffs = [int(c) for c in coeffs]
+        """coeffs are integers: a float, string or Fraction is a ValueError,
+        never truncated or parsed."""
+        try:
+            coeffs = list(map(operator.index, coeffs))
+        except TypeError:
+            raise ValueError(f"expected integer coefficients, got {coeffs!r}") from None
         object.__setattr__(self, "coeffs", _trim(coeffs))
 
     def __setattr__(self, *_):

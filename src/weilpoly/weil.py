@@ -384,12 +384,10 @@ def real_root_reduction(chi: IntPoly, params: WeilParams) -> RealRootReduction:
     if not check_symmetry(chi, params):
         raise StructuralError("real_root_reduction expects a symmetric input")
     for signs, factor, _ in _real_root_divisors(params.q):
-        if _multiplicity(chi, factor):
-            quot, rem = chi.divmod_monic(factor * factor)
-            if not rem.is_zero():
-                raise ExactnessError(
-                    "odd multiplicity at a real root of a symmetric polynomial"
-                )
+        # chi is symmetric, so factor divides it iff h vanishes at the
+        # matching +-2 sqrt(q), iff factor^2 divides it (module docstring)
+        quot, rem = chi.divmod_monic(factor * factor)
+        if rem.is_zero():
             kind = "square_q" if len(signs) == 1 else "non_square_q"
             return RealRootReduction(kind, factor=factor, quotient=quot)
     return RealRootReduction("no_real_root")

@@ -3,9 +3,11 @@ import hashlib
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+from weilpoly.cli import main
 from weilpoly.classify7 import _candidate_cases, classify, multiplicity_options, power_case
 from weilpoly.errors import StructuralError
 from weilpoly.newton import load_case_table
@@ -153,3 +155,22 @@ def test_verdict_digest_of_the_degree14_scan():
     assert verdicts == {"accepted": 1494, "reducible": 129, "rejected": 19, "not_weil": 13}
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
     assert digest == "0ff6dde0199e2eb90614baf93658251948b64ba8805ce7e3c352137314325512"
+
+
+WITNESSES = Path(__file__).parent / "data" / "g7_witnesses.txt"
+
+
+def _witness_rows():
+    for line in WITNESSES.read_text().splitlines():
+        if line and not line.startswith("#"):
+            q, a, expected, code = line.split("\t")
+            yield pytest.param(q, a, json.loads(expected), int(code), id=f"q={q};a={a}")
+
+
+@pytest.mark.parametrize("q, a, expected, code", _witness_rows())
+def test_degree14_witnesses(q, a, expected, code, capsys):
+    """Each witness row reaches a branch of the degree-14 decision: table
+    cases 17, 23 and 28-31, the rejection of case 17 on its side
+    conditions, and the inconclusive exit of chi's engine fallback."""
+    assert main(["classify14", f"q={q}; a={a}"]) == code
+    assert json.loads(capsys.readouterr().out)["classification"] == expected

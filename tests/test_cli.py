@@ -249,3 +249,9 @@ def test_exit_status_contract_randomized(capsys):
             assert doc["schema_version"] == "1"
             if argv[0] == "check-weil":
                 assert doc["is_weil"] == (code == 0)
+
+
+def test_polygon_with_no_matching_case_names_the_nearest(capsys):
+    assert main(["polygon", "--p", "2", "--q", "2", "128,2,0,0,0,0,0,0,0,0,0,0,0,0,1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["case"] is None and doc["nearest_cases"] == [1, 2, 3]

@@ -232,11 +232,15 @@ def _product(*fs):
         # non-monic, with rational roots 2/3 and -4/5
         (T([-2, 3]) * T([4, 5]) * T([1, 0, 2]), {"roots"}),
         (T([12]) * T([-2, 3]) * T([1, 1, 0, 7]), {"roots"}),
+        # lc 49: the monic scaling's leading coefficient is the integer 1
+        (T([1, 0, 49]), set()),
+        (T([1, 7]) * T([1, 0, 7]), {"roots"}),
     ],
     ids=[
         "sieve", "sd4", "sd8", "linear7", "cyclotomic", "cyclotomic-ramified", "yun", "non-monic",
         "root-zero", "root-zero-wide", "root-repeated", "root-zero-repeated", "root-ramified-trap",
-        "root-ramified-cyclotomic", "root-non-monic", "root-non-monic-content",
+        "root-ramified-cyclotomic", "root-non-monic", "root-non-monic-content", "lc-49",
+        "root-lc-49",
     ],
 )
 def test_each_exit_matches_sympy(f, stages, monkeypatch):

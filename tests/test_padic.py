@@ -642,11 +642,35 @@ def test_refined_phi_dividing_f_is_peeled():
     assert list(profile.factors) == merged
 
 
+@pytest.mark.parametrize(
+    "f, p, expected",
+    [
+        # t^2 + 49 mod 2 is (t + 1)^2, and Q_2(sqrt(-1)) is ramified
+        (T([1, 0, 49]), 2, [(2, 0, 0, 1, True, 1)]),
+        # -1/7 and the two square roots of -1/7 in Q_2, since -7 = 1 mod 8
+        (T([1, 7]) * T([1, 0, 7]), 2, [(1, 0, 0, 1, True, 1)] * 3),
+        # 7t^2 + 1 = t^2 + 1 mod 3 is irreducible: an unramified quadratic
+        (T([1, 7]) * T([1, 0, 7]), 3, [(1, 0, 0, 1, True, 1), (2, 0, 0, 2, True, 1)]),
+        # Eisenstein after scaling: one totally ramified cubic
+        (T([5, 0, 0, 49]), 5, [(3, Fraction(1, 3), 1, 1, True, 1)]),
+    ],
+    ids=["49t2+1@2", "lc-49@2", "lc-49@3", "49t3+5@5"],
+)
+def test_non_monic_records_are_pinned(f, p, expected):
+    """f is profiled through lc^(n-1) f(t/lc), whose roots have the
+    valuations of f's when lc is a unit at p."""
+    got = [
+        (r.degree, r.slope, r.const_valuation, r.residual_degree, r.certified, r.granularity)
+        for r in qp_factor_profile(f, p).factors
+    ]
+    assert got == expected
+
+
 def test_profile_slopes_must_match_the_newton_polygon(monkeypatch):
     # (t - 1)(t - 5) at p = 5 has root valuations 0 and 1; a fake engine
     # reports one quadratic of slope 1/2, which keeps v_p(f(0)) = 1
     def fake(self, g, depth):
-        return [padic._Rec(2, Fraction(1, 2), 1, True, 1)]
+        return [padic.FactorRecord(2, Fraction(1, 2), 1, 1, True)]
 
     monkeypatch.setattr(padic._Engine, "analyze", fake)
     with pytest.raises(ExactnessError, match="Newton polygon"):

@@ -14,6 +14,7 @@ from weilpoly.polynomial import (
     poly_to_string,
 )
 from weilpoly.quadreal import QuadReal
+from weilpoly.weil import WeilParams, chi_from_a
 
 ints = st.lists(st.integers(-20, 20), min_size=0, max_size=8)
 
@@ -102,6 +103,18 @@ def test_parser_diagnostics_carry_position():
         poly_from_string("2,0,x,1")
     with pytest.raises(StructuralError, match="position 0"):
         poly_from_string("")
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, "7", Fraction(2)])
+def test_intpoly_rejects_non_integer_coefficients(bad):
+    with pytest.raises(ValueError):
+        IntPoly([bad, 1])
+
+
+def test_chi_from_a_rejects_a_fractional_coefficient():
+    # int(0.5) would make it t^2 + 2, which is 2-Weil
+    with pytest.raises(ValueError):
+        chi_from_a((0.5,), WeilParams.from_q(2))
 
 
 def test_content_primitive():

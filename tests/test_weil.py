@@ -423,3 +423,15 @@ def test_factor_weil_checks_the_verdict_belongs_to_chi():
     assert verdict.is_weil and is_weil(chi, P2).is_weil
     with pytest.raises(ExactnessError):
         factor_weil(chi, verdict, P2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_lacunary_degree14_is_weil_exactly_when_c_squared_is_at_most_4_q7(q):
+    """t^14 + c t^7 + q^7 is q-Weil iff c^2 <= 4 q^7: t^7 is then a root of
+    x^2 + c x + q^7, of absolute value q^(7/2) exactly when those roots are
+    non-real or equal."""
+    P = WeilParams.from_q(q)
+    edge = isqrt(4 * q**7)
+    for c in range(-edge - 1, edge + 2):
+        chi = IntPoly([q**7] + [0] * 6 + [c] + [0] * 6 + [1])
+        assert is_weil(chi, P).is_weil == (abs(c) <= edge), c
