@@ -125,8 +125,7 @@ def _count_scoped(profile, d: int, n: int) -> int:
                 count += 1
         elif d % r.granularity == 0 and r.degree >= d:
             raise UncertifiedProfileError(
-                f"an unresolved block could contain degree-{d} factors",
-                partial=profile,
+                f"an unresolved block could contain degree-{d} factors"
             )
     return count
 

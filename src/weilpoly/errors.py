@@ -28,8 +28,4 @@ class UnprovenPrimeError(WeilpolyError):
 
 class UncertifiedProfileError(WeilpolyError):
     """The p-adic factor profile could not be certified within the refinement
-    depth.  Carries the partial profile so callers can report it."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    depth, or a query depends on a block of it left uncertified."""

@@ -5,8 +5,11 @@ document {url, timestamp, body}, keyed by the query, and a cold cache
 without network permission yields an explicit Skipped status, never a
 failure.  For fetched classes the Weil predicate (and the Tate criterion on
 irreducible classes) is asserted and mismatches reported.  A malformed cache
-ends in a report too: a body with no list of classes is skipped, and a record
-whose poly is not a list of JSON integers is an unparseable mismatch.
+ends in a report too: a cache file that is unreadable, not JSON or not an
+object with a body is skipped with a reason naming the file, a body with no
+list of classes (null included) is skipped, and a record whose poly is not a
+list of JSON integers is an unparseable mismatch.  "fetch failed" means a
+fetch ran.
 """
 
 from __future__ import annotations
@@ -38,19 +41,31 @@ def _fetch(url: str) -> dict:
 
 
 def _load_classes(cache_dir, g: int, q: int, allow_network: bool):
+    """(body, None) from the cache or a fetch, or (None, why the report is
+    skipped)."""
     path = cache_path(cache_dir, g, q)
-    if path.exists():
+    try:
         doc = json.loads(path.read_text())
-        return doc["body"]
+    except FileNotFoundError:
+        pass
+    except (OSError, ValueError) as exc:
+        return None, f"cannot read cache file {path}: {exc}"
+    else:
+        if not isinstance(doc, dict) or "body" not in doc:
+            return None, f"cache file {path} holds no body"
+        return doc["body"], None
     if not allow_network:
-        return None
+        return None, "cache cold and network not permitted"
     url = API_URL.format(g=g, q=q)
-    body = _fetch(url)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps({"url": url, "timestamp": time.time(), "body": body}, indent=1)
-    )
-    return body
+    try:
+        body = _fetch(url)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(
+            json.dumps({"url": url, "timestamp": time.time(), "body": body}, indent=1)
+        )
+    except Exception as exc:  # network failure is a skip, never an error
+        return None, f"fetch failed: {exc}"
+    return body, None
 
 
 def _poly_from_record(rec, g: int, q: int) -> IntPoly | None:
@@ -83,20 +98,13 @@ def lmfdb_reconcile(
         "checked_tate": 0,
         "mismatches": [],
     }
-    try:
-        body = _load_classes(cache_dir, g, params.q, allow_network)
-    except Exception as exc:  # network failure is a skip, never an error
-        report["status"] = "skipped"
-        report["reason"] = f"fetch failed: {exc}"
-        return report
-    if body is None:
-        report["status"] = "skipped"
-        report["reason"] = "cache cold and network not permitted"
-        return report
+    body, skipped = _load_classes(cache_dir, g, params.q, allow_network)
     records = body.get("data") if isinstance(body, dict) else body
-    if not isinstance(records, list):
+    if skipped is None and not isinstance(records, list):
+        skipped = "response holds no list of classes"
+    if skipped is not None:
         report["status"] = "skipped"
-        report["reason"] = "response holds no list of classes"
+        report["reason"] = skipped
         return report
     for rec in records:
         poly = _poly_from_record(rec, g, params.q)

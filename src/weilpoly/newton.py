@@ -115,13 +115,11 @@ class CaseRecord:
 @dataclass(frozen=True)
 class PolygonCaseId:
     case_id: int
-    vertex_signature: tuple[tuple[int, int], ...]
     text_ambiguous: bool
 
 
 @dataclass(frozen=True)
 class NoMatch:
-    vertex_signature: tuple
     nearest: tuple[int, ...]
 
 
@@ -201,16 +199,16 @@ def polygon_case_id(np_: NewtonPolygon, params: WeilParams):
     sig = left_half_signature(np_, params.n)
     table = load_case_table()
     if sig is None:
-        return NoMatch((), tuple())
+        return NoMatch(())
     for rec in table:
         if rec.vertices == sig:
-            return PolygonCaseId(rec.case_id, sig, rec.text_ambiguous)
+            return PolygonCaseId(rec.case_id, rec.text_ambiguous)
     # nearest: cases sharing the most vertices
     scored = sorted(
         table,
         key=lambda rec: -len(set(rec.vertices) & set(sig)),
     )
-    return NoMatch(sig, tuple(r.case_id for r in scored[:3]))
+    return NoMatch(tuple(r.case_id for r in scored[:3]))
 
 
 def synthetic_valuations(rec: CaseRecord, n: int) -> list[int]:

@@ -4,11 +4,10 @@ Nothing here shares code with the Sturm-based Weil predicate: real roots are
 isolated by Descartes bisection, and the modulus oracle decides the Weil
 property factor-by-factor over Z, with explicit discriminant case analysis
 for degrees 1 and 2 and, for an even-degree factor beyond them, Descartes
-counts of its companion's real roots and of those beyond +-2 sqrt(q).  A
-Durand-Kerner complex root finder with certified disks backs the sampled
-numeric modulus check used by the census; it reports None whenever a disk
-straddles the circle |z| = sqrt(q), and callers fall back to the exact
-oracle.
+counts of its companion's real roots and of those beyond +-2 sqrt(q).  The
+sampled numeric modulus check used by the census finds chi's complex roots
+by Durand-Kerner iteration and certifies a disk around each; it reports None
+whenever the disks overlap, and callers fall back to the exact oracle.
 """
 
 from __future__ import annotations
@@ -159,32 +158,21 @@ def weil_oracle(chi: IntPoly, params: WeilParams) -> bool:
 # -- numeric certified modulus check ---------------------------------------------
 
 
-def durand_kerner_roots(chi: IntPoly, iterations: int = 200):
-    n = chi.degree
-    coeffs = [complex(c) for c in chi.coeffs]
+DURAND_KERNER_ITERATIONS = 200
 
-    def ev(z):
-        acc = 0j
-        for c in reversed(coeffs):
-            acc = acc * z + c
-        return acc
 
-    roots = [cmath.rect(1 + abs(chi[0]) ** (1 / max(n, 1)), 2 * cmath.pi * k / n + 0.4) for k in range(n)]
-    for _ in range(iterations):
-        moved = 0.0
-        for i in range(n):
-            denom = 1 + 0j
-            for j in range(n):
-                if i != j:
-                    denom *= roots[i] - roots[j]
-            if denom == 0:
-                denom = 1e-300
-            delta = ev(roots[i]) / denom
-            roots[i] -= delta
-            moved = max(moved, abs(delta))
-        if moved < 1e-14:
-            break
-    return roots
+def _correction(coeffs: list[complex], roots: list[complex], i: int):
+    """The Durand-Kerner correction chi(z_i) / prod_{j != i} (z_i - z_j) at
+    root i, as its numerator and denominator."""
+    z = roots[i]
+    value = 0j
+    for c in reversed(coeffs):
+        value = value * z + c
+    denom = 1 + 0j
+    for j, w in enumerate(roots):
+        if j != i:
+            denom *= z - w
+    return value, denom
 
 
 def numeric_modulus_verdict(chi: IntPoly, params: WeilParams) -> bool | None:
@@ -192,8 +180,9 @@ def numeric_modulus_verdict(chi: IntPoly, params: WeilParams) -> bool | None:
 
     Works on the exact squarefree part (repeated roots ruin Durand-Kerner
     convergence and the disk bounds).  Smith-style certification: the union
-    of disks D(z_i, n * |chi(z_i) / prod (z_i - z_j)|) contains all roots,
-    one per disk when the disks are pairwise disjoint.
+    of disks D(z_i, n * |chi(z_i) / prod (z_i - z_j)|), n times the
+    Durand-Kerner correction at each z_i, contains all roots, one per disk
+    when the disks are pairwise disjoint.
     """
     from .factorint import poly_gcd, _exact_div
 
@@ -203,24 +192,25 @@ def numeric_modulus_verdict(chi: IntPoly, params: WeilParams) -> bool | None:
     n = chi.degree
     if n == 0:
         return None
-    roots = durand_kerner_roots(chi)
     coeffs = [complex(c) for c in chi.coeffs]
-
-    def ev(z):
-        acc = 0j
-        for c in reversed(coeffs):
-            acc = acc * z + c
-        return acc
-
+    roots = [cmath.rect(1 + abs(chi[0]) ** (1 / n), 2 * cmath.pi * k / n + 0.4) for k in range(n)]
+    for _ in range(DURAND_KERNER_ITERATIONS):
+        moved = 0.0
+        for i in range(n):
+            value, denom = _correction(coeffs, roots, i)
+            if denom == 0:
+                denom = 1e-300
+            delta = value / denom
+            roots[i] -= delta
+            moved = max(moved, abs(delta))
+        if moved < 1e-14:
+            break
     radii = []
     for i in range(n):
-        denom = 1 + 0j
-        for j in range(n):
-            if i != j:
-                denom *= roots[i] - roots[j]
+        value, denom = _correction(coeffs, roots, i)
         if denom == 0:
             return None
-        radii.append(n * abs(ev(roots[i]) / denom))
+        radii.append(n * abs(value / denom))
     # disjointness makes each disk contain exactly one root
     for i in range(n):
         for j in range(i + 1, n):

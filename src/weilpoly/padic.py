@@ -36,7 +36,7 @@ Montes refinement:
     anything past the refinement depth) becomes an uncertified block record
     carrying the block degree, its slope, and the granularity its factor
     degrees are forced to respect.  Queries that cannot be decided from that
-    much raise UncertifiedProfileError with the partial profile attached.
+    much raise UncertifiedProfileError.
 
 Working precision is K = 2 v_p(disc f) + v_p(f(0)) + 4, which separates the
 true Q_p factors of a squarefree f; the engine retries at doubled precision
@@ -115,22 +115,6 @@ class PadicFactorProfile:
         for r in self.factors:
             out[r.slope] = out.get(r.slope, 0) + r.degree
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "factors": [
-                {
-                    "degree": r.degree,
-                    "slope": str(r.slope),
-                    "const_valuation": r.const_valuation,
-                    "residual_degree": r.residual_degree,
-                    "certified": r.certified,
-                }
-                for r in self.factors
-            ],
-            "fully_certified": self.fully_certified,
-        }
 
 
 class _PrecisionShort(Exception):
@@ -539,8 +523,7 @@ def profile_has_root_of_valuation(profile: PadicFactorProfile, target) -> bool:
     for r in profile.factors:
         if not r.certified and r.slope == target and r.granularity == 1:
             raise UncertifiedProfileError(
-                "an unresolved block could contain the queried root",
-                partial=profile,
+                "an unresolved block could contain the queried root"
             )
     return False
 
@@ -556,15 +539,13 @@ def tate_condition_profile(profile: PadicFactorProfile, n: int) -> bool:
             unit = r.granularity * r.slope
             if unit.denominator != 1:
                 raise UncertifiedProfileError(
-                    "unresolved block with fractional valuation granularity",
-                    partial=profile,
+                    "unresolved block with fractional valuation granularity"
                 )
             if int(unit) % n == 0:
                 continue  # every possible split passes
             if (r.degree * r.slope) % n:
                 return False  # even the unsplit block fails
             raise UncertifiedProfileError(
-                "Tate divisibility depends on an unresolved block",
-                partial=profile,
+                "Tate divisibility depends on an unresolved block"
             )
     return True

@@ -529,25 +529,33 @@ class QuadPoly:
         return self._sf
 
 
-def poly_from_string(text: str) -> IntPoly:
-    """Parse a comma-separated coefficient list, constant term first.
+def int_list_from_string(text: str) -> tuple[int, ...]:
+    """Parse a comma-separated list of integers.
 
     Raises StructuralError with a character position on malformed input.
     """
-    coeffs = []
+    out = []
     pos = 0
     for chunk in text.split(","):
         stripped = chunk.strip()
         if not stripped:
             raise StructuralError(f"empty coefficient at position {pos}")
         try:
-            coeffs.append(int(stripped))
+            out.append(int(stripped))
         except ValueError:
             raise StructuralError(
                 f"bad integer {stripped!r} at position {pos}"
             ) from None
         pos += len(chunk) + 1
-    return IntPoly(coeffs)
+    return tuple(out)
+
+
+def poly_from_string(text: str) -> IntPoly:
+    """Parse a comma-separated coefficient list, constant term first.
+
+    Raises StructuralError with a character position on malformed input.
+    """
+    return IntPoly(int_list_from_string(text))
 
 
 def poly_to_string(p: IntPoly) -> str:

@@ -37,7 +37,6 @@ from math import comb, isqrt
 
 from .arith import iroot, is_prime
 from .errors import ExactnessError, StructuralError
-from .factorint import factor_over_integers
 from .polynomial import (
     IntPoly,
     QuadPoly,
@@ -265,6 +264,9 @@ def factor_weil(
     The product of the factors is checked against chi before returning
     (ExactnessError otherwise), which also proves the verdict is chi's.
     """
+    # the predicate never factors, so only this route loads the factorizer
+    from .factorint import factor_over_integers
+
     if not verdict.is_weil:
         raise StructuralError("factor_weil needs the verdict of a Weil polynomial")
     q = params.q

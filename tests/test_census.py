@@ -92,7 +92,7 @@ def test_cross_check_degree12_tight_box():
         weil_only=True,
         no_real_roots=True,
     )
-    report = cross_check(spec, numeric_sample_rate=0.02)
+    report = cross_check(spec)
     assert report["ok"], report["violations"]
     assert report["counts"]["records"] > 0
 

@@ -255,3 +255,18 @@ def test_polygon_with_no_matching_case_names_the_nearest(capsys):
     assert main(["polygon", "--p", "2", "--q", "2", "128,2,0,0,0,0,0,0,0,0,0,0,0,0,1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["case"] is None and doc["nearest_cases"] == [1, 2, 3]
+
+
+def test_a_value_starting_with_minus_and_a_digit_is_never_an_option(capsys):
+    """Positional polynomials with a negative constant term, before or
+    after the options; --box and --a values are read the same way.  The
+    rule widens argparse's private _negative_number_matcher, so a Python
+    whose argparse drops or renames it fails here."""
+    assert main(["polygon", "--p", "2", "-2,0,1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["vertices"] == [[0, 1], [2, 0]]
+    assert doc["segments"] == [{"slope": "-1/2", "length": 2}]
+    assert main(["check-weil", "-2,0,1", "--q", "2"]) == 1
+    assert json.loads(capsys.readouterr().out)["reason"] == "not symmetric"
+    assert main(["classify14", "--q", "2", "-128" + ",0" * 13 + ",1"]) == 1
+    assert json.loads(capsys.readouterr().out)["classification"]["verdict"] == "not_symmetric"

@@ -123,3 +123,26 @@ def test_malformed_cache_ends_in_a_report(tmp_path, capsys, body, code):
     assert main(["lmfdb", "--q", "2", "--g", "1", "--cache-dir", str(tmp_path)]) == code
     out = capsys.readouterr()
     assert json.loads(out.out)["report"]["g"] == 1 and out.err == ""
+
+
+@pytest.mark.parametrize(
+    "text, names_the_file",
+    [
+        ('{"url": "x", "body": null}', False),
+        ("not json", True),
+        ('{"url": "x"}', True),
+        ("[1, 2]", True),
+    ],
+)
+def test_malformed_cache_file_is_never_a_fetch_or_a_cold_cache(tmp_path, capsys, text, names_the_file):
+    path = cache_path(tmp_path, 1, 2)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    assert main(["lmfdb", "--q", "2", "--g", "1", "--cache-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr()
+    report = json.loads(out.out)["report"]
+    assert report["status"] == "skipped" and out.err == ""
+    if names_the_file:
+        assert str(path) in report["reason"]
+    else:
+        assert report["reason"] == "response holds no list of classes"
