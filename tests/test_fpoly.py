@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -143,3 +144,48 @@ def test_prime_field_kernel_matches_the_generic_path(p, f, g, k):
         for part, _ in squarefree_decomposition(Fp, f):
             got = distinct_degree(Fg, [(c,) for c in part])
             assert distinct_degree(Fp, part) == [([c[0] for c in h], d) for h, d in got]
+
+
+def factor_corpus(seed):
+    """Seeded polynomials over F_p (p <= 11) and F_{p^d} (4, 8, 9): random
+    ones with any nonzero leading coefficient, products with a squared
+    factor, and p-th powers times a random factor, which send the
+    squarefree decomposition through its p-th-root step."""
+    rng = random.Random(seed)
+    fields = [PrimeField(p) for p in (2, 3, 5, 7, 11)]
+    fields += [ExtField(2, [1, 1, 1]), ExtField(2, [1, 1, 0, 1]), ExtField(3, [1, 0, 1])]
+    out = []
+    for F in fields:
+        for _ in range(120):
+            def draw(deg):
+                lead = F.random(rng)
+                while lead == F.zero:
+                    lead = F.random(rng)
+                return [F.random(rng) for _ in range(deg)] + [lead]
+
+            kind = rng.choice(["random", "square", "power"])
+            f = draw(rng.randint(0, 8))
+            if kind == "square":
+                g = draw(rng.randint(1, 3))
+                f = fmul(F, fmul(F, g, g), draw(rng.randint(0, 4)))
+            elif kind == "power":
+                g = draw(rng.randint(1, 2))
+                power = [F.one]
+                for _ in range(F.char * rng.randint(1, 2)):
+                    power = fmul(F, power, g)
+                f = fmul(F, power, draw(rng.randint(0, 3)))
+            out.append((F, f))
+    return out
+
+
+def test_factorizations_match_the_pinned_digest():
+    """factor and squarefree_decomposition on factor_corpus, pinned as one
+    digest.  The digest was computed before factor was memoized over F_p and
+    the stages got their fast paths for squarefree, linear and irreducible
+    input."""
+    digest = hashlib.sha256()
+    for F, f in factor_corpus(20261019):
+        lc, parts = fpoly.factor(F, f)
+        assert reconstruct(F, lc, parts) == f
+        digest.update(f"{F}|{f}|{lc}|{parts}|{squarefree_decomposition(F, f)}\n".encode())
+    assert digest.hexdigest() == "dbea35892fdd3409b8acfd6c34812b6f0091b7f9d559dbd1e9f6f3190e9f682b"

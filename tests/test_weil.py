@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import itertools
 import random
 from math import comb, isqrt
@@ -435,3 +437,62 @@ def test_lacunary_degree14_is_weil_exactly_when_c_squared_is_at_most_4_q7(q):
     for c in range(-edge - 1, edge + 2):
         chi = IntPoly([q**7] + [0] * 6 + [c] + [0] * 6 + [1])
         assert is_weil(chi, P).is_weil == (abs(c) <= edge), c
+
+
+def edge_corpus(seed):
+    """Seeded symmetric inputs of degree 2..14 at square and non-square q.
+    Companions carry the roots +-2 sqrt q with multiplicity 1-3 (x -+ 2 sqrt q
+    for square q, x^2 - 4q otherwise) beside real-rooted pieces, a root
+    outside [-2 sqrt q, 2 sqrt q] or a pair off the real line; small-box
+    chi_from_a draws, Weil or not, and the same with one coefficient moved
+    so that the shape breaks."""
+    rng = random.Random(seed)
+    out = []
+    for q in (2, 3, 4, 5, 8, 9, 16, 25, 27):
+        P = WeilParams.from_q(q)
+        r = isqrt(q)
+        edges = [IntPoly([-2 * r, 1]), IntPoly([2 * r, 1])] if r * r == q else [IntPoly([-4 * q, 0, 1])]
+        for _ in range(120):
+            g = rng.randint(1, 7)
+            h = IntPoly([1])
+            for edge in edges:
+                h = h * edge ** rng.randint(0 if len(edges) > 1 else 1, 3)
+            if h.degree > g:
+                h = edges[0]
+            spoil = rng.choice([None, None, "outside", "complex"])
+            if spoil == "outside" and h.degree < g:
+                h = h * IntPoly([rng.choice([-1, 1]) * (2 * r + 1 + rng.randint(0, 2)), 1])
+            elif spoil == "complex" and h.degree + 2 <= g:
+                h = h * IntPoly([rng.randint(1, 3), 0, 1])
+            while h.degree < g:
+                h = h * companion_piece(rng, q, g - h.degree)
+            out.append((chi_of_companion(h, q), P))
+        for _ in range(120):
+            g = rng.randint(1, 7)
+            a = tuple(rng.randint(-2, 2) * rng.randint(0, isqrt(q ** i)) for i in range(1, g + 1))
+            chi = chi_from_a(a, P)
+            if rng.random() < 0.2:
+                coeffs = list(chi.coeffs)
+                coeffs[rng.randrange(len(coeffs) - 1)] += rng.choice([-1, 1])
+                chi = IntPoly(coeffs)
+            out.append((chi, P))
+    return out
+
+
+def test_is_weil_verdicts_match_the_pinned_digest():
+    """Every field of every is_weil verdict on edge_corpus, pinned as one
+    digest.  The digest was computed before is_weil moved to coefficient
+    tuples and read the roots +-sqrt q off h's value at +-2 sqrt q."""
+    digest = hashlib.sha256()
+    seen = collections.Counter()
+    for chi, P in edge_corpus(20261019):
+        v = is_weil(chi, P)
+        companion = None if v.companion is None else list(v.companion.coeffs)
+        digest.update(f"{P.q}|{list(chi.coeffs)}|{v.is_weil}|{v.real_roots}|{companion}|{v.reason}\n".encode())
+        square = isqrt(P.q) ** 2 == P.q
+        for _, m in v.real_roots:
+            seen[square, v.is_weil, m] += 1
+    for square in (False, True):
+        for m in (2, 4, 6):
+            assert seen[square, True, m] > 0 and seen[square, False, m] > 0, (square, m, seen)
+    assert digest.hexdigest() == "850e526cef6eb8ff5496ada1bdfcbae5cd7dcb56cddfffc6c140f2d8bad53a49"
