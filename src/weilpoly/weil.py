@@ -8,15 +8,17 @@ Real roots of chi itself can only be +-sqrt(q), and the palindromic shape
 forces even multiplicity there, so the verdict records them rather than
 re-deciding them.
 
-The predicate runs over Z.  h is solved from chi's coefficients and
-certified by expanding t^g * h(t + q/t) back into chi's coefficients.  The
-Sturm chain of h is a primitive pseudo-remainder sequence in Z[x].  Its signs
-at +-2 sqrt(q) come from writing each member there as A + B sqrt(q) with
-integers A, B.  The roots +-sqrt(q) of chi are read off h's roots
-+-2 sqrt(q), by exact monic division of h by x^2 - 4q, or by x -+ 2 sqrt(q)
-when q is a square: t + q/t -+ 2 sqrt(q) = (t -+ sqrt(q))^2 / t and
+The predicate runs over Z, on coefficient tuples.  h is solved from chi's
+coefficients and certified by expanding t^g * h(t + q/t) back into chi's
+coefficients.  The Sturm chain of h is a primitive pseudo-remainder sequence
+in Z[x].  Its signs at +-2 sqrt(q) come from writing each member there as
+A + B sqrt(q) with integers A, B.  The roots +-sqrt(q) of chi are read off
+h's roots +-2 sqrt(q): t + q/t -+ 2 sqrt(q) = (t -+ sqrt(q))^2 / t and
 (t + q/t)^2 - 4q = (t^2 - q)^2 / t^2, so a root of h of multiplicity m there
-is a root of chi of multiplicity 2m.
+is a root of chi of multiplicity 2m.  Whether h has such a root is read off
+its value A + B sqrt(q) there, as for the chain; only when that value is 0
+is m counted, by exact monic division of h by x^2 - 4q, or by
+x -+ 2 sqrt(q) when q is a square.
 
 factor_weil factors a Weil chi over Z through the same companion: each
 irreducible factor of h gives one factor of chi, irreducible except at the
@@ -43,6 +45,7 @@ from .polynomial import (
     _div_exact,
     _divmod_monic,
     _homogeneous_horner,
+    _primitive,
     _prs,
     _variations_right,
 )
@@ -103,14 +106,17 @@ class WeilVerdict:
 
 def check_symmetry(chi: IntPoly, params: WeilParams) -> bool:
     """Palindromic shape: coeff(t^(g-i)) == q^i * coeff(t^(g+i)) for 1<=i<=g."""
-    if chi.is_zero() or not chi.is_monic():
+    c = chi.coeffs
+    if not c or c[-1] != 1:
         raise StructuralError("polynomial must be monic")
-    if chi.degree % 2 != 0:
+    if len(c) % 2 == 0:
         raise StructuralError("degree must be even")
-    g = chi.degree // 2
+    g = len(c) // 2
     q = params.q
+    qi = 1
     for i in range(1, g + 1):
-        if chi[g - i] != q ** i * chi[g + i]:
+        qi *= q
+        if c[g - i] != qi * c[g + i]:
             return False
     return True
 
@@ -123,12 +129,13 @@ def companion_poly(chi: IntPoly, params: WeilParams) -> IntPoly:
     """
     if not check_symmetry(chi, params):
         raise StructuralError("companion polynomial needs a symmetric input")
-    return _companion(chi, params.q)
+    return IntPoly(_companion(chi.coeffs, params.q))
 
 
-def _companion(chi: IntPoly, q: int) -> IntPoly:
-    """companion_poly for a chi whose symmetry is already checked."""
-    g = chi.degree // 2
+def _companion(chi: tuple, q: int) -> list[int]:
+    """companion_poly on the coefficients of a chi whose symmetry is already
+    checked."""
+    g = len(chi) // 2
     c = [0] * (g + 1)
     for i in range(g, -1, -1):
         acc = chi[g + i]
@@ -137,10 +144,9 @@ def _companion(chi: IntPoly, q: int) -> IntPoly:
         c[i] = acc
     # certificate: t^g * h(t + q/t), expanded coefficient by coefficient by
     # the forward map factor_weil uses, is chi itself, an identity in Z[t]
-    h = IntPoly(c)
-    if _from_companion(h, q) != chi:
+    if tuple(_expand(c, q)) != chi:
         raise ExactnessError("companion reconstruction failed")
-    return h
+    return c
 
 
 def _sturm_chain(h: IntPoly) -> list[list[int]]:
@@ -151,7 +157,12 @@ def _sturm_chain(h: IntPoly) -> list[list[int]]:
     chain of h / gcd(h, h'): its second member has the sign of the
     derivative of the first at each root of the first.
     """
-    chain = _prs(list(h.coeffs), h.derivative().primitive()[1].coeffs)
+    c = h.coeffs
+    # h' made primitive with a positive leading coefficient
+    dh = [i * c[i] for i in range(1, len(c))]
+    if dh and dh[-1] < 0:
+        dh = [-x for x in dh]
+    chain = _prs(list(c), _primitive(dh))
     g = chain[-1]
     if len(g) > 1:
         if g[-1] < 0:
@@ -195,24 +206,27 @@ def _multiplicity(p: IntPoly, factor: IntPoly) -> int:
         m, cur = m + 1, quot
 
 
+def _at_edges(p, q: int) -> tuple[int, int]:
+    """(E, O) with p(+-2 sqrt q) = E +- O sqrt q: E and O come from the even
+    and odd parts of p evaluated at 4q."""
+    return _homogeneous_horner(p[0::2], 4 * q, 1), 2 * _homogeneous_horner(p[1::2], 4 * q, 1)
+
+
 def is_weil(chi: IntPoly, params: WeilParams) -> WeilVerdict:
     """Decide the q-Weil property by exact Sturm counts on the companion."""
     if not check_symmetry(chi, params):
         return WeilVerdict(False, (), None, reason="not symmetric")
     q = params.q
-    h = _companion(chi, q)
+    h = IntPoly(_companion(chi.coeffs, q))
     chain = _sturm_chain(h)
     verdict = True
     reason = ""
     if not _real_rooted(chain):
         verdict, reason = False, "companion has non-real roots"
     else:
-        # p(+-2 sqrt q) = E +- 2 O sqrt q, with E and O the even and odd
-        # parts of p evaluated at 4q
         at_hi, at_lo = [], []
         for p in chain:
-            e = _homogeneous_horner(p[0::2], 4 * q, 1)
-            o = 2 * _homogeneous_horner(p[1::2], 4 * q, 1)
+            e, o = _at_edges(p, q)
             at_hi.append(surd_sign(e, o, q))
             at_lo.append(surd_sign(e, -o, q))
         # roots of h strictly outside [-2 sqrt q, 2 sqrt q]; all are real, so
@@ -221,23 +235,36 @@ def is_weil(chi: IntPoly, params: WeilParams) -> WeilVerdict:
         low = len(chain[0]) - 1 - _variations_right(at_lo) - (at_lo[0] == 0)
         if high or low:
             verdict, reason = False, "companion root outside [-2 sqrt(q), 2 sqrt(q)]"
+    # chi has a root +-sqrt q only where h(+-2 sqrt q) = E +- O sqrt q is 0;
+    # only then is h divided
+    e, o = _at_edges(h.coeffs, q)
     roots = []
-    for signs, _, divisor in _real_root_divisors(q):
-        m = _multiplicity(h, divisor)
-        if m:
-            roots += [(sign, 2 * m) for sign in signs]
+    if not (surd_sign(e, o, q) and surd_sign(e, -o, q)):
+        for signs, _, divisor in _real_root_divisors(q):
+            m = _multiplicity(h, divisor)
+            if m:
+                roots += [(sign, 2 * m) for sign in signs]
     return WeilVerdict(verdict, tuple(roots), h, reason=reason)
 
 
-def _from_companion(h: IntPoly, q: int) -> IntPoly:
-    """t^d h(t + q/t) for d = deg h: the sum of h_k C(k, j) q^j t^(d + k - 2j)."""
-    d = h.degree
+def _expand(h, q: int) -> list[int]:
+    """The coefficients of t^d h(t + q/t) for the coefficients h of a degree-d
+    polynomial: the sum of h_k C(k, j) q^j t^(d + k - 2j)."""
+    d = len(h) - 1
     out = [0] * (2 * d + 1)
-    for k, c in enumerate(h.coeffs):
+    for k, c in enumerate(h):
         if c:
+            # term = h_k C(k, j) q^j, and C(k, j+1) = C(k, j) (k - j) / (j + 1)
+            term = c
             for j in range(k + 1):
-                out[d + k - 2 * j] += c * comb(k, j) * q ** j
-    return IntPoly(out)
+                out[d + k - 2 * j] += term
+                term = term * (k - j) // (j + 1) * q
+    return out
+
+
+def _from_companion(h: IntPoly, q: int) -> IntPoly:
+    """t^d h(t + q/t) for d = deg h."""
+    return IntPoly(_expand(h.coeffs, q))
 
 
 def factor_weil(

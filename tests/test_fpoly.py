@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -189,3 +190,63 @@ def test_factorizations_match_the_pinned_digest():
         assert reconstruct(F, lc, parts) == f
         digest.update(f"{F}|{f}|{lc}|{parts}|{squarefree_decomposition(F, f)}\n".encode())
     assert digest.hexdigest() == "dbea35892fdd3409b8acfd6c34812b6f0091b7f9d559dbd1e9f6f3190e9f682b"
+
+
+@pytest.mark.parametrize(
+    "p, f, expected",
+    [
+        (3, [1, 0, 3], (1, [])),  # the leading 3 is 0 mod 3
+        (3, [2, 1, 4], (1, [([2, 1, 1], 1)])),  # leading coefficient 4 = 1 mod 3
+        (2, [3, 5, 2], (1, [([1, 1], 1)])),
+        (5, [-1, 0, 0, 0, 0, 1], (1, [([4, 1], 5)])),  # t^5 - 1 = (t - 1)^5
+    ],
+)
+def test_prime_field_input_is_reduced_before_it_is_trimmed(p, f, expected):
+    assert fpoly.factor(PrimeField(p), f) == expected
+
+
+def test_factoring_zero_mod_p_is_an_error():
+    with pytest.raises(ValueError):
+        fpoly.factor(PrimeField(3), [3, 6, 9])
+
+
+def test_memoized_answers_are_fresh_lists():
+    F2 = PrimeField(2)
+    f = [1, 0, 1, 1, 0, 0, 1, 1]  # (t + 1)^2 times a quintic
+    first = fpoly.factor(F2, f)
+    expected = (first[0], [(list(g), e) for g, e in first[1]])
+    for g, _ in first[1]:
+        g.append(1)
+        g[0] = 0
+    first[1].clear()
+    assert fpoly.factor(F2, f) == expected
+
+
+def test_extension_field_calls_bypass_the_memo():
+    F4 = ExtField(2, [1, 1, 1])
+    before = fpoly._factor_mod_p.cache_info()
+    fpoly.factor(F4, [F4.one, F4.one, F4.zero, F4.one])
+    after = fpoly._factor_mod_p.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, before.currsize)
+
+
+def test_memo_holds_a_whole_scan14_input_list():
+    """The residues of one full degree-14 scan list (a third of the q=2 box
+    and 60 draws at q=8, as the scan14 benchmark builds for seed 1) fit in the
+    memo with nothing evicted, and most calls are hits."""
+    from weilpoly.classify7 import classify
+    from weilpoly.weil import WeilParams, chi_from_a, is_weil
+
+    fpoly._factor_mod_p.cache_clear()
+    inputs = [(2, a) for a in itertools.product((-1, 0, 1), repeat=7) if sum(a) % 3 == 1]
+    rng = random.Random("scan14/1")
+    inputs += [(8, tuple(rng.randint(-3, 3) for _ in range(7))) for _ in range(60)]
+    for q, a in inputs:
+        P = WeilParams.from_q(q)
+        chi = chi_from_a(a, P)
+        if is_weil(chi, P).is_weil:
+            classify(chi, P)
+    info = fpoly._factor_mod_p.cache_info()
+    assert info.maxsize == fpoly._FACTOR_MEMO_SIZE
+    assert 0 < info.currsize == info.misses <= info.maxsize
+    assert info.hits > 5 * info.misses, info
