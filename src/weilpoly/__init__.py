@@ -48,8 +48,8 @@ _EXPORTS = {
         "polygon_case_id",
     ),
     "padic": ("FactorRecord", "PadicFactorProfile", "qp_factor_profile"),
-    "polynomial": ("IntPoly", "QuadPoly", "poly_from_string", "poly_to_string"),
-    "quadreal": ("QuadReal",),
+    "polynomial": ("IntPoly", "poly_from_string", "poly_to_string"),
+    "quadreal": ("QuadPoly", "QuadReal"),
     "sturm": ("all_roots_real_positive", "sturm_count"),
     "weil": (
         "WeilParams",

@@ -1,9 +1,12 @@
-"""Integer primitives shared across the package: primality, prime factors,
-integer roots and p-adic valuations.  Standard library only, and no package
-import but the exception types, so every module can depend on it.
+"""Primitives shared across the package: primality, prime factors, integer
+roots, p-adic valuations, the sign of a + b*sqrt(q), and the record
+decorator.  No import but the exception types, so every module can depend
+on it.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 from .errors import UnprovenPrimeError
 
@@ -88,3 +91,72 @@ def vp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def is_square(n: int) -> bool:
+    return n >= 0 and isqrt(n) ** 2 == n
+
+
+def surd_sign(a, b, q) -> int:
+    """Exact sign of a + b*sqrt(q) for integers a, b and q > 0.
+
+    Zero needs a^2 == q b^2 with a, b of opposite signs, so it only occurs
+    for square q; q is read only then.  The case analysis uses nothing but
+    ordered-ring operations, so quadreal.sign_with_radical passes QuadReal
+    values.
+    """
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sa == sb or not sb:
+        return sa
+    if not sa:
+        return sb
+    d = a * a - q * b * b
+    return sa if d > 0 else sb if d < 0 else 0
+
+
+def _immutable(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
+def _record(cls):
+    """Make cls an immutable record of its annotated fields, in their order.
+
+    Adds __init__ (positional or keyword arguments, the class attribute of
+    a field as its default, then __post_init__ when the class has one),
+    __repr__, __eq__ (fieldwise, between instances of one class only) and
+    __hash__, and refuses assignment and deletion.  The four methods come
+    from one exec of generated source per class.  The standard library's
+    generator of such classes is not used: importing it loads inspect, ast
+    and dis, which cost every command more than the records do.  __init__
+    stores into the instance __dict__ directly.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    params = [f"{n}=_dflt.{n}" if n in cls.__dict__ else n for n in names]
+    fields = "".join(f"self.{n}, " for n in names)
+    other = "".join(f"other.{n}, " for n in names)
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    post = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+    src = (
+        f"def __init__(self, {', '.join(params)}):\n"
+        "    d = self.__dict__\n"
+        + "".join(f"    d[{n!r}] = {n}\n" for n in names)
+        + post
+        + "def __repr__(self):\n"
+        f"    return f'{{type(self).__qualname__}}({shown})'\n"
+        "def __eq__(self, other):\n"
+        "    if other.__class__ is self.__class__:\n"
+        f"        return ({fields}) == ({other})\n"
+        "    return NotImplemented\n"
+        "def __hash__(self):\n"
+        f"    return hash(({fields}))\n"
+    )
+    namespace = {"_dflt": cls}
+    exec(src, namespace)
+    for name in ("__init__", "__repr__", "__eq__", "__hash__"):
+        fn = namespace[name]
+        fn.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, fn)
+    cls.__setattr__ = _immutable
+    cls.__delattr__ = _immutable
+    return cls

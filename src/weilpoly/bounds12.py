@@ -37,15 +37,15 @@ derivatives (proofs in its docstring).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import comb
 
+from .arith import _record
 from .errors import PrecisionExhausted
 from .intervals import eval_poly_interval
-from .polynomial import IntPoly, QuadPoly
-from .quadreal import QuadReal, sign_with_radical
+from .polynomial import IntPoly
+from .quadreal import QuadPoly, QuadReal, sign_with_radical
 from .sturm import isolate_real_roots, refine_interval, sturm_count
 from .weil import WeilParams, _real_rooted, _sturm_chain, symmetric_v
 
@@ -59,16 +59,26 @@ class Status(Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
+@_record
 class ConditionResult:
     cond: str
     status: Status
     note: str = ""
 
 
-@dataclass
 class BoundsReport:
-    conditions: list[ConditionResult] = field(default_factory=list)
+    """The conditions decided so far, in order; add() appends one."""
+
+    def __init__(self, conditions: list[ConditionResult] | None = None):
+        self.conditions = [] if conditions is None else conditions
+
+    def __repr__(self):
+        return f"BoundsReport(conditions={self.conditions!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.conditions == other.conditions
+        return NotImplemented
 
     def add(self, cond: str, ok: bool | None, note: str = ""):
         if ok is None:
@@ -161,7 +171,7 @@ def _as_quad(x) -> QuadReal:
     return x if isinstance(x, QuadReal) else QuadReal(Fraction(x))
 
 
-@dataclass
+@_record
 class LemmaQuantities:
     u2: QuadReal
     u3: QuadReal

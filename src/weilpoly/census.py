@@ -13,11 +13,10 @@ product), plus a rejection-sampled stream over raw coefficient vectors.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
 from math import comb, isqrt
 
-from .factorint import is_irreducible_over_z
+from .arith import _record
 from .polynomial import IntPoly
 from .weil import WeilParams, chi_from_a, factor_weil, is_weil
 
@@ -35,7 +34,7 @@ def trivial_box(g: int, params: WeilParams) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
+@_record
 class EnumerationSpec:
     degree: int  # 2g
     params: WeilParams
@@ -74,7 +73,7 @@ class EnumerationSpec:
         return n
 
 
-@dataclass(frozen=True)
+@_record
 class CensusRecord:
     a: tuple[int, ...]
     is_weil: bool
@@ -121,6 +120,8 @@ def _emit(spec: EnumerationSpec, a):
 def _is_irreducible(chi: IntPoly, verdict, params: WeilParams) -> bool:
     """Irreducibility over Z, through the companion when chi is Weil."""
     if not verdict.is_weil:
+        from .factorint import is_irreducible_over_z
+
         return is_irreducible_over_z(chi)
     _, fac = factor_weil(chi, verdict, params)
     return len(fac) == 1 and fac[0][1] == 1

@@ -22,11 +22,10 @@ transcription defects, flagged in the table file).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import is_prime, vp
+from .arith import _record, is_prime, vp
 from .errors import StructuralError, UncertifiedProfileError
 from .factorint import factor_over_integers
 from .newton import (
@@ -42,7 +41,7 @@ from .polynomial import IntPoly
 from .weil import WeilParams, check_symmetry, factor_weil, is_weil
 
 
-@dataclass(frozen=True)
+@_record
 class Classification:
     verdict: str
     case_id: int | None = None
@@ -157,9 +156,16 @@ def evaluate_side_conditions(profile, rec, n: int) -> tuple[bool, list[str]]:
 
 
 def classify(f: IntPoly, params: WeilParams) -> Classification:
-    """Full decision for degree-14 inputs; malformed inputs get rejecting verdicts."""
-    if f.is_zero() or f.degree != 14 or not f.is_monic():
-        return Classification("not_degree_14")
+    """Full decision for degree-14 inputs; malformed inputs get rejecting
+    verdicts, and not_degree_14 says in its detail what is wrong."""
+    if f.is_zero():
+        return Classification("not_degree_14", detail="zero polynomial")
+    if f.degree != 14:
+        return Classification("not_degree_14", detail=f"degree {f.degree}")
+    if not f.is_monic():
+        return Classification(
+            "not_degree_14", detail=f"leading coefficient {f.lc()}, not monic"
+        )
     if not check_symmetry(f, params):
         return Classification("not_symmetric")
 

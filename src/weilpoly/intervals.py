@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polynomial import QuadPoly, _common_numerators
-from .quadreal import sqrt_bracket
+from .polynomial import _common_numerators
+from .quadreal import QuadPoly, sqrt_bracket
 
 
 def _horner_box(coeffs: list[int], ln: int, hn: int, den: int) -> tuple[int, int]:

@@ -19,12 +19,11 @@ one record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .arith import vp
+from .arith import _record, vp
 from .errors import StructuralError
 from .polynomial import IntPoly
 from .weil import WeilParams
@@ -49,7 +48,7 @@ def lower_hull(pts: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return hull
 
 
-@dataclass(frozen=True)
+@_record
 class Segment:
     slope: Fraction
     length: int
@@ -57,7 +56,7 @@ class Segment:
     end: tuple[int, int]
 
 
-@dataclass(frozen=True)
+@_record
 class NewtonPolygon:
     points: tuple[tuple[int, int], ...]
     vertices: tuple[tuple[int, int], ...]
@@ -98,7 +97,7 @@ def lattice_vertex_check(np_: NewtonPolygon, n: int) -> bool:
 # -- the degree-14 case table ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class CaseRecord:
     case_id: int
     vertices: tuple[tuple[int, int], ...]  # (index, height/n) for indices 1..7
@@ -112,13 +111,13 @@ class CaseRecord:
         return bool(self.flags)
 
 
-@dataclass(frozen=True)
+@_record
 class PolygonCaseId:
     case_id: int
     text_ambiguous: bool
 
 
-@dataclass(frozen=True)
+@_record
 class NoMatch:
     nearest: tuple[int, ...]
 

@@ -16,8 +16,9 @@ import cmath
 from fractions import Fraction
 
 from .factorint import factor_over_integers
-from .polynomial import IntPoly, QuadPoly
-from .quadreal import QuadReal, is_square
+from .arith import is_square
+from .polynomial import IntPoly
+from .quadreal import QuadPoly, QuadReal
 from .weil import WeilParams, check_symmetry, companion_poly
 
 

@@ -56,12 +56,11 @@ when n is even and the middle side's residual polynomial is not squarefree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from . import fpoly
-from .arith import is_prime, vp
+from .arith import _record, is_prime, vp
 from .errors import ExactnessError, StructuralError, UncertifiedProfileError
 from .factorint import _monicize, discriminant
 from .fpoly import ExtField, PrimeField, fdeg, ftrim
@@ -74,7 +73,7 @@ _ATTEMPTS = 4  # precision tries, K doubling after each
 _MAX_DEPTH = 8  # refinement steps of one root cluster
 
 
-@dataclass(frozen=True)
+@_record
 class FactorRecord:
     degree: int
     slope: Fraction  # common root valuation
@@ -93,7 +92,7 @@ class FactorRecord:
             raise StructuralError("constant valuation must be degree * slope")
 
 
-@dataclass(frozen=True)
+@_record
 class PadicFactorProfile:
     p: int
     degree: int

@@ -1,30 +1,24 @@
-"""Dense univariate polynomials over Z and over Q(sqrt(q)).
+"""Dense univariate polynomials over Z.
 
 Coefficients are stored constant term first, trimmed so the leading
 coefficient is nonzero (the zero polynomial has an empty tuple).  IntPoly is
-the workhorse for everything the classifiers consume; QuadPoly carries
-QuadReal coefficients sharing one radicand.
+the workhorse for everything the classifiers consume.
 
-A QuadPoly keeps a lazily built integer form, coefficient lists A, B and one
-positive D with coeffs[i] = (A[i] + B[i]*sqrt(q)) / D, read straight off
-each coefficient's integer triple (D is the lcm of the triples'
-denominators).  sign_at and evaluate run homogeneous integer Horner on it,
-and its numerators A + B*sqrt(q) in Z[sqrt(q)] (plain integers when B is
-zero) feed the one primitive pseudo-remainder sequence (_prs) that every
-gcd and Sturm chain of the package is built on, over Z and over Z[sqrt(q)]
-alike.  squarefree_part is memoised on the (immutable) instance, and the
-result is marked as its own squarefree part.
+The module-level helpers work on plain coefficient sequences.  _prs, the
+primitive pseudo-remainder sequence that every gcd and Sturm chain of the
+package is built on, takes integers or Z[sqrt(q)] numerators alike, so
+quadreal.QuadPoly runs its gcds and Sturm chains on it too.  Nothing here
+imports quadreal or fractions: a command that works in Z[t] alone loads
+neither.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import DomainMismatchError, ExactnessError, StructuralError
-from .quadreal import QuadReal, _from_triple, _raw, surd_sign
+from .errors import ExactnessError, StructuralError
 
 
 def _trim(coeffs: list) -> tuple:
@@ -118,24 +112,13 @@ def _prem(a, b) -> list:
 def _primitive(coeffs) -> list:
     """coeffs over Z or Z[sqrt(q)] divided by their positive content, the
     gcd of the integers or of every na and nb."""
-    if coeffs and type(coeffs[-1]) is QuadReal:
-        g = gcd(*(c.na for c in coeffs), *(c.nb for c in coeffs))
-        return [_raw(c.na // g, c.nb // g, 1, c.q) for c in coeffs] if g > 1 else coeffs
+    if coeffs and not isinstance(coeffs[-1], int):
+        # QuadReal coefficients, so quadreal is loaded already
+        from .quadreal import _primitive_surd
+
+        return _primitive_surd(coeffs)
     g = gcd(*coeffs)
     return [c // g for c in coeffs] if g > 1 else coeffs
-
-
-def _normalized(coeffs) -> list:
-    """The primitive multiple of nonzero coeffs over Z or Z[sqrt(q)] with a
-    positive integer leading coefficient, a positive rational multiple of
-    the monic one: an irrational leading a + b*sqrt(q) is cleared by its
-    conjugate a - b*sqrt(q)."""
-    lc = coeffs[-1]
-    if type(lc) is QuadReal and lc.nb:
-        conj = _raw(lc.na, -lc.nb, 1, lc.q)
-        coeffs = [c * conj for c in coeffs]
-    coeffs = _primitive(coeffs)
-    return coeffs if coeffs[-1] > 0 else [-c for c in coeffs]
 
 
 def _prs_step(a, b) -> list:
@@ -344,189 +327,9 @@ class IntPoly:
         return g, IntPoly([c // g for c in self.coeffs])
 
     def to_quad(self, q: int | None = None) -> "QuadPoly":
-        return QuadPoly([QuadReal(c) for c in self.coeffs], q=q)
+        from .quadreal import QuadPoly
 
-
-class QuadPoly:
-    """Polynomial with QuadReal coefficients sharing one radicand."""
-
-    __slots__ = ("coeffs", "q", "_int", "_sf")
-
-    def __init__(self, coeffs: Sequence, q: int | None = None):
-        vals = []
-        for c in coeffs:
-            if not isinstance(c, QuadReal):
-                c = QuadReal(c)
-            vals.append(c)
-        for c in vals:
-            if c.q is not None:
-                if q is not None and q != c.q:
-                    raise DomainMismatchError(f"coefficient radicand {c.q} != {q}")
-                q = c.q
-        object.__setattr__(self, "coeffs", _trim(vals))
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "_int", None)
-        object.__setattr__(self, "_sf", None)
-
-    def __setattr__(self, *_):
-        raise AttributeError("QuadPoly is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def lc(self) -> QuadReal:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __getitem__(self, i: int) -> QuadReal:
-        return self.coeffs[i] if 0 <= i <= self.degree else QuadReal(0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuadPoly)
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"QuadPoly([{', '.join(str(c) for c in self.coeffs)}])"
-
-    def _join(self, other: "QuadPoly") -> int | None:
-        if self.q is None:
-            return other.q
-        if other.q is None or other.q == self.q:
-            return self.q
-        raise DomainMismatchError(f"mixed radicands {self.q} and {other.q}")
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QuadReal)):
-            return QuadPoly([c * other for c in self.coeffs], q=self.q)
-        if not isinstance(other, QuadPoly):
-            return NotImplemented
-        q = self._join(other)
-        if self.is_zero() or other.is_zero():
-            return QuadPoly([], q=q)
-        out = [QuadReal(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return QuadPoly(out, q=q)
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "QuadPoly":
-        return QuadPoly(
-            [self.coeffs[i] * i for i in range(1, len(self.coeffs))], q=self.q
-        )
-
-    def evaluate(self, x) -> QuadReal:
-        """p(x) for x an int, a Fraction or a QuadReal.
-
-        At a rational x = n/m, homogeneous integer Horner on the integer
-        form gives m^deg * D * p(x); an irrational QuadReal point is
-        evaluated in Q(sqrt(q)).
-        """
-        if isinstance(x, QuadReal):
-            if x.nb:
-                acc = QuadReal(0)
-                for c in reversed(self.coeffs):
-                    acc = acc * x + c
-                return acc
-            n, m = x.na, x.d
-        else:
-            n, m = x.numerator, x.denominator
-        if not self.coeffs:
-            return QuadReal(0)
-        a, b, den = self.integer_form()
-        sa = _homogeneous_horner(a, n, m)
-        sb = _homogeneous_horner(b, n, m) if b else 0
-        return _from_triple(sa, sb, den * m ** self.degree, self.q)
-
-    def integer_form(self) -> tuple[list[int], list[int] | None, int]:
-        """(A, B, D) with coeffs[i] = (A[i] + B[i]*sqrt(q)) / D and D > 0 the
-        lcm of the coefficient denominators; B is None when every
-        coefficient is rational."""
-        if self._int is None:
-            den = lcm(*(c.d for c in self.coeffs))
-            a = [c.na * (den // c.d) for c in self.coeffs]
-            b = [c.nb * (den // c.d) for c in self.coeffs]
-            object.__setattr__(self, "_int", (a, b if any(b) else None, den))
-        return self._int
-
-    def numerators(self) -> list:
-        """The coefficients times D in Z[sqrt(q)]: the integers A when every
-        coefficient is rational, else the QuadReals A + B*sqrt(q) (d = 1)."""
-        a, b, _ = self.integer_form()
-        if b is None:
-            return a
-        return [_from_triple(x, y, 1, self.q) for x, y in zip(a, b)]
-
-    def sign_at_ratio(self, n: int, d: int) -> int:
-        """Exact sign of p(n/d) for integers n and d > 0, in integers alone.
-
-        Homogeneous Horner gives d^deg * D * p(n/d) = SA + SB*sqrt(q); the
-        sign of that is settled by surd_sign.
-        """
-        a, b, _ = self.integer_form()
-        sa = _homogeneous_horner(a, n, d)
-        if b is None:
-            return (sa > 0) - (sa < 0)
-        return surd_sign(sa, _homogeneous_horner(b, n, d), self.q)
-
-    def sign_at(self, x) -> int:
-        """Exact sign of p(x) for x an int, a Fraction or a QuadReal.
-
-        Rational points take the integer path of sign_at_ratio; an
-        irrational QuadReal point is evaluated in Q(sqrt(q)).
-        """
-        if isinstance(x, QuadReal):
-            if x.nb:
-                return self.evaluate(x).sign()
-            return self.sign_at_ratio(x.na, x.d)
-        return self.sign_at_ratio(x.numerator, x.denominator)
-
-    def compose_linear(self, alpha, beta) -> "QuadPoly":
-        """p(alpha*t + beta)."""
-        return QuadPoly(_compose_linear(self.coeffs, alpha, beta), q=self.q)
-
-    def gcd(self, other: "QuadPoly") -> "QuadPoly":
-        """The gcd: the last member of the primitive pseudo-remainder
-        sequence of the numerators, normalized."""
-        q = self._join(other)
-        a, b = self.numerators(), other.numerators()
-        if len(a) < len(b):
-            a, b = b, a
-        g = _prs(a, b)[-1]
-        return QuadPoly(_normalized(g) if g else g, q=q)
-
-    def squarefree_part(self) -> "QuadPoly":
-        """p / gcd(p, p'), normalized; computed once per instance."""
-        if self._sf is None:
-            sf = self
-            if self.coeffs:
-                # exact quotient over Q(sqrt(q)) by the gcd g
-                g = self.gcd(self.derivative()).coeffs
-                d, inv = len(g) - 1, g[-1].inverse()
-                rem = list(self.coeffs)
-                quot = [QuadReal(0)] * (len(rem) - d)
-                for i in range(len(rem) - 1, d - 1, -1):
-                    c = quot[i - d] = rem[i] * inv
-                    if c:
-                        for j in range(d):
-                            rem[i - d + j] -= c * g[j]
-                sf = QuadPoly(_normalized(QuadPoly(quot, q=self.q).numerators()), q=self.q)
-            object.__setattr__(sf, "_sf", sf)
-            object.__setattr__(self, "_sf", sf)
-        return self._sf
+        return QuadPoly(self.coeffs, q=q)
 
 
 def int_list_from_string(text: str) -> tuple[int, ...]:

@@ -1,6 +1,6 @@
-"""Exact arithmetic in Z[sqrt(q)] and its fraction field.
+"""Exact numbers and polynomials over Q(sqrt(q)).
 
-A value is stored as an integer triple with its radicand: na, nb, d mean
+A QuadReal is stored as an integer triple with its radicand: na, nb, d mean
 (na + nb*sqrt(q)) / d.  The form is canonical: d > 0, gcd(na, nb, d) = 1,
 q is None whenever nb == 0, and q is never a perfect square (a square
 radicand is folded into na at construction, its root computed once per q).
@@ -9,19 +9,32 @@ operation (+, -, *, inverse, **) is a few integer products followed by one
 gcd.  The sign is surd_sign(na, nb, q), because d > 0.  The Fraction views
 .a and .b exist for output and tests, and a rational value hashes as the
 equal Fraction or int; no arithmetic path builds a Fraction.
+
+A QuadPoly carries QuadReal coefficients sharing one radicand.  It keeps a
+lazily built integer form, coefficient lists A, B and one positive D with
+coeffs[i] = (A[i] + B[i]*sqrt(q)) / D, read straight off each
+coefficient's integer triple (D is the lcm of the triples' denominators).
+sign_at and evaluate run homogeneous integer Horner on it, and its
+numerators A + B*sqrt(q) in Z[sqrt(q)] (plain integers when B is zero)
+feed polynomial._prs, the primitive pseudo-remainder sequence behind every
+gcd and Sturm chain.  squarefree_part is memoised on the (immutable)
+instance, and the result is marked as its own squarefree part.
+
+Only the degree-12 lemma path, the oracle and the Sturm and interval code
+beneath them compute here, so the Z[t] layer (polynomial, weil) imports
+this module only inside the functions that need it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from typing import Sequence
 
+from .arith import surd_sign
 from .errors import DomainMismatchError
-
-
-def is_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
+from .polynomial import _compose_linear, _homogeneous_horner, _primitive, _prs, _trim
 
 
 @lru_cache(maxsize=256)
@@ -29,23 +42,6 @@ def _square_root(q: int) -> int:
     """isqrt(q) when q > 0 is a perfect square, else 0; cached per q."""
     r = isqrt(q)
     return r if r * r == q else 0
-
-
-def surd_sign(a, b, q) -> int:
-    """Exact sign of a + b*sqrt(q) for integers a, b and q > 0.
-
-    Zero needs a^2 == q b^2 with a, b of opposite signs, so it only occurs
-    for square q; q is read only then.  The case analysis uses nothing but
-    ordered-ring operations, so sign_with_radical passes QuadReal values.
-    """
-    sa = (a > 0) - (a < 0)
-    sb = (b > 0) - (b < 0)
-    if sa == sb or not sb:
-        return sa
-    if not sa:
-        return sb
-    d = a * a - q * b * b
-    return sa if d > 0 else sb if d < 0 else 0
 
 
 def sqrt_bracket(n: int, bits: int) -> tuple[int, int]:
@@ -319,3 +315,205 @@ def sign_with_radical(base: QuadReal, coeff: QuadReal, radicand: QuadReal) -> in
     if radicand.is_zero():
         return base.sign()
     return surd_sign(base, coeff, radicand)
+
+
+def _primitive_surd(coeffs) -> list:
+    """QuadReal coeffs with d = 1 divided by their positive content, the
+    gcd of every na and nb (polynomial._primitive over Z[sqrt(q)])."""
+    g = gcd(*(c.na for c in coeffs), *(c.nb for c in coeffs))
+    return [_raw(c.na // g, c.nb // g, 1, c.q) for c in coeffs] if g > 1 else coeffs
+
+
+def _normalized(coeffs) -> list:
+    """The primitive multiple of nonzero coeffs over Z or Z[sqrt(q)] with a
+    positive integer leading coefficient, a positive rational multiple of
+    the monic one: an irrational leading a + b*sqrt(q) is cleared by its
+    conjugate a - b*sqrt(q)."""
+    lc = coeffs[-1]
+    if type(lc) is QuadReal and lc.nb:
+        conj = _raw(lc.na, -lc.nb, 1, lc.q)
+        coeffs = [c * conj for c in coeffs]
+    coeffs = _primitive(coeffs)
+    return coeffs if coeffs[-1] > 0 else [-c for c in coeffs]
+
+
+class QuadPoly:
+    """Polynomial with QuadReal coefficients sharing one radicand."""
+
+    __slots__ = ("coeffs", "q", "_int", "_sf")
+
+    def __init__(self, coeffs: Sequence, q: int | None = None):
+        vals = []
+        for c in coeffs:
+            if not isinstance(c, QuadReal):
+                c = QuadReal(c)
+            vals.append(c)
+        for c in vals:
+            if c.q is not None:
+                if q is not None and q != c.q:
+                    raise DomainMismatchError(f"coefficient radicand {c.q} != {q}")
+                q = c.q
+        object.__setattr__(self, "coeffs", _trim(vals))
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "_int", None)
+        object.__setattr__(self, "_sf", None)
+
+    def __setattr__(self, *_):
+        raise AttributeError("QuadPoly is immutable")
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def lc(self) -> QuadReal:
+        if self.is_zero():
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def __getitem__(self, i: int) -> QuadReal:
+        return self.coeffs[i] if 0 <= i <= self.degree else QuadReal(0)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, QuadPoly)
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"QuadPoly([{', '.join(str(c) for c in self.coeffs)}])"
+
+    def _join(self, other: "QuadPoly") -> int | None:
+        if self.q is None:
+            return other.q
+        if other.q is None or other.q == self.q:
+            return self.q
+        raise DomainMismatchError(f"mixed radicands {self.q} and {other.q}")
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, QuadReal)):
+            return QuadPoly([c * other for c in self.coeffs], q=self.q)
+        if not isinstance(other, QuadPoly):
+            return NotImplemented
+        q = self._join(other)
+        if self.is_zero() or other.is_zero():
+            return QuadPoly([], q=q)
+        out = [QuadReal(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + a * b
+        return QuadPoly(out, q=q)
+
+    __rmul__ = __mul__
+
+    def derivative(self) -> "QuadPoly":
+        return QuadPoly(
+            [self.coeffs[i] * i for i in range(1, len(self.coeffs))], q=self.q
+        )
+
+    def evaluate(self, x) -> QuadReal:
+        """p(x) for x an int, a Fraction or a QuadReal.
+
+        At a rational x = n/m, homogeneous integer Horner on the integer
+        form gives m^deg * D * p(x); an irrational QuadReal point is
+        evaluated in Q(sqrt(q)).
+        """
+        if isinstance(x, QuadReal):
+            if x.nb:
+                acc = QuadReal(0)
+                for c in reversed(self.coeffs):
+                    acc = acc * x + c
+                return acc
+            n, m = x.na, x.d
+        else:
+            n, m = x.numerator, x.denominator
+        if not self.coeffs:
+            return QuadReal(0)
+        a, b, den = self.integer_form()
+        sa = _homogeneous_horner(a, n, m)
+        sb = _homogeneous_horner(b, n, m) if b else 0
+        return _from_triple(sa, sb, den * m ** self.degree, self.q)
+
+    def integer_form(self) -> tuple[list[int], list[int] | None, int]:
+        """(A, B, D) with coeffs[i] = (A[i] + B[i]*sqrt(q)) / D and D > 0 the
+        lcm of the coefficient denominators; B is None when every
+        coefficient is rational."""
+        if self._int is None:
+            den = lcm(*(c.d for c in self.coeffs))
+            a = [c.na * (den // c.d) for c in self.coeffs]
+            b = [c.nb * (den // c.d) for c in self.coeffs]
+            object.__setattr__(self, "_int", (a, b if any(b) else None, den))
+        return self._int
+
+    def numerators(self) -> list:
+        """The coefficients times D in Z[sqrt(q)]: the integers A when every
+        coefficient is rational, else the QuadReals A + B*sqrt(q) (d = 1)."""
+        a, b, _ = self.integer_form()
+        if b is None:
+            return a
+        return [_from_triple(x, y, 1, self.q) for x, y in zip(a, b)]
+
+    def sign_at_ratio(self, n: int, d: int) -> int:
+        """Exact sign of p(n/d) for integers n and d > 0, in integers alone.
+
+        Homogeneous Horner gives d^deg * D * p(n/d) = SA + SB*sqrt(q); the
+        sign of that is settled by surd_sign.
+        """
+        a, b, _ = self.integer_form()
+        sa = _homogeneous_horner(a, n, d)
+        if b is None:
+            return (sa > 0) - (sa < 0)
+        return surd_sign(sa, _homogeneous_horner(b, n, d), self.q)
+
+    def sign_at(self, x) -> int:
+        """Exact sign of p(x) for x an int, a Fraction or a QuadReal.
+
+        Rational points take the integer path of sign_at_ratio; an
+        irrational QuadReal point is evaluated in Q(sqrt(q)).
+        """
+        if isinstance(x, QuadReal):
+            if x.nb:
+                return self.evaluate(x).sign()
+            return self.sign_at_ratio(x.na, x.d)
+        return self.sign_at_ratio(x.numerator, x.denominator)
+
+    def compose_linear(self, alpha, beta) -> "QuadPoly":
+        """p(alpha*t + beta)."""
+        return QuadPoly(_compose_linear(self.coeffs, alpha, beta), q=self.q)
+
+    def gcd(self, other: "QuadPoly") -> "QuadPoly":
+        """The gcd: the last member of the primitive pseudo-remainder
+        sequence of the numerators, normalized."""
+        q = self._join(other)
+        a, b = self.numerators(), other.numerators()
+        if len(a) < len(b):
+            a, b = b, a
+        g = _prs(a, b)[-1]
+        return QuadPoly(_normalized(g) if g else g, q=q)
+
+    def squarefree_part(self) -> "QuadPoly":
+        """p / gcd(p, p'), normalized; computed once per instance."""
+        if self._sf is None:
+            sf = self
+            if self.coeffs:
+                # exact quotient over Q(sqrt(q)) by the gcd g
+                g = self.gcd(self.derivative()).coeffs
+                d, inv = len(g) - 1, g[-1].inverse()
+                rem = list(self.coeffs)
+                quot = [QuadReal(0)] * (len(rem) - d)
+                for i in range(len(rem) - 1, d - 1, -1):
+                    c = quot[i - d] = rem[i] * inv
+                    if c:
+                        for j in range(d):
+                            rem[i - d + j] -= c * g[j]
+                sf = QuadPoly(_normalized(QuadPoly(quot, q=self.q).numerators()), q=self.q)
+            object.__setattr__(sf, "_sf", sf)
+            object.__setattr__(self, "_sf", sf)
+        return self._sf

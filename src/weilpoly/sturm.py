@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polynomial import QuadPoly, _common_numerators, _prs, _variations_right
+from .polynomial import _common_numerators, _prs, _variations_right
+from .quadreal import QuadPoly
 
 INF = object()
 NEG_INF = object()

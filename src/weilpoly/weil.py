@@ -29,19 +29,19 @@ corollary_bounds builds h from it and decides conditions 6 and 8 on h
 (_real_rooted).  build_f_ftilde and r_coefficients evaluate the explicit
 degree-6 coefficient transforms f(t) = h(2 sqrt(q) - t),
 ftilde(t) = h(t - 2 sqrt(q)) (the test suite enforces the identity); they
-give lemma_check's inputs.
+give lemma_check's inputs, and are the only functions here that compute in
+Q(sqrt(q)), so they import quadreal when called.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from math import comb, isqrt
 
-from .arith import iroot, is_prime
+from .arith import _record, iroot, is_prime, is_square, surd_sign
 from .errors import ExactnessError, StructuralError
 from .polynomial import (
     IntPoly,
-    QuadPoly,
     _div_exact,
     _divmod_monic,
     _homogeneous_horner,
@@ -49,7 +49,6 @@ from .polynomial import (
     _prs,
     _variations_right,
 )
-from .quadreal import QuadReal, is_square, surd_sign
 
 
 def _perfect_power(q: int) -> tuple[int, int]:
@@ -63,13 +62,22 @@ def _perfect_power(q: int) -> tuple[int, int]:
     return q, 1
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; a float, string or Fraction is a StructuralError,
+    never truncated or parsed."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise StructuralError(f"{name} must be an integer, got {value!r}") from None
+
+
 def factor_prime_power(q: int) -> tuple[int, int]:
     """q = p^n with p prime; raises StructuralError otherwise."""
     params = WeilParams.from_q(q)
     return params.p, params.n
 
 
-@dataclass(frozen=True)
+@_record
 class WeilParams:
     """Ground field size q = p^n."""
 
@@ -77,6 +85,7 @@ class WeilParams:
     n: int
 
     def __post_init__(self):
+        self.__dict__.update(p=_integer("p", self.p), n=_integer("n", self.n))
         if not is_prime(self.p):
             raise StructuralError(f"{self.p} is not prime")
         if self.n < 1:
@@ -86,6 +95,7 @@ class WeilParams:
     def from_q(q: int) -> "WeilParams":
         """Split q into p^n from exact integer roots alone, so the one
         primality test is the one in __post_init__."""
+        q = _integer("q", q)
         try:
             return WeilParams(*_perfect_power(q))
         except StructuralError:
@@ -96,7 +106,7 @@ class WeilParams:
         return self.p ** self.n
 
 
-@dataclass(frozen=True)
+@_record
 class WeilVerdict:
     is_weil: bool
     real_roots: tuple[tuple[int, int], ...]  # (sign of sqrt(q) root, multiplicity)
@@ -335,6 +345,8 @@ def symmetric_v(a: tuple[int, ...], params: WeilParams) -> tuple[int, ...]:
 
 def r_coefficients(a: tuple[int, ...], params: WeilParams, tilde: bool = False):
     """The six coefficients r_1..r_6 (or r~ for the sign-flipped a) in Z[sqrt q]."""
+    from .quadreal import QuadReal
+
     if len(a) != 6:
         raise StructuralError("expected a_1..a_6")
     s = -1 if tilde else 1
@@ -367,6 +379,8 @@ def r_coefficients(a: tuple[int, ...], params: WeilParams, tilde: bool = False):
 
 def build_f_ftilde(a: tuple[int, ...], params: WeilParams) -> tuple[QuadPoly, QuadPoly]:
     """The degree-6 real polynomials f, ftilde whose roots are 2 sqrt(q) +- x_i."""
+    from .quadreal import QuadPoly, QuadReal
+
     r = r_coefficients(a, params, tilde=False)
     rt = r_coefficients(a, params, tilde=True)
     qq = None if is_square(params.q) else params.q
@@ -392,7 +406,7 @@ def chi_from_a(a: tuple[int, ...], params: WeilParams) -> IntPoly:
     return IntPoly(coeffs)
 
 
-@dataclass(frozen=True)
+@_record
 class RealRootReduction:
     kind: str  # "no_real_root" | "square_q" | "non_square_q"
     factor: IntPoly | None = None

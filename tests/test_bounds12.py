@@ -18,8 +18,8 @@ from weilpoly.bounds12 import (
 from weilpoly.census import sample_weil12_no_real_roots
 from weilpoly.cli import main
 from weilpoly.oracle import count_real_roots_descartes
-from weilpoly.quadreal import QuadReal
-from weilpoly.polynomial import IntPoly, QuadPoly
+from weilpoly.polynomial import IntPoly
+from weilpoly.quadreal import QuadPoly, QuadReal
 from weilpoly.weil import WeilParams, _from_companion, _real_rooted, _sturm_chain, r_coefficients, symmetric_v
 
 from conftest import r_vector_from_roots

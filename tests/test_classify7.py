@@ -70,6 +70,28 @@ def test_classify_rejects_malformed():
     assert classify(bad, P2).verdict == "not_symmetric"
 
 
+@pytest.mark.parametrize(
+    "coeffs, detail",
+    [
+        ([], "zero polynomial"),
+        ([2, 0, 1], "degree 2"),
+        ([1] + [0] * 13 + [16384], "leading coefficient 16384, not monic"),
+    ],
+)
+def test_not_degree_14_says_why(coeffs, detail):
+    out = classify(IntPoly(coeffs), WeilParams.from_q(4))
+    assert out.to_dict() == {"verdict": "not_degree_14", "detail": detail}
+
+
+def test_cli_names_a_non_monic_degree_14_input(capsys):
+    text = ",".join(["1"] + ["0"] * 13 + ["16384"])
+    assert main(["classify14", "--q", "4", text]) == 1
+    assert json.loads(capsys.readouterr().out)["classification"] == {
+        "detail": "leading coefficient 16384, not monic",
+        "verdict": "not_degree_14",
+    }
+
+
 def test_duplicate_pair_candidates_come_from_the_table():
     for rec in load_case_table():
         expected = (25, 28) if rec.case_id in (25, 28) else (rec.case_id,)
@@ -169,8 +191,9 @@ def _witness_rows():
 
 @pytest.mark.parametrize("q, a, expected, code", _witness_rows())
 def test_degree14_witnesses(q, a, expected, code, capsys):
-    """Each witness row reaches a branch of the degree-14 decision: table
-    cases 17, 23 and 28-31, the rejection of case 17 on its side
-    conditions, and the inconclusive exit of chi's engine fallback."""
+    """Each witness row reaches a branch of the degree-14 decision: the
+    acceptance of table cases 6, 8, 10, 12, 15, 17, 18, 23, 26 and 28-31,
+    the rejection of cases 6, 8, 11, 16, 17 and 21 on their side conditions,
+    and the inconclusive exit of chi's engine fallback."""
     assert main(["classify14", f"q={q}; a={a}"]) == code
     assert json.loads(capsys.readouterr().out)["classification"] == expected

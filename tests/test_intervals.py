@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weilpoly.intervals import eval_poly_interval
-from weilpoly.polynomial import QuadPoly
-from weilpoly.quadreal import QuadReal
+from weilpoly.quadreal import QuadPoly, QuadReal
 
 small_fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
 

@@ -51,8 +51,8 @@ EXPORTED = {
         "polygon_case_id",
     ],
     "padic": ["FactorRecord", "PadicFactorProfile", "qp_factor_profile"],
-    "polynomial": ["IntPoly", "QuadPoly", "poly_from_string", "poly_to_string"],
-    "quadreal": ["QuadReal"],
+    "polynomial": ["IntPoly", "poly_from_string", "poly_to_string"],
+    "quadreal": ["QuadPoly", "QuadReal"],
     "sturm": ["all_roots_real_positive", "sturm_count"],
     "weil": [
         "WeilParams",
@@ -140,20 +140,25 @@ def test_each_module_imports_alone(module):
 LOADED = (
     "import contextlib, io, json, sys\n"
     "from weilpoly.cli import main\n"
-    "if sys.argv[1:]:\n"
+    "if sys.argv[2:]:\n"
     "    with contextlib.redirect_stdout(io.StringIO()):\n"
-    "        code = main(sys.argv[1:])\n"
-    "    assert code == 0, code\n"
-    "print(json.dumps(sorted(m for m in sys.modules if m.startswith('weilpoly.'))))\n"
+    "        code = main(sys.argv[2:])\n"
+    "    assert code == int(sys.argv[1]), code\n"
+    "print(json.dumps(sorted(sys.modules)))\n"
 )
 
 
-def loaded_by(*argv: str) -> set[str]:
-    """The weilpoly submodules a fresh interpreter holds after `import
-    weilpoly.cli` and, when argv is given, one successful command."""
-    proc = run_fresh(LOADED, *argv)
+def modules_after(*argv: str, exit_code: int = 0) -> set[str]:
+    """Every module a fresh interpreter holds after `import weilpoly.cli`
+    and, when argv is given, one command that exits with exit_code."""
+    proc = run_fresh(LOADED, str(exit_code), *argv)
     assert proc.returncode == 0, proc.stderr
-    return {name.removeprefix("weilpoly.") for name in json.loads(proc.stdout)}
+    return set(json.loads(proc.stdout))
+
+
+def loaded_by(*argv: str) -> set[str]:
+    """The weilpoly submodules held after one successful command."""
+    return {m.removeprefix("weilpoly.") for m in modules_after(*argv) if m.startswith("weilpoly.")}
 
 
 def test_cli_import_loads_no_checker():
@@ -178,3 +183,60 @@ def test_degree_2_cross_check_loads_no_degree_12_or_14_checker():
     loaded = loaded_by("cross-check", "--degree", "2", "--q", "5", "--box", "-4:4")
     assert "census" in loaded and "oracle" in loaded
     assert not loaded & {"classify7", "padic", "bounds12"}, sorted(loaded)
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "manifest.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def golden_modules(tmp_path_factory):
+    """Every module a fresh interpreter holds after each golden command
+    (lmfdb reads an empty cache directory of its own)."""
+    out = {}
+    for name, entry in GOLDEN.items():
+        argv = list(entry["argv"])
+        if "--cache-dir" in argv:
+            argv[argv.index("--cache-dir") + 1] = str(tmp_path_factory.mktemp("cache"))
+        out[name] = modules_after(*argv, exit_code=entry["exit"])
+    return out
+
+
+def goldens_of(*commands: str) -> list[str]:
+    return [name for name, entry in GOLDEN.items() if entry["argv"][0] in commands]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_no_golden_command_loads_the_class_generator_or_inspect(name, golden_modules):
+    assert not golden_modules[name] & {"dataclasses", "inspect", "ast", "dis"}
+
+
+@pytest.mark.parametrize("name", goldens_of("check-weil", "classify14", "enumerate", "polygon", "lmfdb"))
+def test_z_only_commands_leave_quadreal_unloaded(name, golden_modules):
+    assert "weilpoly.quadreal" not in golden_modules[name]
+
+
+@pytest.mark.parametrize("name", goldens_of("check-weil", "enumerate"))
+def test_check_weil_and_enumerate_leave_fractions_unloaded(name, golden_modules):
+    assert "fractions" not in golden_modules[name]
+
+
+@pytest.mark.parametrize("name", goldens_of("enumerate"))
+def test_enumerate_without_the_irreducible_filter_leaves_factorint_unloaded(name, golden_modules):
+    assert "--filter irreducible" not in " ".join(GOLDEN[name]["argv"])
+    assert "weilpoly.factorint" not in golden_modules[name]
+
+
+def test_the_irreducible_filter_loads_factorint_for_a_non_weil_candidate():
+    # a = 3 gives t^2 + 3t + 2, not 2-Weil, so the filter factors it over Z
+    assert "factorint" in loaded_by("enumerate", "--degree", "2", "--q", "2", "--box", "3:3", "--filter", "irreducible")
+
+
+def test_weil_loads_quadreal_when_the_lemma_transform_runs():
+    proc = run_fresh(
+        "import sys\n"
+        "from weilpoly.weil import WeilParams, build_f_ftilde\n"
+        "assert 'weilpoly.quadreal' not in sys.modules\n"
+        "f, _ = build_f_ftilde((0, 0, 0, 0, 0, 0), WeilParams(2, 1))\n"
+        "assert type(f).__module__ == 'weilpoly.quadreal'\n"
+    )
+    assert proc.returncode == 0, proc.stderr

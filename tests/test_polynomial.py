@@ -9,11 +9,10 @@ from weilpoly.errors import StructuralError
 from weilpoly.fpoly import ExtField
 from weilpoly.polynomial import (
     IntPoly,
-    QuadPoly,
     poly_from_string,
     poly_to_string,
 )
-from weilpoly.quadreal import QuadReal
+from weilpoly.quadreal import QuadPoly, QuadReal
 from weilpoly.weil import WeilParams, chi_from_a
 
 ints = st.lists(st.integers(-20, 20), min_size=0, max_size=8)

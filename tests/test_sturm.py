@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weilpoly.oracle import count_real_roots_descartes
-from weilpoly.polynomial import QuadPoly
-from weilpoly.quadreal import QuadReal
+from weilpoly.quadreal import QuadPoly, QuadReal
 from weilpoly.sturm import (
     INF,
     NEG_INF,
