@@ -1,5 +1,7 @@
 
+import hashlib
 import itertools
+import random
 import time
 
 import pytest
@@ -339,6 +341,26 @@ def test_non_squarefree_inputs_try_few_primes(monkeypatch):
     f = T([-2, 0, 1]) ** 2 * T([3, 1, 0, 1])
     assert factorint._factor_primitive(f, False) is None
     assert len(tried) == factorint._SIEVE_PRIMES and tried[0] == 3
+
+
+def integer_factor_corpus(seed):
+    """All 3^7 companions of the q=2 box |a_i| <= 1, then seeded draws at
+    q = 8 with |a_i| <= 3: each one's companion and the degree-14 chi."""
+    out = [companion_poly(chi_from_a(a, P2), P2) for a in itertools.product((-1, 0, 1), repeat=7)]
+    rng = random.Random(seed)
+    for _ in range(150):
+        chi = chi_from_a(tuple(rng.randint(-3, 3) for _ in range(7)), P8)
+        out += [companion_poly(chi, P8), chi]
+    return out
+
+
+def test_factorizations_match_the_pinned_digest():
+    """factor_over_integers on integer_factor_corpus, pinned as one digest
+    computed before the degree sieve read p = 2."""
+    digest = hashlib.sha256()
+    for f in integer_factor_corpus(20261020):
+        digest.update(f"{list(f.coeffs)}|{ours(f)}\n".encode())
+    assert digest.hexdigest() == "d410f674c4f814f3b16f491abeef5315587c947eb6930829b3ef7317761df184"
 
 
 @pytest.mark.slow

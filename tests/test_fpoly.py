@@ -13,6 +13,7 @@ from weilpoly.fpoly import (
     distinct_degree,
     fadd,
     fdeg,
+    fdiff,
     fdivmod,
     fgcd,
     fmul,
@@ -190,6 +191,34 @@ def test_factorizations_match_the_pinned_digest():
         assert reconstruct(F, lc, parts) == f
         digest.update(f"{F}|{f}|{lc}|{parts}|{squarefree_decomposition(F, f)}\n".encode())
     assert digest.hexdigest() == "dbea35892fdd3409b8acfd6c34812b6f0091b7f9d559dbd1e9f6f3190e9f682b"
+
+
+def distinct_degree_corpus(seed):
+    """Seeded squarefree polynomials over F_2..F_11 of degree 1..14, monic
+    (as the degree sieve passes them) or with any nonzero leading
+    coefficient."""
+    rng = random.Random(seed)
+    out = []
+    for p in (2, 3, 5, 7, 11):
+        F = PrimeField(p)
+        size = len(out) + 200
+        while len(out) < size:
+            lead = 1 if rng.random() < 0.5 else rng.randrange(1, p)
+            f = [rng.randrange(p) for _ in range(rng.randint(1, 14))] + [lead]
+            df = fdiff(F, f)
+            if df and fdeg(fgcd(F, f, df)) == 0:
+                out.append((F, f))
+    return out
+
+
+def test_distinct_degree_matches_the_pinned_digest():
+    """distinct_degree over F_p on distinct_degree_corpus, pinned as one
+    digest computed before its F_p path read the field's int lists
+    directly."""
+    digest = hashlib.sha256()
+    for F, f in distinct_degree_corpus(20261020):
+        digest.update(f"{F}|{f}|{distinct_degree(F, f)}\n".encode())
+    assert digest.hexdigest() == "737d4a71c99a82596a08808ff56ec609338f29a12e16e330ca6c20afd2fd6143"
 
 
 @pytest.mark.parametrize(
