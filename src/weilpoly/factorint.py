@@ -3,27 +3,28 @@
 Pipeline for the primitive part f, monicized by t -> t/lc scaling (factors
 mapped back), which keeps the Hensel machinery monic-only:
 
-  * integer roots first: at the first odd prime p not dividing lc(f) that
-    keeps f squarefree mod p, each root of f mod p is Newton-lifted until
-    p^k > 2|c|, c the lowest nonzero coefficient of f, and its symmetric
-    residue is divided out when f vanishes there exactly.  Every integer
-    root is a simple root mod p with one p-adic lift, so none is missed, and
-    the cost does not grow with the size of a root;
+  * integer roots first: at the first prime p not dividing lc(f) that
+    keeps f squarefree mod p, 2 when it qualifies, each root of f mod p is
+    Newton-lifted until p^k > 2|c|, c the lowest nonzero coefficient of f,
+    and its symmetric residue is divided out when f vanishes there exactly.
+    Every integer root is a simple root mod p with one p-adic lift, so none
+    is missed, and the cost does not grow with the size of a root;
   * a degree sieve (Musser, J. ACM 25, 1978) on the cofactor, which has no
-    factor of degree 1 or n - 1: at up to _SIEVE_PRIMES (three) such primes,
-    starting with p, distinct-degree factorization mod p, and the
-    intersection of the subset sums of the factor degrees.  An empty
-    intersection inside 2..n-2 proves the cofactor irreducible, with no
-    further work;
+    factor of degree 1 or n - 1: at 2 when it qualifies, the cheapest prime
+    for distinct-degree work, and at up to _SIEVE_PRIMES (three) odd such
+    primes, distinct-degree factorization mod p, and the intersection of
+    the subset sums of the factor degrees.  An empty intersection inside
+    2..n-2 proves the cofactor irreducible, with no further work;
   * otherwise equal-degree splitting at the sieve prime with the fewest
     factors, Hensel lifting past the Mignotte bound, and subset
     recombination by increasing cardinality, skipping subsets whose degree
     the sieve excluded.  Degrees in this package stay <= 14, so
     recombination scans at most 2^14 subsets.
 
-A squarefree reduction mod p proves f squarefree over Q.  Only when none of
-the first three primes gives one does Yun's squarefree decomposition over Q
-run, and each of its parts goes through the pipeline above.
+A squarefree reduction mod p proves f squarefree over Q.  Only when neither
+2 nor any of the first three odd primes gives one does Yun's squarefree
+decomposition over Q run, and each of its parts goes through the pipeline
+above.
 """
 
 from __future__ import annotations
@@ -46,13 +47,15 @@ from .fpoly import (
 from .hensel import hensel_lift_multi, _trunc
 from .polynomial import IntPoly, _div_exact, _homogeneous_horner, _mul, _prem, _prs
 
-# Odd primes the degree sieve reads; also how many an input not yet proven
-# squarefree may try for a squarefree reduction before Yun's decomposition.
-# With integer roots divided out first, 2, 3, 4 and 5 primes factored the
-# 1,728 Weil companions of scan14 seeds 1-3 in 0.67, 0.55, 0.54 and 0.53 s
-# (best of 10, one core of an x86-64 host, Python 3.11), and all 2,187
-# companions of the q=2 box in 0.94, 0.72, 0.70 and 0.71 s: past three the
-# gain is within the host's noise, so three it stays.
+# Odd primes the degree sieve reads, besides 2; also how many odd primes an
+# input not yet proven squarefree may try for a squarefree reduction before
+# Yun's decomposition, so an input that is not squarefree mod 2 still gets
+# 3, 5 and 7.  With integer roots divided out first, and before p = 2 was
+# read, 2, 3, 4 and 5 odd primes factored the 1,728 Weil companions of
+# scan14 seeds 1-3 in 0.67, 0.55, 0.54 and 0.53 s (best of 10, one core of
+# an x86-64 host, Python 3.11), and all 2,187 companions of the q=2 box in
+# 0.94, 0.72, 0.70 and 0.71 s: past three the gain is within the host's
+# noise, so three it stays.
 _SIEVE_PRIMES = 3
 
 
@@ -178,10 +181,12 @@ def _integer_roots(f: IntPoly, fp: list[int], p: int) -> tuple[list[IntPoly], In
 
 
 def _sieve(f: IntPoly, lc: int, proven: bool):
-    """f's integer roots, then distinct-degree data of the cofactor at up to
-    _SIEVE_PRIMES odd primes p that keep f squarefree mod p and do not
-    divide lc, the leading coefficient the monic f was monicized from, with
-    the set of degrees a proper factor of the cofactor over Z can have.
+    """f's integer roots, then distinct-degree data of the cofactor at the
+    primes p that keep f squarefree mod p and do not divide lc, the leading
+    coefficient the monic f was monicized from, with the set of degrees a
+    proper factor of the cofactor over Z can have.  The primes are 2 when it
+    qualifies, the cheapest for distinct-degree work, then up to
+    _SIEVE_PRIMES odd ones.
 
     The roots are found at the first such prime (_integer_roots).  The monic
     cofactor then has no factor of degree 1, so none of degree n - 1 either,
@@ -190,26 +195,31 @@ def _sieve(f: IntPoly, lc: int, proven: bool):
     degrees at every such prime; the returned bitmask (bit d for degree d)
     is the intersection of those subset sums with 2..n-2, and 0 proves the
     cofactor irreducible (or 1).  The walk stops there.  A squarefree
-    reduction proves f squarefree over Q; unless proven, a walk whose first
-    _SIEVE_PRIMES primes give none returns None.  Otherwise it returns the
-    linear factors, the cofactor, the bitmask and the reductions.
+    reduction proves f squarefree over Q; unless proven, a walk that gets
+    none at 2 or at its first _SIEVE_PRIMES odd primes returns None.
+    Otherwise it returns the linear factors, the cofactor, the bitmask and
+    the reductions.
     """
     linear: list[IntPoly] = []
     allowed = -1  # no bit is cleared before the roots are divided out
     reductions = []
-    tried = 0
-    p = 2
-    while allowed and len(reductions) < _SIEVE_PRIMES:
+    wanted = _SIEVE_PRIMES  # reductions, one more when p = 2 gives one
+    tried = 0  # odd primes not dividing lc
+    p = 1
+    while allowed and len(reductions) < wanted:
         if tried == _SIEVE_PRIMES and not (reductions or proven):
             return None
         p = _next_prime(p)
         if lc % p == 0:
             continue
-        tried += 1
+        if p > 2:
+            tried += 1
         F = PrimeField(p)
         fp = [c % p for c in f.coeffs]
         if fdeg(fgcd(F, fp, fdiff(F, fp))) > 0:
             continue
+        if p == 2:
+            wanted += 1
         if not reductions:
             linear, f = _integer_roots(f, fp, p)
             n = f.degree

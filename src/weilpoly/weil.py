@@ -8,7 +8,9 @@ Real roots of chi itself can only be +-sqrt(q), and the palindromic shape
 forces even multiplicity there, so the verdict records them rather than
 re-deciding them.
 
-The predicate runs over Z, on coefficient tuples.  h is solved from chi's
+The predicate runs over Z, on coefficient tuples, and its verdicts are
+memoized on (chi, params) in a small LRU cache, so a chi decided and then
+handed to classify7.classify is decided once.  h is solved from chi's
 coefficients and certified by expanding t^g * h(t + q/t) back into chi's
 coefficients.  The Sturm chain of h is a primitive pseudo-remainder sequence
 in Z[x].  Its signs at +-2 sqrt(q) come from writing each member there as
@@ -35,6 +37,7 @@ Q(sqrt(q)), so they import quadreal when called.
 
 from __future__ import annotations
 
+import functools
 import operator
 from math import comb, isqrt
 
@@ -223,7 +226,25 @@ def _at_edges(p, q: int) -> tuple[int, int]:
 
 
 def is_weil(chi: IntPoly, params: WeilParams) -> WeilVerdict:
-    """Decide the q-Weil property by exact Sturm counts on the companion."""
+    """Decide the q-Weil property by exact Sturm counts on the companion.
+
+    The verdict is memoized on (chi, params); an input that raises is not,
+    so it raises on every call."""
+    return _is_weil(chi, params)
+
+
+# Callers decide a chi and then hand it to a function that decides it
+# again: the degree-14 scan and census.cross_check run is_weil and then
+# classify7.classify on the same chi, with no other chi decided between the
+# two calls.  One entry would serve them; four leave room for a caller that
+# alternates between a few.  chi, params and the verdict are immutable and
+# hashable.
+_VERDICT_MEMO_SIZE = 4
+
+
+@functools.lru_cache(maxsize=_VERDICT_MEMO_SIZE)
+def _is_weil(chi: IntPoly, params: WeilParams) -> WeilVerdict:
+    """is_weil, computed."""
     if not check_symmetry(chi, params):
         return WeilVerdict(False, (), None, reason="not symmetric")
     q = params.q

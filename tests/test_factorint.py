@@ -327,9 +327,8 @@ def _timed(fn, *args):
     return time.perf_counter() - start
 
 
-def test_non_squarefree_inputs_try_few_primes(monkeypatch):
-    """Without a squarefree reduction at the first _SIEVE_PRIMES odd primes
-    the search stops, and Yun's decomposition takes over."""
+def primes_tried(monkeypatch) -> list[int]:
+    """The primes factorint makes a PrimeField of, in order, from now on."""
     tried = []
     orig = factorint.PrimeField
 
@@ -338,9 +337,58 @@ def test_non_squarefree_inputs_try_few_primes(monkeypatch):
         return orig(p)
 
     monkeypatch.setattr(factorint, "PrimeField", spy)
+    return tried
+
+
+def sieve_reads(monkeypatch) -> list[int]:
+    """The primes of the degree sieve's distinct_degree calls, in order,
+    from now on."""
+    read = []
+    orig = factorint.distinct_degree
+
+    def spy(F, f):
+        read.append(F.p)
+        return orig(F, f)
+
+    monkeypatch.setattr(factorint, "distinct_degree", spy)
+    return read
+
+
+def test_non_squarefree_inputs_try_few_primes(monkeypatch):
+    """Without a squarefree reduction at 2 or at the first _SIEVE_PRIMES
+    odd primes the search stops, and Yun's decomposition takes over."""
+    tried = primes_tried(monkeypatch)
     f = T([-2, 0, 1]) ** 2 * T([3, 1, 0, 1])
     assert factorint._factor_primitive(f, False) is None
-    assert len(tried) == factorint._SIEVE_PRIMES and tried[0] == 3
+    assert tried == [2, 3, 5, 7]
+    assert len([p for p in tried if p > 2]) == factorint._SIEVE_PRIMES
+
+
+def test_sieve_proves_an_irreducible_mod_2_input_at_2_alone(monkeypatch):
+    """t^7 + t + 1 is irreducible mod 2: one distinct-degree split there
+    proves it irreducible over Z."""
+    tried, read = primes_tried(monkeypatch), sieve_reads(monkeypatch)
+    f = T([1, 1, 0, 0, 0, 0, 0, 1])
+    assert ours(f) == (1, [(tuple(f.coeffs), 1)])
+    assert tried == [2] and read == [2]
+
+
+def test_even_leading_coefficient_skips_2(monkeypatch):
+    """2 divides the leading coefficient the monic scaling came from, so
+    the sieve starts at 3."""
+    tried = primes_tried(monkeypatch)
+    f = T([1, 1, 0, 0, 2])
+    assert ours(f) == sympy_factorization(f)
+    assert tried[0] == 3 and 2 not in tried
+
+
+def test_input_not_squarefree_mod_2_still_reads_three_odd_primes(monkeypatch):
+    """(t^2 + 1)(t^2 + 2) is t^2 (t + 1)^2 mod 2 and squarefree mod 3, 5
+    and 7; its factors of degree 2 keep every sieve read open."""
+    read = sieve_reads(monkeypatch)
+    f = T([1, 0, 1]) * T([2, 0, 1])
+    assert ours(f) == sympy_factorization(f)
+    assert read == [3, 5, 7]
 
 
 def integer_factor_corpus(seed):

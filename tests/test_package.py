@@ -240,3 +240,22 @@ def test_weil_loads_quadreal_when_the_lemma_transform_runs():
         "assert type(f).__module__ == 'weilpoly.quadreal'\n"
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("name", goldens_of("bounds12"))
+def test_bounds12_leaves_the_lemma_machinery_unloaded(name, golden_modules):
+    lemma_only = {"fractions", "weilpoly.quadreal", "weilpoly.intervals", "weilpoly.sturm"}
+    assert not golden_modules[name] & lemma_only, sorted(golden_modules[name] & lemma_only)
+
+
+def test_lemma_check_loads_the_lemma_machinery():
+    proc = run_fresh(
+        "import sys\n"
+        "from weilpoly.bounds12 import lemma_check\n"
+        "lemma = {'fractions', 'weilpoly.quadreal', 'weilpoly.intervals', 'weilpoly.sturm'}\n"
+        "assert not lemma & set(sys.modules), sorted(lemma & set(sys.modules))\n"
+        "report = lemma_check([-21, 175, -735, 1624, -1764, 720])\n"
+        "assert report.all_pass, report\n"
+        "assert lemma <= set(sys.modules)\n"
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weilpoly import weil
+from weilpoly.census import EnumerationSpec, cross_check
+from weilpoly.classify7 import classify
 from weilpoly.errors import ExactnessError, StructuralError
 from weilpoly.factorint import factor_over_integers
 from weilpoly.oracle import weil_oracle
@@ -496,3 +499,48 @@ def test_is_weil_verdicts_match_the_pinned_digest():
         for m in (2, 4, 6):
             assert seen[square, True, m] > 0 and seen[square, False, m] > 0, (square, m, seen)
     assert digest.hexdigest() == "850e526cef6eb8ff5496ada1bdfcbae5cd7dcb56cddfffc6c140f2d8bad53a49"
+
+
+def test_equal_inputs_get_the_identical_verdict():
+    chi = chi_from_a((0, 0, -1, 0, 0, 0, 0), P2)
+    first = is_weil(chi, P2)
+    assert is_weil(IntPoly(list(chi.coeffs)), WeilParams(2, 1)) is first
+
+
+@pytest.mark.parametrize("chi", [IntPoly([2, 0, 2]), IntPoly([2, 3, 0, 1])], ids=["non-monic", "odd-degree"])
+def test_a_structural_error_raises_on_every_call(chi):
+    for _ in range(3):
+        with pytest.raises(StructuralError):
+            is_weil(chi, P2)
+
+
+def companions_computed(monkeypatch) -> collections.Counter:
+    """How often weil._companion runs on each chi from now on, with the
+    verdict memo emptied first."""
+    counts = collections.Counter()
+    orig = weil._companion
+
+    def spy(chi, q):
+        counts[chi] += 1
+        return orig(chi, q)
+
+    monkeypatch.setattr(weil, "_companion", spy)
+    weil._is_weil.cache_clear()
+    return counts
+
+
+def test_classify_after_is_weil_computes_the_companion_once(monkeypatch):
+    counts = companions_computed(monkeypatch)
+    chi = chi_from_a((0, 0, -1, 0, 0, 0, 0), P2)
+    assert is_weil(chi, P2).is_weil
+    assert classify(chi, P2).verdict == "accepted"
+    assert counts == {chi.coeffs: 1}
+
+
+def test_degree14_cross_check_computes_each_companion_once(monkeypatch):
+    counts = companions_computed(monkeypatch)
+    spec = EnumerationSpec(degree=14, params=P2, box=tuple(((0, 0),) * 4 + ((-1, 1),) * 3))
+    report = cross_check(spec)
+    assert report["ok"], report["violations"]
+    assert report["counts"]["records"] == 27
+    assert len(counts) == 27 and set(counts.values()) == {1}
