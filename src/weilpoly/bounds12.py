@@ -45,9 +45,20 @@ from .errors import PrecisionExhausted
 from .polynomial import IntPoly
 from .weil import WeilParams, _real_rooted, _sturm_chain, symmetric_v
 
-# Only lemma_check's path computes in Q(sqrt q): it imports fractions,
-# quadreal, intervals and sturm where it runs, so corollary_bounds and
-# trivial_bounds load none of them.
+
+def _load_lemma_stack() -> None:
+    """Bind, as module globals, what only lemma_check's path uses: it
+    computes in Q(sqrt q) with fractions, quadreal, intervals and sturm.
+    lemma_check, lemma_quantities and CertifiedReal call this first, so
+    corollary_bounds and trivial_bounds load none of the four."""
+    global Fraction, QuadPoly, QuadReal, sign_with_radical
+    global eval_poly_interval, isolate_real_roots, refine_interval, sturm_count
+    from fractions import Fraction
+
+    from .intervals import eval_poly_interval
+    from .quadreal import QuadPoly, QuadReal, sign_with_radical
+    from .sturm import isolate_real_roots, refine_interval, sturm_count
+
 
 START_BITS = 32
 MAX_BITS = 4096
@@ -121,18 +132,13 @@ class CertifiedReal:
     """
 
     def __init__(self, defining: QuadPoly, bracket, value_poly: QuadPoly):
-        from fractions import Fraction
-
+        _load_lemma_stack()
         self.defining = defining
         self.bracket = (Fraction(bracket[0]), Fraction(bracket[1]))
         self.value_poly = value_poly
 
     def _refined(self, bits: int) -> tuple[Fraction, Fraction]:
         """The bracket, refined to width 2^-bits unless it is a point."""
-        from fractions import Fraction
-
-        from .sturm import refine_interval
-
         lo, hi = self.bracket
         if lo != hi:
             lo, hi = refine_interval(self.defining, lo, hi, Fraction(1, 1 << bits))
@@ -141,16 +147,10 @@ class CertifiedReal:
 
     def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
         """Refine to width 2^-bits and enclose value_poly(w)."""
-        from .intervals import eval_poly_interval
-
         return eval_poly_interval(self.value_poly, *self._refined(bits), bits)
 
     def compare(self, c: QuadReal) -> int:
         """Exact sign of value_poly(w) - c; raises PrecisionExhausted at the cap."""
-        from .intervals import eval_poly_interval
-        from .quadreal import QuadPoly
-        from .sturm import sturm_count
-
         f = self.value_poly
         level = QuadPoly([f[0] - c, *f.coeffs[1:]], q=f.q)  # value_poly - c
         screened = False
@@ -180,10 +180,6 @@ class CertifiedReal:
 
 
 def _as_quad(x) -> QuadReal:
-    from fractions import Fraction
-
-    from .quadreal import QuadReal
-
     return x if isinstance(x, QuadReal) else QuadReal(Fraction(x))
 
 
@@ -212,11 +208,7 @@ def lemma_quantities(r) -> LemmaQuantities:
     depressed quartic shifted by -g1/5, covering both the biquadratic u3 = 0
     branch and the general one uniformly; they are the critical points of g.
     """
-    from fractions import Fraction
-
-    from .quadreal import QuadPoly, QuadReal
-    from .sturm import isolate_real_roots
-
+    _load_lemma_stack()
     r1, r2, r3, r4, r5, r6 = [_as_quad(v) for v in r]
     g1 = r1 * Fraction(5, 6)
     g2 = r2 * Fraction(2, 3)
@@ -282,8 +274,6 @@ def lemma_quantities(r) -> LemmaQuantities:
 
 def _condition_r4(r, report: BoundsReport, lq: LemmaQuantities):
     """poly_part + 15*theta_min <= r4 <= poly_part + 15*theta_mid."""
-    from fractions import Fraction
-
     if not lq.cubic_all_real:
         report.add("4", False, "critical-point cubic has non-real roots")
         return
@@ -302,8 +292,6 @@ def _condition_r4(r, report: BoundsReport, lq: LemmaQuantities):
 
 def _condition_r5(r, report: BoundsReport, lq: LemmaQuantities):
     """-6*lambda2 <= r5 <= -6*lambda1 via per-critical-point comparisons."""
-    from fractions import Fraction
-
     if not lq.quartic_all_real:
         report.add("5", False, "critical points of g are not all real")
         return
@@ -324,10 +312,7 @@ def _condition_r5(r, report: BoundsReport, lq: LemmaQuantities):
 
 def lemma_check(r) -> BoundsReport:
     """The five necessary conditions on r_1..r_6 for all-positive-real roots."""
-    from fractions import Fraction
-
-    from .quadreal import sign_with_radical
-
+    _load_lemma_stack()
     if len(r) != 6:
         raise ValueError("expected r_1..r_6")
     rv = [_as_quad(v) for v in r]

@@ -236,10 +236,9 @@ def is_weil(chi: IntPoly, params: WeilParams) -> WeilVerdict:
 # Callers decide a chi and then hand it to a function that decides it
 # again: the degree-14 scan and census.cross_check run is_weil and then
 # classify7.classify on the same chi, with no other chi decided between the
-# two calls.  One entry would serve them; four leave room for a caller that
-# alternates between a few.  chi, params and the verdict are immutable and
-# hashable.
-_VERDICT_MEMO_SIZE = 4
+# two calls, so one entry serves them.  chi, params and the verdict are
+# immutable and hashable.
+_VERDICT_MEMO_SIZE = 1
 
 
 @functools.lru_cache(maxsize=_VERDICT_MEMO_SIZE)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -219,6 +220,27 @@ def test_distinct_degree_matches_the_pinned_digest():
     for F, f in distinct_degree_corpus(20261020):
         digest.update(f"{F}|{f}|{distinct_degree(F, f)}\n".encode())
     assert digest.hexdigest() == "737d4a71c99a82596a08808ff56ec609338f29a12e16e330ca6c20afd2fd6143"
+
+
+@pytest.mark.parametrize("p", [1_000_003, 2**61 - 1])
+def test_distinct_degree_at_a_large_prime_matches_the_generic_path(p):
+    """Past small p the Frobenius step is square-and-multiply, not the
+    substitution h(x^p), whose list grows with p: the split matches the
+    generic loop over ExtField(p, [0, 1]), factor reconstructs its input,
+    and the F_p calls take well under the bound."""
+    rng = random.Random(p)
+    Fp, Fg = PrimeField(p), ExtField(p, [0, 1])
+    elapsed = 0.0
+    for n in (2, 7, 14):
+        f = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+        start = time.perf_counter()
+        split = distinct_degree(Fp, f)
+        lc, parts = fpoly.factor(Fp, f)
+        elapsed += time.perf_counter() - start
+        got = distinct_degree(Fg, [(c,) for c in f])
+        assert split == [([c[0] for c in h], d) for h, d in got]
+        assert reconstruct(Fp, lc, parts) == f
+    assert elapsed < 5
 
 
 @pytest.mark.parametrize(
