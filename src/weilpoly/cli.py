@@ -290,6 +290,8 @@ def cmd_cross_check(args) -> int:
 def cmd_lmfdb(args) -> int:
     from .lmfdb import lmfdb_reconcile
 
+    if args.g < 1:
+        raise UsageError(f"--g {args.g} is not a positive integer")
     params = parse_q(args.q)
     report = lmfdb_reconcile(
         params, args.g, args.cache_dir, allow_network=args.allow_network

@@ -21,10 +21,14 @@ mapped back), which keeps the Hensel machinery monic-only:
     the sieve excluded.  Degrees in this package stay <= 14, so
     recombination scans at most 2^14 subsets.
 
-A squarefree reduction mod p proves f squarefree over Q.  Only when neither
-2 nor any of the first three odd primes gives one does Yun's squarefree
-decomposition over Q run, and each of its parts goes through the pipeline
-above.
+The pipeline needs f squarefree over Q; factor_over_integers decides it
+once, by the discriminant.  When disc(f) != 0, f goes through the pipeline
+as it is, and the sieve skips each prime that divides lc(f) or disc(f):
+for any other p, f mod p keeps its degree and disc(f mod p) = disc(f)
+mod p, so those are exactly the primes that keep f squarefree mod p.  Past
+the root step the sieve reads the cofactor's discriminant instead.  Only
+when disc(f) = 0 does Yun's squarefree decomposition over Q run, and each
+of its parts goes through the pipeline with its own discriminant.
 """
 
 from __future__ import annotations
@@ -41,27 +45,23 @@ from .fpoly import (
     distinct_degree,
     equal_degree,
     fdeg,
-    fdiff,
-    fgcd,
 )
 from .hensel import hensel_lift_multi, _trunc
 from .polynomial import IntPoly, _div_exact, _homogeneous_horner, _mul, _prem, _prs
 
-# Odd primes the degree sieve reads, besides 2; also how many odd primes an
-# input not yet proven squarefree may try for a squarefree reduction before
-# Yun's decomposition, so an input that is not squarefree mod 2 still gets
-# 3, 5 and 7.  With integer roots divided out first, and before p = 2 was
-# read, 2, 3, 4 and 5 odd primes factored the 1,728 Weil companions of
-# scan14 seeds 1-3 in 0.67, 0.55, 0.54 and 0.53 s (best of 10, one core of
-# an x86-64 host, Python 3.11), and all 2,187 companions of the q=2 box in
-# 0.94, 0.72, 0.70 and 0.71 s: past three the gain is within the host's
-# noise, so three it stays.  With 2 read first, going on to three odd
-# primes, rather than stopping at three reductions in all, Hensel-lifts 140
-# of those 1,728 companions instead of 183, for 3,023 distinct-degree splits
-# instead of 2,945.  Factoring them took the same time within the noise
-# (324 against 320 ms, median of six best-of-10 runs), as did scan14 seeds
-# 31-40 (2,540 against 2,507 ops/s), but scan14's op_ms_p90 fell from 0.755
-# to 0.692 ms, lower in 9 of the 10 pairs.
+# Odd primes the degree sieve reads, besides 2.  With integer roots divided
+# out first, and before p = 2 was read, 2, 3, 4 and 5 odd primes factored
+# the 1,728 Weil companions of scan14 seeds 1-3 in 0.67, 0.55, 0.54 and
+# 0.53 s (best of 10, one core of an x86-64 host, Python 3.11), and all
+# 2,187 companions of the q=2 box in 0.94, 0.72, 0.70 and 0.71 s: past
+# three the gain is within the host's noise, so three it stays.  With 2
+# read first, going on to three odd primes, rather than stopping at three
+# reductions in all, Hensel-lifts 140 of those 1,728 companions instead of
+# 183, for 3,023 distinct-degree splits instead of 2,945.  Factoring them
+# took the same time within the noise (324 against 320 ms, median of six
+# best-of-10 runs), as did scan14 seeds 31-40 (2,540 against 2,507
+# ops/s), but scan14's op_ms_p90 fell from 0.755 to 0.692 ms, lower in 9
+# of the 10 pairs.
 _SIEVE_PRIMES = 3
 
 
@@ -186,44 +186,38 @@ def _integer_roots(f: IntPoly, fp: list[int], p: int) -> tuple[list[IntPoly], In
     return linear, IntPoly(cofactor)
 
 
-def _sieve(f: IntPoly, lc: int, proven: bool):
+def _sieve(f: IntPoly, lc: int, disc: int):
     """f's integer roots, then distinct-degree data of the cofactor at the
-    primes p that keep f squarefree mod p and do not divide lc, the leading
-    coefficient the monic f was monicized from, with the set of degrees a
-    proper factor of the cofactor over Z can have.  The primes are 2 when it
-    qualifies, the cheapest for distinct-degree work, then up to
+    primes p that keep f squarefree mod p, with the set of degrees a proper
+    factor of the cofactor over Z can have.  f was monicized from an input
+    of leading coefficient lc and nonzero discriminant disc; the walk skips
+    each p dividing lc or disc, since for any other p the input keeps its
+    degree mod p and disc mod p is its discriminant there.  The primes read
+    are 2 when it qualifies, the cheapest for distinct-degree work, then
     _SIEVE_PRIMES odd ones.
 
-    The roots are found at the first such prime (_integer_roots).  The monic
-    cofactor then has no factor of degree 1, so none of degree n - 1 either,
-    n its degree.  A monic factor of it over Z reduces mod p to a product of
-    irreducible factors of it mod p, so its degree is a subset sum of their
-    degrees at every such prime; the returned bitmask (bit d for degree d)
-    is the intersection of those subset sums with 2..n-2, and 0 proves the
-    cofactor irreducible (or 1).  The walk stops there.  A squarefree
-    reduction proves f squarefree over Q; unless proven, a walk that gets
-    none at 2 or at its first _SIEVE_PRIMES odd primes returns None.
-    Otherwise it returns the linear factors, the cofactor, the bitmask and
-    the reductions.
+    The roots are found at the first such prime (_integer_roots), and disc
+    becomes the discriminant of the monic cofactor, so a later prime needs
+    only the cofactor squarefree mod p.  The cofactor has no factor of
+    degree 1, so none of degree n - 1 either, n its degree.  A monic factor
+    of it over Z reduces mod p to a product of irreducible factors of it
+    mod p, so its degree is a subset sum of their degrees at every such
+    prime; the returned bitmask (bit d for degree d) is the intersection of
+    those subset sums with 2..n-2, and 0 proves the cofactor irreducible
+    (or 1).  The walk stops there.  It returns the linear factors, the
+    cofactor, the bitmask and the reductions.
     """
     linear: list[IntPoly] = []
     allowed = -1  # no bit is cleared before the roots are divided out
     reductions = []
     wanted = _SIEVE_PRIMES  # reductions; one more when p = 2 gives one
-    tried = 0  # odd primes not dividing lc
     p = 1
     while allowed and len(reductions) < wanted:
-        if tried == _SIEVE_PRIMES and not (reductions or proven):
-            return None
         p = _next_prime(p)
-        if lc % p == 0:
+        if lc % p == 0 or disc % p == 0:
             continue
-        if p > 2:
-            tried += 1
         F = PrimeField(p)
         fp = [c % p for c in f.coeffs]
-        if fdeg(fgcd(F, fp, fdiff(F, fp))) > 0:
-            continue
         if p == 2:
             wanted += 1
         if not reductions:
@@ -232,6 +226,8 @@ def _sieve(f: IntPoly, lc: int, proven: bool):
             allowed = (1 << n - 1) - 4 if n > 3 else 0  # bits 2..n-2
             if not allowed:
                 break
+            if linear:
+                disc = discriminant(f)
             fp = [c % p for c in f.coeffs]
         parts = distinct_degree(F, fp)
         sums = 1
@@ -243,15 +239,12 @@ def _sieve(f: IntPoly, lc: int, proven: bool):
     return linear, f, allowed, reductions
 
 
-def _zassenhaus_monic(f: IntPoly, lc: int, proven: bool) -> list[IntPoly] | None:
-    """Irreducible factors of a monic f over Z, which must be squarefree
-    when proven; None when _sieve finds no squarefree reduction."""
+def _zassenhaus_monic(f: IntPoly, lc: int, disc: int) -> list[IntPoly]:
+    """Irreducible factors of a squarefree monic f over Z; lc and disc as
+    in _sieve."""
     if f.degree <= 1:
         return [f]
-    sieve = _sieve(f, lc, proven)
-    if sieve is None:
-        return None
-    out, cofactor, allowed, reductions = sieve
+    out, cofactor, allowed, reductions = _sieve(f, lc, disc)
     if not allowed:
         return out + [cofactor] if cofactor.degree else out
     # split and lift at the prime with the fewest factors
@@ -309,16 +302,13 @@ def _monicize(f: IntPoly) -> IntPoly:
     return IntPoly([c * b ** (n - 1 - i) for i, c in enumerate(f.coeffs[:-1])] + [1])
 
 
-def _factor_primitive(f: IntPoly, proven: bool) -> list[IntPoly] | None:
-    """Irreducible factors of a primitive f of positive degree, which must
-    be squarefree when proven; None when f is not proven and _sieve finds
-    no squarefree reduction."""
+def _factor_primitive(f: IntPoly, disc: int) -> list[IntPoly]:
+    """Irreducible factors of a primitive f of positive degree and nonzero
+    discriminant disc."""
     if f.is_monic():
-        return _zassenhaus_monic(f, 1, proven)
+        return _zassenhaus_monic(f, 1, disc)
     b = f.lc()
-    parts = _zassenhaus_monic(_monicize(f), b, proven)
-    if parts is None:
-        return None
+    parts = _zassenhaus_monic(_monicize(f), b, disc)
     out = []
     for g in parts:
         mapped = IntPoly([c * b ** i for i, c in enumerate(g.coeffs)])
@@ -338,12 +328,12 @@ def factor_over_integers(f: IntPoly) -> tuple[int, list[tuple[IntPoly, int]]]:
     cont, prim = f.primitive()
     out: list[tuple[IntPoly, int]] = []
     if prim.degree > 0:
-        parts = _factor_primitive(prim, False)
-        if parts is not None:
-            out = [(irr, 1) for irr in parts]
+        disc = discriminant(prim)
+        if disc:
+            out = [(irr, 1) for irr in _factor_primitive(prim, disc)]
         else:
             for sqf, mult in squarefree_decomposition(prim):
-                for irr in _factor_primitive(sqf, True):
+                for irr in _factor_primitive(sqf, discriminant(sqf)):
                     out.append((irr, mult))
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
     check = IntPoly([cont])

@@ -80,6 +80,15 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("g", ["0", "-1"])
+def test_lmfdb_rejects_a_genus_below_1(g, capsys, tmp_path):
+    """A usage error, not a skipped report: nothing is loaded or printed."""
+    assert main(["lmfdb", "--q", "2", "--g", g, "--cache-dir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and "--g" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_polygon_p_one_exits_2_without_hanging():
     src = Path(weilpoly.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilpoly import factorint, weil
+from weilpoly import arith, factorint, fpoly, weil
 from weilpoly.factorint import (
     discriminant,
     factor_over_integers,
@@ -201,50 +201,53 @@ def _product(*fs):
     return out
 
 
-@pytest.mark.parametrize(
-    "f, stages",
-    [
-        # a q=2 scan companion: degrees {1,2,4} mod 3, {3,4} mod 5 and
-        # {2,5} mod 7 share no proper subset sum
-        (companion_poly(chi_from_a((0, 0, -1, 0, 0, 0, 0), P2), P2), set()),
-        # Swinnerton-Dyer polynomials split at every prime
-        (T([1, 0, -10, 0, 1]), {"lift"}),
-        (T([576, 0, -960, 0, 352, 0, -40, 0, 1]), {"lift"}),
-        (_product(*(T([-k, 1]) for k in range(1, 8))), {"roots"}),
-        (_product(cyclotomic(4), cyclotomic(8), cyclotomic(11)), {"lift"}),
-        # squarefree, but not mod 3, 5 or 7 (each divides some n)
-        (_product(cyclotomic(5), cyclotomic(7), cyclotomic(12)), {"yun", "lift"}),
-        # Yun's parts t^2-2 and t^3+t+3 have no integer root, so degrees 1
-        # and n-1 go and the sieve proves each irreducible
-        (T([-2, 0, 1]) ** 2 * T([3, 1, 0, 1]), {"yun"}),
-        # the rational root 2/5 goes first, the cubic and quadratic are lifted
-        (T([-6]) * T([-1, 3, 2]) * T([5, -1, 0, 3]) * T([-2, 5]), {"roots", "lift"}),
-        # 0 among the roots: the others are read off the t coefficient
-        (T([0, 1]) * T([-1, 1]) * T([2, 1]) * T([3, 1, 1]), {"roots"}),
-        (T([0, 1]) * T([-1, 1]) * T([-17, 1]) * T([22, 1]) * T([7, 0, 1]), {"roots"}),
-        # a repeated integer root: no prime keeps f squarefree, so Yun runs
-        (T([-2, 1]) ** 2 * T([3, 1]) * T([1, 0, 1]), {"yun", "roots"}),
-        (T([0, 1]) ** 3 * T([-1, 1]) * T([5, 0, 1]), {"yun", "roots"}),
-        # squarefree, but not mod 3, 5 or 7: Yun hands the whole of f back as
-        # proven, and the roots must still be divided out before degrees 1
-        # and n-1 leave the sieve; (t-2)(t^2-105) has only those degrees, so
-        # without the root step it would be called irreducible
-        (T([-2, 1]) * T([-105, 0, 1]), {"yun", "roots"}),
-        (_product(cyclotomic(5), cyclotomic(7), cyclotomic(12), T([-2, 1])), {"yun", "roots", "lift"}),
-        # non-monic, with rational roots 2/3 and -4/5
-        (T([-2, 3]) * T([4, 5]) * T([1, 0, 2]), {"roots"}),
-        (T([12]) * T([-2, 3]) * T([1, 1, 0, 7]), {"roots"}),
-        # lc 49: the monic scaling's leading coefficient is the integer 1
-        (T([1, 0, 49]), set()),
-        (T([1, 7]) * T([1, 0, 7]), {"roots"}),
-    ],
-    ids=[
-        "sieve", "sd4", "sd8", "linear7", "cyclotomic", "cyclotomic-ramified", "yun", "non-monic",
-        "root-zero", "root-zero-wide", "root-repeated", "root-zero-repeated", "root-ramified-trap",
-        "root-ramified-cyclotomic", "root-non-monic", "root-non-monic-content", "lc-49",
-        "root-lc-49",
-    ],
-)
+# (f, the stages it passes through), with their ids below
+EXITS = [
+    # a q=2 scan companion: degrees {1,2,4} mod 3, {3,4} mod 5 and
+    # {2,5} mod 7 share no proper subset sum
+    (companion_poly(chi_from_a((0, 0, -1, 0, 0, 0, 0), P2), P2), set()),
+    # Swinnerton-Dyer polynomials split at every prime
+    (T([1, 0, -10, 0, 1]), {"lift"}),
+    (T([576, 0, -960, 0, 352, 0, -40, 0, 1]), {"lift"}),
+    (_product(*(T([-k, 1]) for k in range(1, 8))), {"roots"}),
+    (_product(cyclotomic(4), cyclotomic(8), cyclotomic(11)), {"lift"}),
+    # squarefree, but not mod 3, 5 or 7 (each divides some n, so the
+    # discriminant): the sieve walks past them to 11, 13 and 17
+    (_product(cyclotomic(5), cyclotomic(7), cyclotomic(12)), {"lift"}),
+    # Yun's parts t^2-2 and t^3+t+3 have no integer root, so degrees 1
+    # and n-1 go and the sieve proves each irreducible
+    (T([-2, 0, 1]) ** 2 * T([3, 1, 0, 1]), {"yun"}),
+    # the rational root 2/5 goes first, the cubic and quadratic are lifted
+    (T([-6]) * T([-1, 3, 2]) * T([5, -1, 0, 3]) * T([-2, 5]), {"roots", "lift"}),
+    # 0 among the roots: the others are read off the t coefficient
+    (T([0, 1]) * T([-1, 1]) * T([2, 1]) * T([3, 1, 1]), {"roots"}),
+    (T([0, 1]) * T([-1, 1]) * T([-17, 1]) * T([22, 1]) * T([7, 0, 1]), {"roots"}),
+    # a repeated integer root: no prime keeps f squarefree, so Yun runs
+    (T([-2, 1]) ** 2 * T([3, 1]) * T([1, 0, 1]), {"yun", "roots"}),
+    (T([0, 1]) ** 3 * T([-1, 1]) * T([5, 0, 1]), {"yun", "roots"}),
+    # squarefree, but not mod 3, 5 or 7: the sieve walks past the primes
+    # dividing the discriminant, and the roots must still be divided out
+    # before degrees 1 and n-1 leave the sieve; (t-2)(t^2-105) has only
+    # those degrees, so without the root step it would be called
+    # irreducible
+    (T([-2, 1]) * T([-105, 0, 1]), {"roots"}),
+    (_product(cyclotomic(5), cyclotomic(7), cyclotomic(12), T([-2, 1])), {"roots", "lift"}),
+    # non-monic, with rational roots 2/3 and -4/5
+    (T([-2, 3]) * T([4, 5]) * T([1, 0, 2]), {"roots"}),
+    (T([12]) * T([-2, 3]) * T([1, 1, 0, 7]), {"roots"}),
+    # lc 49: the monic scaling's leading coefficient is the integer 1
+    (T([1, 0, 49]), set()),
+    (T([1, 7]) * T([1, 0, 7]), {"roots"}),
+]
+EXIT_IDS = [
+    "sieve", "sd4", "sd8", "linear7", "cyclotomic", "cyclotomic-ramified", "yun", "non-monic",
+    "root-zero", "root-zero-wide", "root-repeated", "root-zero-repeated", "root-ramified-trap",
+    "root-ramified-cyclotomic", "root-non-monic", "root-non-monic-content", "lc-49",
+    "root-lc-49",
+]
+
+
+@pytest.mark.parametrize("f, stages", EXITS, ids=EXIT_IDS)
 def test_each_exit_matches_sympy(f, stages, monkeypatch):
     """factor_over_integers equals sympy.factor_list, and f passes through
     the named stages: integer roots divided out first ("roots"), Hensel
@@ -354,14 +357,21 @@ def sieve_reads(monkeypatch) -> list[int]:
     return read
 
 
-def test_non_squarefree_inputs_try_few_primes(monkeypatch):
-    """Without a squarefree reduction at 2 or at the first _SIEVE_PRIMES
-    odd primes the search stops, and Yun's decomposition takes over."""
-    tried = primes_tried(monkeypatch)
+def test_a_zero_discriminant_input_goes_to_yun_before_any_prime(monkeypatch):
+    """disc(f) = 0 decides that f is not squarefree: Yun's decomposition
+    runs before the sieve tries a prime, and its parts are then factored."""
+    events = primes_tried(monkeypatch)
+    orig = factorint.squarefree_decomposition
+
+    def spy(f):
+        events.append("yun")
+        return orig(f)
+
+    monkeypatch.setattr(factorint, "squarefree_decomposition", spy)
     f = T([-2, 0, 1]) ** 2 * T([3, 1, 0, 1])
-    assert factorint._factor_primitive(f, False) is None
-    assert tried == [2, 3, 5, 7]
-    assert len([p for p in tried if p > 2]) == factorint._SIEVE_PRIMES
+    assert discriminant(f) == 0
+    assert ours(f) == sympy_factorization(f)
+    assert events[0] == "yun" and events.count("yun") == 1 and len(events) > 1
 
 
 def test_sieve_proves_an_irreducible_mod_2_input_at_2_alone(monkeypatch):
@@ -389,6 +399,56 @@ def test_input_not_squarefree_mod_2_still_reads_three_odd_primes(monkeypatch):
     f = T([1, 0, 1]) * T([2, 0, 1])
     assert ours(f) == sympy_factorization(f)
     assert read == [3, 5, 7]
+
+
+def squarefree_mod(f: IntPoly, p: int) -> bool:
+    """f mod p is squarefree: gcd(f, f') is a constant over F_p."""
+    F = fpoly.PrimeField(p)
+    fp = [c % p for c in f.coeffs]
+    return fpoly.fdeg(fpoly.fgcd(F, fp, fpoly.fdiff(F, fp))) == 0
+
+
+def test_the_sieve_reads_exactly_the_primes_that_keep_f_squarefree(monkeypatch):
+    """Skipping the primes that divide lc or the discriminant reads what a
+    squarefree test at each prime read: one sieve walk reads, in order,
+    every prime up to its last read that does not divide lc and keeps the
+    monic f squarefree mod p, by gcd(f, f') over F_p, with f its cofactor
+    past the first of them, where the integer roots are divided out."""
+    walks = []
+
+    def walk_spy(f, disc, _orig=factorint._factor_primitive):
+        walks.append([f, None, []])
+        return _orig(f, disc)
+
+    def roots_spy(f, fp, p, _orig=factorint._integer_roots):
+        linear, cofactor = _orig(f, fp, p)
+        walks[-1][1] = cofactor
+        return linear, cofactor
+
+    def read_spy(F, f, _orig=factorint.distinct_degree):
+        walks[-1][2].append(F.p)
+        return _orig(F, f)
+
+    monkeypatch.setattr(factorint, "_factor_primitive", walk_spy)
+    monkeypatch.setattr(factorint, "_integer_roots", roots_spy)
+    monkeypatch.setattr(factorint, "distinct_degree", read_spy)
+    inputs = integer_factor_corpus(20261020) + [f for f, _ in EXITS] + [T([1, 1, 0, 0, 2])]
+    for f in inputs:
+        ours(f)
+    skipped = cofactor_only = 0
+    for f, cofactor, read in walks:
+        if not read:
+            continue
+        monic = f if f.is_monic() else factorint._monicize(f)
+        primes = [p for p in range(2, read[-1] + 1) if arith.is_prime(p) and f.lc() % p]
+        first = next(p for p in primes if squarefree_mod(monic, p))
+        kept = [first] + [p for p in primes if p > first and squarefree_mod(cofactor, p)]
+        assert read == kept, (f, read, kept)
+        skipped += len(primes) - len(kept)
+        cofactor_only += sum(1 for p in kept if not squarefree_mod(monic, p))
+    # both rules are exercised: primes skipped for the squarefree test, not
+    # only for dividing lc, and primes read for the cofactor alone
+    assert skipped > 100 and cofactor_only > 0
 
 
 def integer_factor_corpus(seed):

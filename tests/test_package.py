@@ -137,6 +137,21 @@ def test_each_module_imports_alone(module):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_the_benchmark_tracer_finds_every_traced_name():
+    """perfbench's Tracer wraps each function its LAYERS names: a rename or
+    deletion of one fails here, not first in a traced benchmark run."""
+    perfbench = PACKAGE_DIR.parent.parent / "perfbench"
+    proc = run_fresh(
+        "import sys\n"
+        f"sys.path.insert(0, {str(perfbench)!r})\n"
+        "from tracing import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "tracer.uninstall()\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 LOADED = (
     "import contextlib, io, json, sys\n"
     "from weilpoly.cli import main\n"
