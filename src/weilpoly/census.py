@@ -238,9 +238,8 @@ def cross_check(spec: EnumerationSpec, seed: int = 1729) -> dict:
     Any violation lands in report["violations"], which must stay empty.
     """
     # enumerate_weil needs none of these; the enumerate command skips them,
-    # and each degree loads only its own checker
-    from .oracle import numeric_modulus_verdict, weil_oracle
-
+    # each degree loads only its own checker, and the oracles load at the
+    # first sampled record
     if spec.degree == 12:
         from .bounds12 import corollary_bounds, trivial_bounds
     if spec.degree == 14:
@@ -271,6 +270,8 @@ def cross_check(spec: EnumerationSpec, seed: int = 1729) -> dict:
         if rec.is_weil and (
             spec.degree <= 4 or rng.random() < NUMERIC_SAMPLE_RATE
         ):
+            from .oracle import numeric_modulus_verdict, weil_oracle
+
             numeric = numeric_modulus_verdict(chi, spec.params)
             if numeric is False:
                 report["violations"].append(

@@ -13,8 +13,10 @@ mapped back), which keeps the Hensel machinery monic-only:
     factor of degree 1 or n - 1: at 2 when it qualifies, the cheapest prime
     for distinct-degree work, and at up to _SIEVE_PRIMES (three) odd such
     primes, distinct-degree factorization mod p, and the intersection of
-    the subset sums of the factor degrees.  An empty intersection inside
-    2..n-2 proves the cofactor irreducible, with no further work;
+    the subset sums of the factor degrees.  At 2 the split is read off
+    fpoly.factor's memo, which the Q_p engine fills with the same residues.
+    An empty intersection inside 2..n-2 proves the cofactor irreducible,
+    with no further work;
   * otherwise equal-degree splitting at the sieve prime with the fewest
     factors, Hensel lifting past the Mignotte bound, and subset
     recombination by increasing cardinality, skipping subsets whose degree
@@ -28,24 +30,22 @@ for any other p, f mod p keeps its degree and disc(f mod p) = disc(f)
 mod p, so those are exactly the primes that keep f squarefree mod p.  Past
 the root step the sieve reads the cofactor's discriminant instead.  Only
 when disc(f) = 0 does Yun's squarefree decomposition over Q run, and each
-of its parts goes through the pipeline with its own discriminant.
+of its parts goes through the pipeline with its own discriminant.  The
+discriminant is memoized, so a companion that padic profiles after it is
+factored has its discriminant computed once.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from itertools import combinations
 from math import gcd, isqrt
 
 from .arith import is_prime
 from .errors import ExactnessError
-from .fpoly import (
-    DEFAULT_SEED,
-    PrimeField,
-    distinct_degree,
-    equal_degree,
-    fdeg,
-)
+from . import fpoly
+from .fpoly import DEFAULT_SEED, PrimeField, equal_degree, fdeg, fmul
 from .hensel import hensel_lift_multi, _trunc
 from .polynomial import IntPoly, _div_exact, _homogeneous_horner, _mul, _prem, _prs
 
@@ -101,13 +101,32 @@ def _exact_div(f: IntPoly, g: IntPoly) -> IntPoly:
 
 
 def discriminant(f: IntPoly) -> int:
-    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f), an exact integer."""
-    lc = f.lc()
-    n = f.degree
+    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f), an exact integer.
+
+    The value is memoized on f's coefficients."""
+    f.lc()  # raises for the zero polynomial, which has none
+    return _discriminant(f.coeffs)
+
+
+# A Weil candidate's companion h is factored (factor_over_integers(h), via
+# weil.factor_weil) and then profiled (padic.qp_factor_profile(h)), and both
+# need disc(h).  Between the two calls the sieve computes one discriminant
+# more at most, its cofactor's past the integer roots: classify profiles only
+# an irreducible h, which has none, but factor_weil then profile_weil on a
+# reducible squarefree chi meets it (15 of the 638 Weil candidates that
+# test_factorint profiles that way).  So two entries serve both routes.
+_DISC_MEMO_SIZE = 2
+
+
+@functools.lru_cache(maxsize=_DISC_MEMO_SIZE)
+def _discriminant(coeffs: tuple[int, ...]) -> int:
+    """discriminant, computed, for nonzero trimmed coefficients."""
+    n = len(coeffs) - 1
     if n == 0:
         return 0
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * _resultant(f.coeffs, f.derivative().coeffs) // lc
+    derivative = [i * coeffs[i] for i in range(1, n + 1)]
+    return sign * _resultant(coeffs, derivative) // coeffs[-1]
 
 
 def _resultant(a, b) -> int:
@@ -186,6 +205,28 @@ def _integer_roots(f: IntPoly, fp: list[int], p: int) -> tuple[list[IntPoly], In
     return linear, IntPoly(cofactor)
 
 
+def distinct_degree(F: PrimeField, f: list[int]) -> list[tuple[list[int], int]]:
+    """fpoly.distinct_degree(F, f) for the sieve's monic f, squarefree mod p.
+
+    At p = 2 the answer is read off fpoly.factor(F, f) instead, whose memo
+    already holds the residues mod 2 that the Q_p engine factors: a monic
+    f of degree 7 has at most 128 values over F_2.  Its irreducible factors
+    come sorted by degree, each once, and those of one degree are
+    multiplied back into that degree's part.  At odd primes the sieve's
+    inputs are nearly all distinct, so they run fpoly.distinct_degree.
+    """
+    if F.p != 2:
+        return fpoly.distinct_degree(F, f)
+    parts: list[tuple[list[int], int]] = []
+    for g, _ in fpoly.factor(F, f)[1]:
+        d = fdeg(g)
+        if parts and parts[-1][1] == d:
+            parts[-1] = (fmul(F, parts[-1][0], g), d)
+        else:
+            parts.append((g, d))
+    return parts
+
+
 def _sieve(f: IntPoly, lc: int, disc: int):
     """f's integer roots, then distinct-degree data of the cofactor at the
     primes p that keep f squarefree mod p, with the set of degrees a proper
@@ -198,14 +239,16 @@ def _sieve(f: IntPoly, lc: int, disc: int):
 
     The roots are found at the first such prime (_integer_roots), and disc
     becomes the discriminant of the monic cofactor, so a later prime needs
-    only the cofactor squarefree mod p.  The cofactor has no factor of
-    degree 1, so none of degree n - 1 either, n its degree.  A monic factor
-    of it over Z reduces mod p to a product of irreducible factors of it
-    mod p, so its degree is a subset sum of their degrees at every such
-    prime; the returned bitmask (bit d for degree d) is the intersection of
-    those subset sums with 2..n-2, and 0 proves the cofactor irreducible
-    (or 1).  The walk stops there.  It returns the linear factors, the
-    cofactor, the bitmask and the reductions.
+    only the cofactor squarefree mod p.  The split at each prime is
+    distinct_degree's: at p = 2 it comes from fpoly.factor's memo, at odd
+    primes it is computed.  The cofactor has no factor of degree 1, so
+    none of degree n - 1 either, n its degree.  A monic factor of it over Z
+    reduces mod p to a product of irreducible factors of it mod p, so its
+    degree is a subset sum of their degrees at every such prime; the
+    returned bitmask (bit d for degree d) is the intersection of those
+    subset sums with 2..n-2, and 0 proves the cofactor irreducible (or 1).
+    The walk stops there.  It returns the linear factors, the cofactor, the
+    bitmask and the reductions.
     """
     linear: list[IntPoly] = []
     allowed = -1  # no bit is cleared before the roots are divided out

@@ -26,7 +26,8 @@ not split, so the random generator is made only for a block that splits.
 
 factor over F_p reduces its input mod p, then memoizes the answer per
 (p, coefficients) in a bounded LRU cache: the Q_p engine factors the same
-small residues over and over.  The cache holds tuples and each call gets
+small residues over and over, and factorint's degree sieve reads its split
+mod 2 from the same answers.  The cache holds tuples and each call gets
 fresh lists.  ExtField calls are not memoized.
 """
 
@@ -532,13 +533,14 @@ def factor(F, f) -> tuple[object, list[tuple[list, int]]]:
 
 
 # The Q_p engine factors h's unit part mod p and every Newton side's
-# residual polynomial, and on the q=2 box these repeat: there are at most
-# 128 monic degree-7 polynomials over F_2.  The scan14 list of seed 1 makes
-# 1,171 factor calls on 141 distinct inputs; 1,118 of them are over F_p, on
-# 122 distinct inputs (seed 2: 1,072 on 123).  ExtField calls (53 a run)
-# are not memoized, nor is the degree sieve's distinct_degree: its 1,013
-# calls on the same list see 750 distinct inputs (70 among the 328 at
-# p = 2, 680 among the 685 at odd primes).
+# residual polynomial, and the degree sieve of factorint reads its split of
+# h mod 2 from here; on the q=2 box these repeat: there are at most 128
+# monic degree-7 polynomials over F_2.  The scan14 list of seed 1 makes
+# 1,499 factor calls on 164 distinct inputs; 1,446 of them are over F_p, on
+# 145 distinct inputs.  Of those calls, 328 are the sieve's reads at p = 2,
+# on 70 distinct inputs, 47 of which the Q_p engine factors too.  ExtField
+# calls (53 a run) are not memoized, nor are the sieve's 685 reads at odd
+# primes, on 680 distinct inputs, which run distinct_degree.
 _FACTOR_MEMO_SIZE = 512
 
 

@@ -19,7 +19,6 @@ import time
 from pathlib import Path
 
 from .errors import UncertifiedProfileError
-from .padic import profile_weil, tate_condition_profile
 from .polynomial import IntPoly
 from .weil import WeilParams, factor_weil, is_weil
 
@@ -120,6 +119,10 @@ def lmfdb_reconcile(
             )
             continue
         if rec.get("is_simple"):
+            # only the Tate check factors and profiles, so only it loads
+            # the factorizer and the Q_p engine
+            from .padic import profile_weil, tate_condition_profile
+
             _, factors = factor_weil(poly, verdict, params)
             if len(factors) == 1 and factors[0][1] == 1:
                 try:

@@ -24,7 +24,9 @@ x -+ 2 sqrt(q) when q is a square.
 
 factor_weil factors a Weil chi over Z through the same companion: each
 irreducible factor of h gives one factor of chi, irreducible except at the
-roots +-2 sqrt(q) of h, where it is a square.
+roots +-2 sqrt(q) of h, where it is a square.  Its factors are memoized in
+a one-entry cache, so a chi factored by census's irreducible filter and
+then by classify7.classify is factored once.
 
 symmetric_v gives the genus-6 companion h in closed form from a_1..a_6;
 corollary_bounds builds h from it and decides conditions 6 and 8 on h
@@ -320,12 +322,28 @@ def factor_weil(
 
     The product of the factors is checked against chi before returning
     (ExactnessError otherwise), which also proves the verdict is chi's.
+    The factors are memoized on (chi, verdict, params) and each call gets a
+    fresh list; an input that raises is not memoized.
     """
+    if not verdict.is_weil:
+        raise StructuralError("factor_weil needs the verdict of a Weil polynomial")
+    return 1, list(_factor_weil(chi, verdict, params))
+
+
+# census.cross_check's irreducible filter factors a Weil chi and then hands
+# it to classify7.classify, which factors it again, with no other chi
+# factored between the two calls, so one entry serves them.
+_FACTORS_MEMO_SIZE = 1
+
+
+@functools.lru_cache(maxsize=_FACTORS_MEMO_SIZE)
+def _factor_weil(
+    chi: IntPoly, verdict: WeilVerdict, params: WeilParams
+) -> tuple[tuple[IntPoly, int], ...]:
+    """factor_weil's factors, computed, as a tuple."""
     # the predicate never factors, so only this route loads the factorizer
     from .factorint import factor_over_integers
 
-    if not verdict.is_weil:
-        raise StructuralError("factor_weil needs the verdict of a Weil polynomial")
     q = params.q
     squares = {divisor: factor for _, factor, divisor in _real_root_divisors(q)}
     _, parts = factor_over_integers(verdict.companion)
@@ -339,7 +357,7 @@ def factor_weil(
         check = check * g ** m
     if check != chi:
         raise ExactnessError("companion factors do not multiply back to chi")
-    return 1, out
+    return tuple(out)
 
 
 # -- genus-6 coefficient transforms -------------------------------------------

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilpoly import arith, factorint, fpoly, weil
+from weilpoly import arith, factorint, fpoly, padic, weil
+from weilpoly.classify7 import classify
 from weilpoly.factorint import (
     discriminant,
     factor_over_integers,
@@ -344,8 +345,9 @@ def primes_tried(monkeypatch) -> list[int]:
 
 
 def sieve_reads(monkeypatch) -> list[int]:
-    """The primes of the degree sieve's distinct_degree calls, in order,
-    from now on."""
+    """The primes of the degree sieve's distinct-degree reads, in order,
+    from now on: factorint.distinct_degree, which reads p = 2 off
+    fpoly.factor's memo and computes the odd primes."""
     read = []
     orig = factorint.distinct_degree
 
@@ -449,6 +451,101 @@ def test_the_sieve_reads_exactly_the_primes_that_keep_f_squarefree(monkeypatch):
     # both rules are exercised: primes skipped for the squarefree test, not
     # only for dividing lc, and primes read for the cofactor alone
     assert skipped > 100 and cofactor_only > 0
+
+
+def test_the_sieve_split_at_2_is_distinct_degrees(monkeypatch):
+    """At p = 2 the sieve's split is read off fpoly.factor's memo: on every
+    companion of the q=2 box it equals fpoly.distinct_degree's."""
+    reads = []
+
+    def spy(F, f, _orig=factorint.distinct_degree):
+        parts = _orig(F, f)
+        if F.p == 2:
+            reads.append((list(f), parts))
+        return parts
+
+    monkeypatch.setattr(factorint, "distinct_degree", spy)
+    for a in itertools.product((-1, 0, 1), repeat=7):
+        factor_over_integers(companion_poly(chi_from_a(a, P2), P2))
+    F = fpoly.PrimeField(2)
+    assert len(reads) > 1000
+    for f, parts in reads:
+        assert parts == fpoly.distinct_degree(F, f), f
+
+
+def test_a_repeated_read_at_2_splits_nothing(monkeypatch):
+    """t^7 + t + 1 is irreducible mod 2, so the sieve reads 2 alone; the
+    second time, that read is a hit in fpoly.factor's memo."""
+    f = T([1, 1, 0, 0, 0, 0, 0, 1])
+    ours(f)
+    splits = []
+
+    def spy(F, g, _orig=fpoly.distinct_degree):
+        splits.append(F.p)
+        return _orig(F, g)
+
+    monkeypatch.setattr(fpoly, "distinct_degree", spy)
+    read = sieve_reads(monkeypatch)
+    assert ours(f) == (1, [(tuple(f.coeffs), 1)])
+    assert read == [2] and splits == []
+
+
+def test_a_factored_companion_is_profiled_on_its_memoized_discriminant(monkeypatch):
+    """Each Weil candidate's companion h is factored and then profiled, and
+    both need disc(h).  On the classify route, and on the route that
+    profiles a squarefree chi with factor_weil and then profile_weil,
+    where the sieve also needs the discriminant of h's cofactor past its
+    integer roots, every discriminant is computed once, counted as
+    _resultant calls."""
+    computed = []
+
+    def resultant_spy(a, b, _orig=factorint._resultant):
+        computed.append(tuple(a))
+        return _orig(a, b)
+
+    profiled = []
+
+    def profile_spy(f, p, _orig=padic.qp_factor_profile):
+        profiled.append(f.coeffs)
+        return _orig(f, p)
+
+    monkeypatch.setattr(factorint, "_resultant", resultant_spy)
+    monkeypatch.setattr(padic, "qp_factor_profile", profile_spy)
+    rng = random.Random(20261020)
+    corpus = [(chi_from_a(a, P2), P2) for a in itertools.product((-1, 0, 1), repeat=7) if sum(a) % 3 == 0]
+    corpus += [(chi_from_a(tuple(rng.randint(-3, 3) for _ in range(7)), P8), P8) for _ in range(150)]
+
+    def classify_route(chi, verdict, params):
+        classify(chi, params)
+
+    def profile_route(chi, verdict, params):
+        _, parts = weil.factor_weil(chi, verdict, params)
+        if all(m == 1 for _, m in parts):
+            padic.profile_weil(chi, verdict, params)
+
+    shared = {}
+    for route in (classify_route, profile_route):
+        shared[route.__name__] = [0, 0]
+        for chi, params in corpus:
+            verdict = weil.is_weil(chi, params)
+            if not verdict.is_weil:
+                continue
+            factorint._discriminant.cache_clear()
+            weil._factor_weil.cache_clear()
+            computed.clear()
+            profiled.clear()
+            route(chi, verdict, params)
+            assert len(computed) == len(set(computed)), (route.__name__, chi)
+            h = verdict.companion.coeffs
+            if h in profiled:
+                assert h in computed, (route.__name__, chi)
+                counts = shared[route.__name__]
+                counts[0] += 1
+                counts[1] += len(set(computed) - {h, chi.coeffs}) > 0
+    # the classify route profiles only irreducible candidates, whose
+    # companion has no integer root; the other route meets cofactors
+    assert shared["classify_route"][0] > 300 and shared["classify_route"][1] == 0, shared
+    assert shared["profile_route"][1] > 10, shared
 
 
 def integer_factor_corpus(seed):

@@ -200,6 +200,36 @@ def test_degree_2_cross_check_loads_no_degree_12_or_14_checker():
     assert not loaded & {"classify7", "padic", "bounds12"}, sorted(loaded)
 
 
+def test_degree_14_cross_check_loads_the_oracles_only_for_a_sampled_record():
+    """The cross-check command's degree-14 box draws 27 numbers from
+    Random(1729), all at least NUMERIC_SAMPLE_RATE, so no record is
+    sampled for the oracles and neither they nor quadreal load."""
+    loaded = loaded_by("cross-check", "--degree", "14", "--q", "2", "--box", "-1:1,0:0,0:0,-1:1,0:0,0:0,-1:1")
+    assert {"census", "classify7", "padic"} <= loaded
+    assert not loaded & {"oracle", "quadreal"}, sorted(loaded)
+
+
+def lmfdb_loads(cache_dir, classes) -> set[str]:
+    """The weilpoly submodules held after `lmfdb --q 2 --g 1` on a cache
+    holding these classes."""
+    body = {"data": classes}
+    (cache_dir / "av_fq_isog_g1_q2.json").write_text(json.dumps({"url": "", "timestamp": 0, "body": body}))
+    return loaded_by("lmfdb", "--q", "2", "--g", "1", "--cache-dir", str(cache_dir))
+
+
+FACTOR_STACK = {"padic", "factorint", "fpoly", "hensel", "newton"}
+
+
+def test_lmfdb_loads_the_factorizer_only_for_a_simple_class(tmp_path):
+    """Only the Tate check on a fetched simple class factors and profiles:
+    a class that is not simple leaves factorint, fpoly, hensel, newton and
+    padic unloaded, and a simple one loads them."""
+    loaded = lmfdb_loads(tmp_path, [{"label": "1.2.a", "poly": [2, 0, 1], "is_simple": False}])
+    assert "lmfdb" in loaded and not loaded & FACTOR_STACK, sorted(loaded)
+    loaded = lmfdb_loads(tmp_path, [{"label": "1.2.a", "poly": [2, 0, 1], "is_simple": True}])
+    assert FACTOR_STACK <= loaded, sorted(loaded)
+
+
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "manifest.json").read_text())
 
 
@@ -233,6 +263,12 @@ def test_z_only_commands_leave_quadreal_unloaded(name, golden_modules):
 @pytest.mark.parametrize("name", goldens_of("check-weil", "enumerate"))
 def test_check_weil_and_enumerate_leave_fractions_unloaded(name, golden_modules):
     assert "fractions" not in golden_modules[name]
+
+
+@pytest.mark.parametrize("name", goldens_of("lmfdb"))
+def test_a_cold_lmfdb_cache_leaves_the_factorizer_unloaded(name, golden_modules):
+    loaded = {m.removeprefix("weilpoly.") for m in golden_modules[name] if m.startswith("weilpoly.")}
+    assert "lmfdb" in loaded and not loaded & FACTOR_STACK, sorted(loaded)
 
 
 @pytest.mark.parametrize("name", goldens_of("enumerate"))

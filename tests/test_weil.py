@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilpoly import weil
+from weilpoly import factorint, weil
 from weilpoly.census import EnumerationSpec, cross_check
 from weilpoly.classify7 import classify
 from weilpoly.errors import ExactnessError, StructuralError
@@ -544,3 +544,33 @@ def test_degree14_cross_check_computes_each_companion_once(monkeypatch):
     assert report["ok"], report["violations"]
     assert report["counts"]["records"] == 27
     assert len(counts) == 27 and set(counts.values()) == {1}
+
+
+def test_degree14_cross_check_factors_each_companion_once(monkeypatch):
+    """With the degree-14 filters of the cross-check command, census's
+    irreducible filter and then classify factor each Weil candidate
+    through its companion, which is factored once."""
+    factored = collections.Counter()
+
+    def spy(f, _orig=factorint.factor_over_integers):
+        factored[f.coeffs] += 1
+        return _orig(f)
+
+    monkeypatch.setattr(factorint, "factor_over_integers", spy)
+    weil._factor_weil.cache_clear()
+    box = ((-1, 1), (0, 0), (0, 0), (-1, 1), (0, 0), (0, 0), (-1, 1))
+    spec = EnumerationSpec(degree=14, params=P2, box=box, weil_only=True, irreducible_only=True)
+    report = cross_check(spec)
+    assert report["ok"], report["violations"]
+    # 25 Weil candidates, 20 of them irreducible and then classified
+    assert report["counts"] == {"records": 20, "accepted": 20}
+    assert len(factored) == 25 and set(factored.values()) == {1}
+
+
+def test_factor_weil_returns_a_fresh_list_each_call():
+    chi = chi_from_a((0, 0, -1, 0, 0, 0, 0), P2)
+    verdict = is_weil(chi, P2)
+    _, first = factor_weil(chi, verdict, P2)
+    first.clear()
+    _, again = factor_weil(chi, verdict, P2)
+    assert again and again == factor_over_integers(chi)[1]
