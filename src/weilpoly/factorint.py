@@ -11,7 +11,7 @@ mapped back), which keeps the Hensel machinery monic-only:
     is missed, and the cost does not grow with the size of a root;
   * a degree sieve (Musser, J. ACM 25, 1978) on the cofactor, which has no
     factor of degree 1 or n - 1: at 2 when it qualifies, the cheapest prime
-    for distinct-degree work, and at up to _SIEVE_PRIMES (three) odd such
+    for distinct-degree work, and at up to _SIEVE_PRIMES (five) odd such
     primes, distinct-degree factorization mod p, and the intersection of
     the subset sums of the factor degrees.  At 2 the split is read off
     fpoly.factor's memo, which the Q_p engine fills with the same residues.
@@ -38,6 +38,7 @@ factored has its discriminant computed once.
 from __future__ import annotations
 
 import functools
+import operator
 import random
 from itertools import combinations
 from math import gcd, isqrt
@@ -49,20 +50,19 @@ from .fpoly import DEFAULT_SEED, PrimeField, equal_degree, fdeg, fmul
 from .hensel import hensel_lift_multi, _trunc
 from .polynomial import IntPoly, _div_exact, _homogeneous_horner, _mul, _prem, _prs
 
-# Odd primes the degree sieve reads, besides 2.  With integer roots divided
-# out first, and before p = 2 was read, 2, 3, 4 and 5 odd primes factored
-# the 1,728 Weil companions of scan14 seeds 1-3 in 0.67, 0.55, 0.54 and
-# 0.53 s (best of 10, one core of an x86-64 host, Python 3.11), and all
-# 2,187 companions of the q=2 box in 0.94, 0.72, 0.70 and 0.71 s: past
-# three the gain is within the host's noise, so three it stays.  With 2
-# read first, going on to three odd primes, rather than stopping at three
-# reductions in all, Hensel-lifts 140 of those 1,728 companions instead of
-# 183, for 3,023 distinct-degree splits instead of 2,945.  Factoring them
-# took the same time within the noise (324 against 320 ms, median of six
-# best-of-10 runs), as did scan14 seeds 31-40 (2,540 against 2,507
-# ops/s), but scan14's op_ms_p90 fell from 0.755 to 0.692 ms, lower in 9
-# of the 10 pairs.
-_SIEVE_PRIMES = 3
+# Odd primes the degree sieve reads, besides 2.  A walk the sieve cannot
+# settle splits, Hensel-lifts and recombines: on one core of a 2-core
+# x86-64 host (Python 3.11) that took 0.8-1.0 ms, a settled walk 0.11-0.15
+# ms and one odd read 0.07-0.10 ms.  On the 3,474 companions that scan14
+# seeds 1-6 factor, 3, 4, 5 and 6 odd primes lift 280, 146, 103 and 74
+# walks, of which 228, 94, 51 and 22 find the cofactor irreducible after
+# all, for 4,064, 4,344, 4,490 and 4,593 odd reads; on the 1,595 Weil
+# candidates of the q=2 box, 3 and 5 lift 124 and 47 walks, for 1,854 and
+# 2,041 odd reads.  Factoring those 3,474 companions took 0.63, 0.60, 0.59
+# and 0.59 s (best of 7), and scan14 seeds 201-210 gave 2,902, 2,923 and
+# 2,978 ops/s at 4, 5 and 6, with no pair of them apart by more than the
+# host's noise, so five, the middle, it is.
+_SIEVE_PRIMES = 5
 
 
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -331,10 +331,7 @@ def _zassenhaus_monic(f: IntPoly, lc: int, disc: int) -> list[IntPoly]:
             s += 1
     if current.degree > 0:
         out.append(current)
-    prod = IntPoly.one()
-    for g in out:
-        prod = prod * g
-    if prod != f:
+    if functools.reduce(operator.mul, out) != f:
         raise ExactnessError("Zassenhaus recombination failed verification")
     return out
 
@@ -379,10 +376,11 @@ def factor_over_integers(f: IntPoly) -> tuple[int, list[tuple[IntPoly, int]]]:
                 for irr in _factor_primitive(sqf, discriminant(sqf)):
                     out.append((irr, mult))
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
-    check = IntPoly([cont])
-    for g, m in out:
-        check = check * g ** m
-    if check != f:
+    # the factors alone, each repeated by its multiplicity, multiplied back,
+    # then scaled by the content; only a constant f has none
+    factors = [g for g, m in out for _ in range(m)]
+    check = functools.reduce(operator.mul, factors) if factors else IntPoly.one()
+    if cont * check != f:
         raise ExactnessError("factorization failed to reconstruct the input")
     return cont, out
 

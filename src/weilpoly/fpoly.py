@@ -539,8 +539,8 @@ def factor(F, f) -> tuple[object, list[tuple[list, int]]]:
 # 1,499 factor calls on 164 distinct inputs; 1,446 of them are over F_p, on
 # 145 distinct inputs.  Of those calls, 328 are the sieve's reads at p = 2,
 # on 70 distinct inputs, 47 of which the Q_p engine factors too.  ExtField
-# calls (53 a run) are not memoized, nor are the sieve's 685 reads at odd
-# primes, on 680 distinct inputs, which run distinct_degree.
+# calls (53 a run) are not memoized, nor are the sieve's 749 reads at odd
+# primes, on 744 distinct inputs, which run distinct_degree.
 _FACTOR_MEMO_SIZE = 512
 
 

@@ -1,10 +1,13 @@
 """Quadratic Hensel lifting of coprime factorizations in Z[t].
 
-The single step follows the textbook scheme: given f = g*h (mod m) with
-Bezout cofactors s*g + t*h = 1 (mod m), it produces the same data mod m^2.
-Lifting to p^k iterates the step ceil(log2 k) times; a multifactor lift
-splits the factor list in halves on a binary tree.  Every step re-verifies
-its congruence, so a bad seed fails loudly rather than corrupting results.
+The single step follows the textbook scheme in two halves: given f = g*h
+(mod m) with Bezout cofactors s*g + t*h = 1 (mod m), it lifts the factors
+to f = G*H (mod m^2), then the Bezout pair to S*G + T*H = 1 (mod m^2).
+Lifting to p^k iterates the step ceil(log2 k) times, and the last step
+lifts only the factors, since no later step reads the Bezout pair; a
+multifactor lift splits the factor list in halves on a binary tree.  The
+lifted product is checked against f mod p^k, so a bad seed fails loudly
+rather than corrupting results.
 """
 
 from __future__ import annotations
@@ -47,22 +50,30 @@ def hensel_step(m: int, f, g, h, s, t):
 
     h must be monic.  Returns (G, H, S, T) mod m^2 with H monic.
     """
+    G, H = _lift_factors(m, f, g, h, s, t)
+    return (G, H, *_lift_bezout(m * m, s, t, G, H))
+
+
+def _lift_factors(m: int, f, g, h, s, t):
+    """hensel_step's first half: (G, H) mod m^2, H monic."""
     M = m * m
     e = _trunc(_sub(f, _mul(g, h)), M)
     q, r = _divmod_monic(_trunc(_mul(s, e), M), h)
     q = _trunc(q, M)
     r = _trunc(r, M)
     u = _add(_mul(t, e), _mul(q, g))
-    G = _trunc(_add(g, u), M)
-    H = _trunc(_add(h, r), M)
+    return _trunc(_add(g, u), M), _trunc(_add(h, r), M)
+
+
+def _lift_bezout(M: int, s, t, G, H):
+    """hensel_step's second half: (S, T) with S*G + T*H = 1 mod M = m^2,
+    from the pair (s, t) mod m and the lifted factors (G, H)."""
     b = _trunc(_sub(_add(_mul(s, G), _mul(t, H)), [1]), M)
     c, d = _divmod_monic(_trunc(_mul(s, b), M), H)
     c = _trunc(c, M)
     d = _trunc(d, M)
     u = _add(_mul(t, b), _mul(c, G))
-    S = _trunc(_sub(s, d), M)
-    T = _trunc(_sub(t, u), M)
-    return G, H, S, T
+    return _trunc(_sub(s, d), M), _trunc(_sub(t, u), M)
 
 
 def hensel_lift_pair(f: IntPoly, g0: list[int], h0: list[int], p: int, k: int):
@@ -70,10 +81,11 @@ def hensel_lift_pair(f: IntPoly, g0: list[int], h0: list[int], p: int, k: int):
 
     g0, h0 are monic F_p coefficient lists with deg g0 + deg h0 = deg f and f
     monic.  Returns (g, h) as IntPoly with coefficients reduced mod p^k.
-    Raises ValueError if the seed factors are not coprime mod p or their
-    product is not f mod p, and ExactnessError if the lifted product fails
-    to reproduce f.
+    Raises ValueError if k < 1, if the seed factors are not coprime mod p
+    or their product is not f mod p, and ExactnessError if the lifted
+    product fails to reproduce f.
     """
+    _check_precision(k)
     F = PrimeField(p)
     g0 = fmonic(F, ftrim(F, [c % p for c in g0]))
     h0 = fmonic(F, ftrim(F, [c % p for c in h0]))
@@ -86,18 +98,25 @@ def hensel_lift_pair(f: IntPoly, g0: list[int], h0: list[int], p: int, k: int):
     # Bezout cofactors mod p by the extended Euclidean algorithm
     s, t = _gcdex(F, g0, h0)
     g, h = list(g0), list(h0)
-    m = p
+    m, mod = p, p ** k
     fl = list(f.coeffs)
-    while m < p ** k:
-        g, h, s, t = hensel_step(m, fl, g, h, s, t)
+    while m < mod:
+        g, h = _lift_factors(m, fl, g, h, s, t)
         m = m * m
-    mod = p ** k
+        if m < mod:
+            s, t = _lift_bezout(m, s, t, g, h)
     g = _trunc(g, mod)
     h = _trunc(h, mod)
     check = _trunc(_sub(fl, _mul(g, h)), mod)
     if check:
         raise ExactnessError("Hensel lift failed verification")
     return IntPoly(g), IntPoly(h)
+
+
+def _check_precision(k: int) -> None:
+    """Mod p^0 every split verifies, so a lift needs k >= 1."""
+    if k < 1:
+        raise ValueError(f"Hensel lifting needs a precision k >= 1, got {k}")
 
 
 def _gcdex(F, a, b):
@@ -121,8 +140,9 @@ def hensel_lift_multi(f: IntPoly, factors: list[list[int]], p: int, k: int) -> l
     """Lift pairwise-coprime monic factors of monic f mod p to mod p^k.
 
     Binary-tree strategy: split the list in half, lift the two products as a
-    pair, recurse into each half.
+    pair, recurse into each half.  Raises ValueError if k < 1.
     """
+    _check_precision(k)
     if len(factors) == 1:
         return [IntPoly(_trunc(list(f.coeffs), p ** k))]
     F = PrimeField(p)

@@ -79,14 +79,20 @@ def newton_polygon(f: IntPoly, p: int) -> NewtonPolygon:
         raise StructuralError("zero polynomial has no Newton polygon")
     if f[0] == 0:
         raise StructuralError("constant term vanishes; factor out t-powers first")
-    pts = [(i, vp(c, p)) for i, c in enumerate(f.coeffs) if c != 0]
-    hull = lower_hull(pts)
+    pts, hull = _points_and_vertices(f, p)
     segments = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         segments.append(
             Segment(Fraction(y2 - y1, x2 - x1), x2 - x1, (x1, y1), (x2, y2))
         )
-    return NewtonPolygon(tuple(pts), tuple(hull), tuple(segments))
+    return NewtonPolygon(pts, hull, tuple(segments))
+
+
+def _points_and_vertices(f: IntPoly, p: int):
+    """The points (i, v_p(c_i)) of f's nonzero coefficients and the vertices
+    of their lower hull, both as tuples; f has a nonzero constant term."""
+    pts = tuple((i, vp(c, p)) for i, c in enumerate(f.coeffs) if c)
+    return pts, tuple(lower_hull(pts))
 
 
 def lattice_vertex_check(np_: NewtonPolygon, n: int) -> bool:

@@ -65,7 +65,7 @@ from .errors import ExactnessError, StructuralError, UncertifiedProfileError
 from .factorint import _monicize, discriminant
 from .fpoly import ExtField, PrimeField, fdeg, ftrim
 from .hensel import hensel_lift_pair
-from .newton import lower_hull, newton_polygon
+from .newton import _points_and_vertices, lower_hull
 from .polynomial import IntPoly
 from .weil import WeilParams, WeilVerdict
 
@@ -379,7 +379,7 @@ def qp_factor_profile(f: IntPoly, p: int) -> PadicFactorProfile:
                     f"the last at K={K}"
                 ) from exc
             K *= 2
-    return _profile(f, p, recs, newton_polygon(f, p).vertices)
+    return _profile(f, p, recs, _points_and_vertices(f, p)[1])
 
 
 def _profile(f: IntPoly, p: int, recs, vertices) -> PadicFactorProfile:
@@ -463,7 +463,7 @@ def profile_weil(chi: IntPoly, verdict: WeilVerdict, params: WeilParams) -> Padi
     are checked against chi's Newton polygon, and those of the companion
     route also for symmetry under s -> n - s.
     """
-    return _profile_weil(chi, verdict, params, newton_polygon(chi, params.p).vertices)
+    return _profile_weil(chi, verdict, params, _points_and_vertices(chi, params.p)[1])
 
 
 def _profile_weil(chi: IntPoly, verdict: WeilVerdict, params: WeilParams, vertices):

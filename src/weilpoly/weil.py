@@ -49,7 +49,6 @@ from .polynomial import (
     IntPoly,
     _div_exact,
     _divmod_monic,
-    _homogeneous_horner,
     _primitive,
     _prs,
     _variations_right,
@@ -151,17 +150,32 @@ def _companion(chi: tuple, q: int) -> list[int]:
     """companion_poly on the coefficients of a chi whose symmetry is already
     checked."""
     g = len(chi) // 2
+    table = _binomial_table(g, q)
     c = [0] * (g + 1)
     for i in range(g, -1, -1):
         acc = chi[g + i]
         for k in range(i + 2, g + 1, 2):
-            acc -= c[k] * comb(k, (k - i) // 2) * q ** ((k - i) // 2)
+            acc -= c[k] * table[k][(k - i) // 2]
         c[i] = acc
     # certificate: t^g * h(t + q/t), expanded coefficient by coefficient by
     # the forward map factor_weil uses, is chi itself, an identity in Z[t]
     if tuple(_expand(c, q)) != chi:
         raise ExactnessError("companion reconstruction failed")
     return c
+
+
+# is_weil expands companions of one degree at one q, and factor_weil
+# expands the factors of a companion, of every degree up to it: the
+# degree-14 scan meets degrees 1..7 at q = 2 and q = 8, and the degree-12
+# sweeps degree 6 at five q, so 16 entries hold every table a run reads.
+_BINOMIAL_TABLE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_BINOMIAL_TABLE_SIZE)
+def _binomial_table(d: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """Row k, for k = 0..d, holds C(k, j) q^j for j = 0..k: the
+    coefficients of t^k (t + q/t)^k, from t^(2k) down."""
+    return tuple(tuple(comb(k, j) * q ** j for j in range(k + 1)) for k in range(d + 1))
 
 
 def _sturm_chain(h: IntPoly) -> list[list[int]]:
@@ -224,7 +238,15 @@ def _multiplicity(p: IntPoly, factor: IntPoly) -> int:
 def _at_edges(p, q: int) -> tuple[int, int]:
     """(E, O) with p(+-2 sqrt q) = E +- O sqrt q: E and O come from the even
     and odd parts of p evaluated at 4q."""
-    return _homogeneous_horner(p[0::2], 4 * q, 1), 2 * _homogeneous_horner(p[1::2], 4 * q, 1)
+    return _horner(p[0::2], 4 * q), 2 * _horner(p[1::2], 4 * q)
+
+
+def _horner(coeffs, x: int) -> int:
+    """The polynomial of these coefficients, lowest first, at the integer x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def is_weil(chi: IntPoly, params: WeilParams) -> WeilVerdict:
@@ -283,14 +305,12 @@ def _expand(h, q: int) -> list[int]:
     """The coefficients of t^d h(t + q/t) for the coefficients h of a degree-d
     polynomial: the sum of h_k C(k, j) q^j t^(d + k - 2j)."""
     d = len(h) - 1
+    table = _binomial_table(d, q)
     out = [0] * (2 * d + 1)
     for k, c in enumerate(h):
         if c:
-            # term = h_k C(k, j) q^j, and C(k, j+1) = C(k, j) (k - j) / (j + 1)
-            term = c
-            for j in range(k + 1):
-                out[d + k - 2 * j] += term
-                term = term * (k - j) // (j + 1) * q
+            for j, b in enumerate(table[k]):
+                out[d + k - 2 * j] += c * b
     return out
 
 
@@ -352,9 +372,10 @@ def _factor_weil(
         factor = squares.get(h_i)
         out.append((_from_companion(h_i, q), m) if factor is None else (factor, 2 * m))
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
-    check = IntPoly.one()
-    for g, m in out:
-        check = check * g ** m
+    # the factors alone, each repeated by its multiplicity, multiplied back;
+    # only a constant chi has none
+    factors = [g for g, m in out for _ in range(m)]
+    check = functools.reduce(operator.mul, factors) if factors else IntPoly.one()
     if check != chi:
         raise ExactnessError("companion factors do not multiply back to chi")
     return tuple(out)

@@ -394,13 +394,45 @@ def test_even_leading_coefficient_skips_2(monkeypatch):
     assert tried[0] == 3 and 2 not in tried
 
 
-def test_input_not_squarefree_mod_2_still_reads_three_odd_primes(monkeypatch):
-    """(t^2 + 1)(t^2 + 2) is t^2 (t + 1)^2 mod 2 and squarefree mod 3, 5
-    and 7; its factors of degree 2 keep every sieve read open."""
+def test_input_not_squarefree_mod_2_still_reads_five_odd_primes(monkeypatch):
+    """(t^2 + 1)(t^2 + 2) is t^2 (t + 1)^2 mod 2 and squarefree mod 3, 5,
+    7, 11 and 13; its factors of degree 2 keep every sieve read open."""
     read = sieve_reads(monkeypatch)
     f = T([1, 0, 1]) * T([2, 0, 1])
     assert ours(f) == sympy_factorization(f)
-    assert read == [3, 5, 7]
+    assert factorint._SIEVE_PRIMES == 5
+    assert read == [3, 5, 7, 11, 13]
+
+
+def test_the_q2_box_lifts_only_walks_the_sieve_left_open(monkeypatch):
+    """The companions of the 1,595 Weil candidates in the q=2 box
+    |a_i| <= 1 make 1,595 sieve walks; 47 of them reach Hensel lifting
+    (124 when the sieve read three odd primes), and each of those read
+    all _SIEVE_PRIMES odd primes first, so no walk lifts early."""
+    walks = []
+
+    def sieve_spy(*args, _orig=factorint._sieve):
+        walks.append([0, False])
+        return _orig(*args)
+
+    def read_spy(F, f, _orig=factorint.distinct_degree):
+        walks[-1][0] += F.p != 2
+        return _orig(F, f)
+
+    def lift_spy(*args, _orig=factorint.hensel_lift_multi):
+        walks[-1][1] = True
+        return _orig(*args)
+
+    monkeypatch.setattr(factorint, "_sieve", sieve_spy)
+    monkeypatch.setattr(factorint, "distinct_degree", read_spy)
+    monkeypatch.setattr(factorint, "hensel_lift_multi", lift_spy)
+    for a in itertools.product((-1, 0, 1), repeat=7):
+        verdict = weil.is_weil(chi_from_a(a, P2), P2)
+        if verdict.is_weil:
+            factor_over_integers(verdict.companion)
+    lifted = [reads for reads, lift in walks if lift]
+    assert len(walks) == 1595 and len(lifted) == 47
+    assert set(lifted) == {factorint._SIEVE_PRIMES}
 
 
 def squarefree_mod(f: IntPoly, p: int) -> bool:

@@ -1,7 +1,9 @@
 import hashlib
 import random
 
-from weilpoly import fpoly
+import pytest
+
+from weilpoly import fpoly, hensel
 from weilpoly.fpoly import PrimeField
 from weilpoly.hensel import hensel_lift_multi, hensel_lift_pair
 from weilpoly.polynomial import IntPoly
@@ -66,3 +68,35 @@ def test_lifts_match_the_pinned_digest():
         lifted = hensel_lift_multi(f, factors, p, k)
         digest.update(f"{p}|{k}|{f.coeffs}|{g.coeffs}|{h.coeffs}|{[u.coeffs for u in lifted]}\n".encode())
     assert digest.hexdigest() == "e13dd76ee73e051d888a0bf4fd4bf4d865ef28862a0c989f8fa29dc3a3dde4a1"
+
+
+@pytest.mark.parametrize("k", [0, -1, -3])
+def test_a_precision_below_one_is_rejected(k):
+    """Mod p^0 every split verifies, and a negative k would lift to a float
+    modulus: both lifts refuse k < 1 instead of answering."""
+    f = IntPoly([-1, 0, 1])
+    with pytest.raises(ValueError, match="k >= 1"):
+        hensel_lift_pair(f, [2, 1], [1, 1], 3, k)
+    with pytest.raises(ValueError, match="k >= 1"):
+        hensel_lift_multi(f, [[2, 1], [1, 1]], 3, k)
+    with pytest.raises(ValueError, match="k >= 1"):
+        hensel_lift_multi(f, [[2, 0, 1]], 3, k)
+
+
+def test_the_last_step_lifts_no_bezout_pair(monkeypatch):
+    """Lifting to p^k takes ceil(log2 k) steps, and every one but the last
+    also lifts the Bezout pair."""
+    calls = []
+
+    def spy(*args, _orig=hensel._lift_bezout):
+        calls.append(args[0])
+        return _orig(*args)
+
+    monkeypatch.setattr(hensel, "_lift_bezout", spy)
+    f = IntPoly([-2, 0, 1])
+    for k, steps in ((1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (32, 5), (33, 6)):
+        calls.clear()
+        g, h = hensel_lift_pair(f, [4, 1], [3, 1], 7, k)
+        assert all(c % 7 ** k == 0 for c in (g * h - f).coeffs)
+        assert len(calls) == max(steps - 1, 0), k
+        assert all(m < 7 ** k for m in calls)

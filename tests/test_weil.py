@@ -574,3 +574,28 @@ def test_factor_weil_returns_a_fresh_list_each_call():
     first.clear()
     _, again = factor_weil(chi, verdict, P2)
     assert again and again == factor_over_integers(chi)[1]
+
+
+def direct_expansion(h: list[int], q: int) -> list[int]:
+    """t^d h(t + q/t) by math.comb, term by term: h_k C(k, j) q^j at
+    t^(d + k - 2j)."""
+    d = len(h) - 1
+    out = [0] * (2 * d + 1)
+    for k, c in enumerate(h):
+        for j in range(k + 1):
+            out[d + k - 2 * j] += c * comb(k, j) * q ** j
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 2**7, 2**161])
+def test_expand_and_companion_read_the_binomial_table(q):
+    """_expand and _companion read C(k, j) q^j off one table per (degree,
+    q), and agree with the direct expansion by math.comb on random h."""
+    rng = random.Random(q)
+    for _ in range(40):
+        d = rng.randint(0, 8)
+        h = [rng.randint(-5 * q, 5 * q) for _ in range(d)] + [1]
+        chi = direct_expansion(h, q)
+        assert weil._expand(h, q) == chi
+        assert weil._companion(tuple(chi), q) == h
+    assert weil._binomial_table.cache_info().maxsize == weil._BINOMIAL_TABLE_SIZE
