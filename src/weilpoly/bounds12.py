@@ -42,8 +42,7 @@ from math import comb
 
 from .arith import _record
 from .errors import PrecisionExhausted
-from .polynomial import IntPoly
-from .weil import WeilParams, _real_rooted, _sturm_chain, symmetric_v
+from .weil import WeilParams, _sturm_chain, symmetric_v
 
 
 def _load_lemma_stack() -> None:
@@ -70,6 +69,9 @@ class Status(Enum):
     INDETERMINATE = "indeterminate"
 
 
+_STATUS = {True: Status.PASS, False: Status.FAIL, None: Status.INDETERMINATE}
+
+
 @_record
 class ConditionResult:
     cond: str
@@ -92,11 +94,7 @@ class BoundsReport:
         return NotImplemented
 
     def add(self, cond: str, ok: bool | None, note: str = ""):
-        if ok is None:
-            st = Status.INDETERMINATE
-        else:
-            st = Status.PASS if ok else Status.FAIL
-        self.conditions.append(ConditionResult(cond, st, note))
+        self.conditions.append(ConditionResult(cond, _STATUS[ok], note))
 
     @property
     def all_pass(self) -> bool:
@@ -351,14 +349,15 @@ def _integers(a) -> list[int]:
         raise ValueError(f"expected integer coefficients, got {list(a)!r}") from None
 
 
-def _cubic_real_rooted(cubic: IntPoly) -> bool:
-    """Whether the integer cubic has only real roots: iff its discriminant
-    is >= 0.  With roots x_1, x_2, x_3 and leading coefficient a it is
+def _cubic_real_rooted(cubic) -> bool:
+    """Whether the integer cubic with these coefficients, constant term
+    first, has only real roots: iff its discriminant is >= 0.  With roots
+    x_1, x_2, x_3 and leading coefficient a it is
     a^4 prod_(i<j) (x_i - x_j)^2.  Three real roots make every factor a
     square, >= 0 (0 exactly at a repeated root).  One real root r and a
     pair z, conj(z) give (z - conj(z))^2 = -4 Im(z)^2 < 0 and
     ((r - z)(r - conj(z)))^2 = |r - z|^4 > 0, so a negative product."""
-    d, c, b, a = cubic.coeffs
+    d, c, b, a = cubic
     disc = 18 * a * b * c * d - 4 * b ** 3 * d + b * b * c * c - 4 * a * c ** 3 - 27 * a * a * d * d
     return disc >= 0
 
@@ -406,7 +405,7 @@ def corollary_bounds(a, params: WeilParams) -> BoundsReport:
         change of variable, reflection included, keeps each derivative's
         real-rootedness, so both sides give h's answer and note.
       - Multiplicities need no care: both sides list repeated roots, and
-        weil._real_rooted counts the roots of the squarefree part.
+        weil._sturm_chain counts the roots of the squarefree part.
     The derivatives are decided top-down, so a Weil input costs one Sturm
     chain and a non-real cubic none:
       - the cubic h''' (leading coefficient 120) by its discriminant, with
@@ -439,11 +438,12 @@ def corollary_bounds(a, params: WeilParams) -> BoundsReport:
         report.add("4", 25 * big_b * big_b <= w ** 3)
     e, m = a4 + 105 * q * q + 20 * q * a2, 25 * q * a1 + 3 * a3
     report.add("5", e > 0 and e * e > 4 * q * m * m)
-    h1 = IntPoly([*reversed(symmetric_v(a, params)), 1]).derivative()
-    h2 = h1.derivative()
-    real3 = _cubic_real_rooted(h2.derivative())
-    real1 = real3 and _real_rooted(_sturm_chain(h1))
-    real2 = real1 or (real3 and _real_rooted(_sturm_chain(h2)))  # by Rolle, real1 implies real2
+    # h', h'' and h''' of h = x^6 + v1 x^5 + ... + v6, constant term first
+    v1, v2, v3, v4, v5, _ = symmetric_v(a, params)
+    real3 = _cubic_real_rooted((6 * v3, 24 * v2, 60 * v1, 120))
+    real1 = real3 and _sturm_chain((v5, 2 * v4, 3 * v3, 4 * v2, 5 * v1, 6)) is not None
+    # by Rolle, real1 implies real2
+    real2 = real1 or (real3 and _sturm_chain((2 * v4, 6 * v3, 12 * v2, 20 * v1, 30)) is not None)
     if not real3:
         report.add("6", False, "critical-point cubic has non-real roots")
     else:

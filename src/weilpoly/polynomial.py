@@ -7,7 +7,9 @@ the workhorse for everything the classifiers consume.
 The module-level helpers work on plain coefficient sequences.  _prs, the
 primitive pseudo-remainder sequence that every gcd and Sturm chain of the
 package is built on, takes integers or Z[sqrt(q)] numerators alike, so
-quadreal.QuadPoly runs its gcds and Sturm chains on it too.  Nothing here
+quadreal.QuadPoly runs its gcds and Sturm chains on it too.  weil's
+integer Sturm chain runs the same sequence on _prem itself, so that it can
+stop at the first member that shows a non-real root.  Nothing here
 imports quadreal or fractions: a command that works in Z[t] alone loads
 neither.
 """

@@ -13,8 +13,9 @@ memoized on (chi, params) in a small LRU cache, so a chi decided and then
 handed to classify7.classify is decided once.  h is solved from chi's
 coefficients and certified by expanding t^g * h(t + q/t) back into chi's
 coefficients.  The Sturm chain of h is a primitive pseudo-remainder sequence
-in Z[x].  Its signs at +-2 sqrt(q) come from writing each member there as
-A + B sqrt(q) with integers A, B.  The roots +-sqrt(q) of chi are read off
+in Z[x], cut short at the first member that shows a non-real root.  Its
+signs at +-2 sqrt(q) come from writing each member there as A + B sqrt(q)
+with integers A, B.  The roots +-sqrt(q) of chi are read off
 h's roots +-2 sqrt(q): t + q/t -+ 2 sqrt(q) = (t -+ sqrt(q))^2 / t and
 (t + q/t)^2 - 4q = (t^2 - q)^2 / t^2, so a root of h of multiplicity m there
 is a root of chi of multiplicity 2m.  Whether h has such a root is read off
@@ -29,8 +30,9 @@ a one-entry cache, so a chi factored by census's irreducible filter and
 then by classify7.classify is factored once.
 
 symmetric_v gives the genus-6 companion h in closed form from a_1..a_6;
-corollary_bounds builds h from it and decides conditions 6 and 8 on h
-(_real_rooted).  build_f_ftilde and r_coefficients evaluate the explicit
+corollary_bounds builds h's derivatives from it and decides conditions 6
+and 8 on them (_sturm_chain, which stops at the first member that shows a
+non-real root).  build_f_ftilde and r_coefficients evaluate the explicit
 degree-6 coefficient transforms f(t) = h(2 sqrt(q) - t),
 ftilde(t) = h(t - 2 sqrt(q)) (the test suite enforces the identity); they
 give lemma_check's inputs, and are the only functions here that compute in
@@ -41,18 +43,11 @@ from __future__ import annotations
 
 import functools
 import operator
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 
 from .arith import _record, iroot, is_prime, is_square, surd_sign
 from .errors import ExactnessError, StructuralError
-from .polynomial import (
-    IntPoly,
-    _div_exact,
-    _divmod_monic,
-    _primitive,
-    _prs,
-    _variations_right,
-)
+from .polynomial import IntPoly, _div_exact, _divmod_monic, _prem, _variations_right
 
 
 def _perfect_power(q: int) -> tuple[int, int]:
@@ -178,37 +173,50 @@ def _binomial_table(d: int, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(comb(k, j) * q ** j for j in range(k + 1)) for k in range(d + 1))
 
 
-def _sturm_chain(h: IntPoly) -> list[list[int]]:
-    """Sturm chain of the squarefree part of h in Z[x].
+def _sturm_chain(c) -> list[list[int]] | None:
+    """Sturm chain of the squarefree part of the integer polynomial with
+    coefficients c, or None when it has a non-real root.
 
-    The primitive PRS of (h, h') ends in the primitive gcd(h, h').  When h
-    has repeated roots every member is divided by it, which leaves a Sturm
-    chain of h / gcd(h, h'): its second member has the sign of the
-    derivative of the first at each root of the first.
+    The chain is the primitive pseudo-remainder sequence of (c, c'), each
+    member after c divided by its positive content as it is made.  It ends
+    in the primitive gcd(c, c') = g; when c has repeated roots every member
+    is divided by g, which leaves a Sturm chain of c / g: its second member
+    has the sign of the derivative of the first at each root of the first.
+    A negative leading coefficient is negated first, which keeps every
+    root.
+
+    The sequence stops at the first member that shows a non-real root.  c
+    has only real roots iff c / g does, and the distinct real roots of c / g
+    number V(-inf) - V(+inf) on its chain.  The chain's degrees fall
+    strictly to 0, so it has at most deg(c / g) + 1 members, and
+    V(-inf) - V(+inf) = deg(c / g) holds exactly when every member has
+    degree one less than the one before and the positive leading sign of c:
+    then V(+inf) = 0 and V(-inf) = deg(c / g), while a degree gap leaves
+    fewer members and a negative leading sign makes V(+inf) > 0.  Dividing
+    by g, whose leading coefficient is positive, keeps each member's degree
+    gap and leading sign, so both are read on c's own sequence as it is
+    made.
     """
-    c = h.coeffs
-    # h' made primitive with a positive leading coefficient
-    dh = [i * c[i] for i in range(1, len(c))]
-    if dh and dh[-1] < 0:
-        dh = [-x for x in dh]
-    chain = _prs(list(c), _primitive(dh))
+    a = [-x for x in c] if c[-1] < 0 else list(c)
+    b = [i * a[i] for i in range(1, len(a))]
+    k = gcd(*b)  # positive, so c' keeps the positive leading sign of c
+    chain = [a]
+    while b:
+        if k != 1:
+            b = [x // k for x in b]
+        if len(b) != len(a) - 1 or b[-1] <= 0:
+            return None
+        chain.append(b)
+        if len(b) == 1:
+            break
+        # with lc(b) > 0 the next Sturm member is -prem(a, b) over its
+        # positive content
+        a, b = b, _prem(a, b)
+        k = -gcd(*b)
     g = chain[-1]
     if len(g) > 1:
-        if g[-1] < 0:
-            g = [-x for x in g]
         chain = [_div_exact(p, g) for p in chain]
     return chain
-
-
-def _real_rooted(chain: list[list[int]]) -> bool:
-    """Whether the polynomial of this Sturm chain has only real roots.
-
-    chain[0] is its squarefree part, so they are all real when the distinct
-    real ones, V(-inf) - V(+inf), number deg chain[0].  A chain has at most
-    deg + 1 members, so then V(-inf) = deg and V(+inf) = 0."""
-    at_inf = [1 if p[-1] > 0 else -1 for p in chain]
-    at_neg_inf = [s if len(p) % 2 else -s for s, p in zip(at_inf, chain)]
-    return _variations_right(at_neg_inf) - _variations_right(at_inf) == len(chain[0]) - 1
 
 
 def _real_root_divisors(q: int) -> list[tuple[tuple[int, ...], IntPoly, IntPoly]]:
@@ -272,10 +280,10 @@ def _is_weil(chi: IntPoly, params: WeilParams) -> WeilVerdict:
         return WeilVerdict(False, (), None, reason="not symmetric")
     q = params.q
     h = IntPoly(_companion(chi.coeffs, q))
-    chain = _sturm_chain(h)
+    chain = _sturm_chain(h.coeffs)
     verdict = True
     reason = ""
-    if not _real_rooted(chain):
+    if chain is None:
         verdict, reason = False, "companion has non-real roots"
     else:
         at_hi, at_lo = [], []
@@ -284,7 +292,7 @@ def _is_weil(chi: IntPoly, params: WeilParams) -> WeilVerdict:
             at_hi.append(surd_sign(e, o, q))
             at_lo.append(surd_sign(e, -o, q))
         # roots of h strictly outside [-2 sqrt q, 2 sqrt q]; all are real, so
-        # V(+inf) = 0 and V(-inf) = deg chain[0] (see _real_rooted)
+        # V(+inf) = 0 and V(-inf) = deg chain[0] (see _sturm_chain)
         high = _variations_right(at_hi)
         low = len(chain[0]) - 1 - _variations_right(at_lo) - (at_lo[0] == 0)
         if high or low:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from weilpoly import bounds12
+from weilpoly import bounds12, weil
 from weilpoly.bounds12 import (
     BoundsReport,
     Status,
@@ -20,7 +20,7 @@ from weilpoly.cli import main
 from weilpoly.oracle import count_real_roots_descartes
 from weilpoly.polynomial import IntPoly
 from weilpoly.quadreal import QuadPoly, QuadReal
-from weilpoly.weil import WeilParams, _from_companion, _real_rooted, _sturm_chain, r_coefficients, symmetric_v
+from weilpoly.weil import WeilParams, _from_companion, _sturm_chain, r_coefficients, symmetric_v
 
 from conftest import r_vector_from_roots
 
@@ -433,9 +433,75 @@ CUBICS = [
 @pytest.mark.parametrize("cubic, real", CUBICS)
 def test_cubic_discriminant_criterion(cubic, real):
     assert cubic.degree == 3
-    assert bounds12._cubic_real_rooted(cubic) is real
-    assert _real_rooted(_sturm_chain(cubic)) is real
+    assert bounds12._cubic_real_rooted(cubic.coeffs) is real
+    assert (_sturm_chain(cubic.coeffs) is not None) is real
     assert descartes_real_rooted(cubic) is real
+
+
+def sturm_kernel_corpus(rng: random.Random, n: int) -> list[list[int]]:
+    """Integer polynomials of degree 0-8 with either sign of the leading
+    coefficient: products of integer linear factors (a small root pool, so
+    roots repeat), some times an irreducible quadratic, and real-rooted
+    products nudged by +-1 in one coefficient."""
+    out = []
+    for _ in range(n):
+        d = rng.randint(0, 8)
+        p = IntPoly([rng.choice([-6, -2, -1, 1, 1, 1, 3])])
+        kind = rng.choice(["real", "real", "complex", "nudged"])
+        if kind == "complex" and d >= 2:
+            p = p * IntPoly([rng.randint(1, 5), rng.randint(-2, 2), 1])
+            d -= 2
+        for _ in range(d):
+            p = p * IntPoly([rng.choice([-3, -1, 0, 1, 2, 5]), rng.choice([1, 1, 2])])
+        c = list(p.coeffs)
+        if kind == "nudged":
+            c[rng.randrange(len(c))] += rng.choice([-1, 1])
+        if c[-1] == 0:  # the nudge cleared the leading coefficient
+            c = list(IntPoly(c).coeffs) or [1]
+        out.append(c)
+    return out
+
+
+def test_sturm_chain_kernel_matches_descartes_bisection():
+    """The kernel's verdict against the Descartes oracle; a real-rooted input
+    of positive degree gets the whole chain of its squarefree part: one
+    member per degree down to the constant 1, every leading coefficient
+    positive."""
+    seen = set()
+    for c in sturm_kernel_corpus(random.Random(32), 600):
+        chain = _sturm_chain(c)
+        real = descartes_real_rooted(IntPoly(c))
+        assert (chain is not None) is real, c
+        seen.add((len(c) - 1, c[-1] > 0, real))
+        if real:
+            assert [len(p) for p in chain] == list(range(len(chain[0]), 0, -1)), c
+            assert all(p[-1] > 0 for p in chain) and (len(chain) == 1 or chain[-1] == [1]), c
+    assert {d for d, _, _ in seen} == set(range(9))
+    assert {(pos, real) for _, pos, real in seen} == {(s, r) for s in (True, False) for r in (True, False)}
+
+
+@pytest.mark.parametrize("c", [(-2, 3, -1), (0, -1), (1, 0, -1)], ids=["-(x-1)(x-2)", "-x", "1-x^2"])
+def test_sturm_chain_keeps_the_roots_of_a_negative_leading_coefficient(c):
+    chain = _sturm_chain(c)
+    assert chain is not None
+    assert chain[0] == [-x for x in c]
+    assert descartes_real_rooted(IntPoly(c))
+
+
+def test_sturm_chain_stops_at_the_first_member_that_breaks_real_rootedness(monkeypatch):
+    calls, prem = [], weil._prem
+
+    def counting(a, b):
+        calls.append((a, b))
+        return prem(a, b)
+
+    monkeypatch.setattr(weil, "_prem", counting)
+    assert _sturm_chain((0, 1, 0, 1)) is None  # x^3 + x: its third member is -x
+    assert len(calls) == 1
+    del calls[:]
+    quintic = (IntPoly([-1, 1]) * IntPoly([-2, 1]) * IntPoly([1, 1]) * IntPoly([3, 1]) * IntPoly([-5, 2])).coeffs
+    assert len(_sturm_chain(quintic)) == 6
+    assert len(calls) == 4
 
 
 # One input per outcome class of conditions 6 and 8, with the Sturm chains

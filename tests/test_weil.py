@@ -426,7 +426,7 @@ def test_factor_weil_checks_the_verdict_belongs_to_chi():
     chi, other = chi_from_a((1, 0, 0), P2), chi_from_a((0, 0, 0), P2)
     verdict = is_weil(other, P2)
     assert verdict.is_weil and is_weil(chi, P2).is_weil
-    with pytest.raises(ExactnessError):
+    with pytest.raises(ExactnessError, match="^companion factors do not multiply back to chi$"):
         factor_weil(chi, verdict, P2)
 
 
