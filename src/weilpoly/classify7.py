@@ -8,21 +8,21 @@ The verdicts keep their order: when every multiplicity is divisible by 7, f
 is the seventh power of the quadratic prod g^(m/7) read off the
 factorization and routes to the multiplicity-7 criterion; any other
 reducible input is terminal; only then is a non-Weil input rejected.  The
-irreducible Weil f left has no real root.  Last come the Newton-polygon case
-table and the Tate divisibility criterion, evaluated independently and
-cross-checked.  Both read the Q_p factor profile, which padic.profile_weil
-takes from the companion too: it mirrors h's profile below slope n/2 and
-reads f's Newton side of slope n/2 by Ore's residual polynomial, and runs
-the engine on f only when h's profile there is uncertified, h(0) = 0, or n
-is even and that side's residual polynomial is not squarefree.  The Tate
-criterion is ground truth; the table's role is explanatory, and
-disagreements are first-class outcomes (the printed table has known
-transcription defects, flagged in the table file).
+irreducible Weil f left has no real root.  Last come the Newton-polygon
+case table, matched from the polygon's vertices alone, and the Tate
+divisibility criterion, evaluated independently and cross-checked.  Both
+read the Q_p factor profile, which padic.profile_weil takes from the
+companion too: it mirrors h's profile below slope n/2 and reads f's Newton
+side of slope n/2 by Ore's residual polynomial, and runs the engine on f
+only when h's profile there is uncertified, h(0) = 0, or n is even and that
+side's residual polynomial is not squarefree.  The Tate criterion is ground
+truth; the table's role is explanatory, and disagreements are first-class
+outcomes (the printed table has known transcription defects, flagged in the
+table file).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .arith import _record, is_prime, vp
@@ -31,12 +31,12 @@ from .factorint import factor_over_integers
 from .newton import (
     CaseRecord,
     NoMatch,
+    _match_vertices,
+    _points_and_vertices,
     case_by_id,
     load_case_table,
-    newton_polygon,
-    polygon_case_id,
 )
-from .padic import _profile_weil, profile_has_root_of_valuation, tate_condition_profile
+from .padic import _has_root_of_valuation, _profile_weil, tate_condition_profile
 from .polynomial import IntPoly
 from .weil import WeilParams, check_symmetry, factor_weil, is_weil
 
@@ -117,7 +117,8 @@ def _count_scoped(profile, d: int, n: int) -> int:
     """
     count = 0
     for r in profile.factors:
-        if r.slope == 0 or r.slope == n:
+        h, e = r.slope.numerator, r.slope.denominator
+        if h == 0 or (e == 1 and h == n):
             continue
         if r.certified:
             if r.degree == d:
@@ -145,7 +146,7 @@ def evaluate_side_conditions(profile, rec, n: int) -> tuple[bool, list[str]]:
     """Evaluate a case record's root and factor-degree conditions on a profile."""
     failed = []
     for val in rec.forbidden_valuations:
-        if profile_has_root_of_valuation(profile, Fraction(val) * n):
+        if _has_root_of_valuation(profile, val.numerator * n, val.denominator):
             failed.append(f"root of valuation {val}n present")
     for d, op, c in rec.factor_conditions:
         count = _count_scoped(profile, d, n)
@@ -198,10 +199,11 @@ def classify(f: IntPoly, params: WeilParams) -> Classification:
     # f is irreducible of degree 14, so it has no factor t -+ sqrt(q) or
     # t^2 - q: no real roots at all
 
-    np_ = newton_polygon(f, params.p)
-    match = polygon_case_id(np_, params)
+    # the case and the profile read only the vertices of f's Newton polygon
+    _, vertices = _points_and_vertices(f, params.p)
+    match = _match_vertices(vertices, params)
     try:
-        profile = _profile_weil(f, verdict, params, np_.vertices)
+        profile = _profile_weil(f, verdict, params, vertices)
         tate = tate_condition_profile(profile, params.n)
     except UncertifiedProfileError as exc:
         return Classification("inconclusive", detail=str(exc))

@@ -14,7 +14,9 @@ defective lines), the side conditions on the Q_p factorization, and a flag
 for records whose printed valuation data had to be reconstructed from the
 polygon geometry.  polygon_case_id matches the canonical signatures, which
 load_case_table checks are pairwise distinct, so a polygon matches at most
-one record.
+one record.  It reads only the polygon's vertices, through _match_vertices,
+which classify calls on the vertices of _points_and_vertices directly, so no
+Segment is built on that path.
 """
 
 from __future__ import annotations
@@ -187,8 +189,13 @@ def case_by_id(case_id: int) -> CaseRecord:
 def left_half_signature(np_: NewtonPolygon, n: int) -> tuple | None:
     """Interior vertices with index 1..7 as (index, height/n); None if some
     height is not divisible by n (no Frobenius case can match)."""
+    return _signature(np_.vertices, n)
+
+
+def _signature(vertices, n: int) -> tuple | None:
+    """left_half_signature, given the polygon's vertices."""
     sig = []
-    for i, y in np_.vertices:
+    for i, y in vertices:
         if 1 <= i <= 7:
             if y % n != 0:
                 return None
@@ -198,10 +205,16 @@ def left_half_signature(np_: NewtonPolygon, n: int) -> tuple | None:
 
 def polygon_case_id(np_: NewtonPolygon, params: WeilParams):
     """Match a symmetric degree-14 polygon against the 31 canonical cases."""
-    total = sum(s.length for s in np_.segments)
-    if total != 14:
+    return _match_vertices(np_.vertices, params)
+
+
+def _match_vertices(vertices, params: WeilParams):
+    """polygon_case_id, given the polygon's vertices: only they are read, and
+    the polygon's degree (the sum of its side lengths) is the last vertex's
+    abscissa minus the first's."""
+    if not vertices or vertices[-1][0] - vertices[0][0] != 14:
         raise StructuralError("case matching needs a degree-14 polygon")
-    sig = left_half_signature(np_, params.n)
+    sig = _signature(vertices, params.n)
     table = load_case_table()
     if sig is None:
         return NoMatch(())

@@ -38,6 +38,12 @@ Montes refinement:
     degrees are forced to respect.  Queries that cannot be decided from that
     much raise UncertifiedProfileError.
 
+Inside the engine a slope h/e is the integer pair (h, e) in lowest terms:
+_side returns it, the scaling t -> p*t maps it to (h + e, e), profile_weil's
+mirror s -> n - s maps it to (n e - h, e), and _profile orders slopes by
+exact integer keys.  A Fraction is made only where a FactorRecord stores
+one, and no slope is ever compared as a float.
+
 Working precision is K = 2 v_p(disc f) + v_p(f(0)) + 4, which separates the
 true Q_p factors of a squarefree f; the engine retries at doubled precision
 if a capped valuation is ever load-bearing, four tries in all.  Every profile
@@ -57,7 +63,7 @@ when n is even and the middle side's residual polynomial is not squarefree.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import fpoly
 from .arith import _record, is_prime, vp
@@ -120,10 +126,23 @@ class _PrecisionShort(Exception):
     pass
 
 
+# the slope of a unit root, as the engine carries slopes: an integer pair
+# (h, e) in lowest terms for h/e, e > 0
+_UNIT = (0, 1)
+
+
 def _rec(degree, slope, residual_degree, certified, granularity=1) -> FactorRecord:
+    """A record whose slope is the integer pair (h, e), h/e in lowest terms;
+    its Fraction is made here, where the record stores it."""
+    h, e = slope
     return FactorRecord(
-        degree, slope, int(degree * slope), residual_degree, certified, granularity
+        degree, Fraction(h, e), degree * h // e, residual_degree, certified, granularity
     )
+
+
+def _pair(r: FactorRecord) -> tuple[int, int]:
+    """r's slope as an integer pair in lowest terms."""
+    return r.slope.numerator, r.slope.denominator
 
 
 def _reslope(r: FactorRecord, slope) -> FactorRecord:
@@ -131,9 +150,9 @@ def _reslope(r: FactorRecord, slope) -> FactorRecord:
 
 
 def _side(digits, start, end, p: int, K: int, F):
-    """The slope h/e (lowest terms) of the Newton side of digits from vertex
-    start to vertex end, and the factorization over F of its residual
-    polynomial.
+    """The slope of the Newton side of digits from vertex start to vertex
+    end, as the integer pair (h, e) of h/e in lowest terms, and the
+    factorization over F of its residual polynomial.
 
     digits are coefficient lists read mod p^K: 1-tuples of the coefficients
     for a t-adic polygon over F_p, the phi-adic digits for a phi-adic one
@@ -150,16 +169,16 @@ def _side(digits, start, end, p: int, K: int, F):
         idx = x1 + j * e
         digit = digits[idx] if idx < len(digits) else ()
         res.append(F.of_poly([(c // p ** (y1 - j * h)) % p for c in digit]))
-    return Fraction(h, e), fpoly.factor(F, res)[1]
+    return (h, e), fpoly.factor(F, res)[1]
 
 
 def _records(parts, slope, e: int, d: int) -> list[FactorRecord]:
     """Ore's records of a side of ramification e whose residual polynomial
-    over F_{p^d} factors as parts, for roots of valuation slope.  Each simple
-    irreducible factor psi certifies a Q_p factor of degree e d deg psi and
-    residual degree d deg psi; a repeated psi^m leaves an uncertified block
-    of degree m e d deg psi whose factor degrees are multiples of
-    e d deg psi."""
+    over F_{p^d} factors as parts, for roots of valuation slope (an integer
+    pair, as _rec takes it).  Each simple irreducible factor psi certifies a
+    Q_p factor of degree e d deg psi and residual degree d deg psi; a
+    repeated psi^m leaves an uncertified block of degree m e d deg psi whose
+    factor degrees are multiples of e d deg psi."""
     out = []
     for psi, m in parts:
         deg = e * d * fdeg(psi)
@@ -236,20 +255,24 @@ class _Engine:
         p = self.p
         digits = [(c,) for c in g[: m + 1]]
         hull = lower_hull(self._points(digits))
-        recs = []
+        recs, below_one, repeated = [], False, False
         for start, end in zip(hull, hull[1:]):
-            slope, parts = _side(digits, start, end, p, self.K, PrimeField(p))
-            recs += _records(parts, slope, slope.denominator, 1)
+            (h, e), parts = _side(digits, start, end, p, self.K, PrimeField(p))
+            recs += _records(parts, (h, e), e, 1)
+            below_one = below_one or h < e
+            repeated = repeated or (e == 1 and any(mult > 1 for _, mult in parts))
         # the scaling needs every root valuation >= 1
-        if min(r.slope for r in recs) < 1 or all(
-            r.certified or r.slope.denominator > 1 for r in recs
-        ):
+        if below_one or not repeated:
             return recs
         if m < fdeg(g):
             tpart, upart = [0] * m + [1], [c % p for c in g[m:]]
             g = self._red(hensel_lift_pair(IntPoly(g), tpart, upart, p, self.K)[0].coeffs)
         scaled = [g[i] // p ** (m - i) for i in range(m + 1)]
-        return [_reslope(r, r.slope + 1) for r in self.analyze(scaled, depth)]
+        out = []
+        for r in self.analyze(scaled, depth):
+            h, e = _pair(r)
+            out.append(_reslope(r, (h + e, e)))
+        return out
 
     def analyze_unit(self, g: list[int], depth: int, m: int) -> list[FactorRecord]:
         """Records of the unit roots of the reduced g, whose m lowest
@@ -262,7 +285,7 @@ class _Engine:
         out = []
         for phi, e in parts:
             if e == 1:
-                out.append(_rec(fdeg(phi), Fraction(0), fdeg(phi), True))
+                out.append(_rec(fdeg(phi), _UNIT, fdeg(phi), True))
             else:
                 out.extend(self._unit_power(g, phi, e, depth))
         return out
@@ -274,7 +297,7 @@ class _Engine:
         each residual polynomial of the cluster."""
         d = fdeg(phibar)
         if depth <= 0:
-            return [_rec(e * d, Fraction(0), None, False, d)]
+            return [_rec(e * d, _UNIT, None, False, d)]
         if d > 1:
             return self._phi_adic(g, phibar, e, depth)
         # shift the class t - c to 0: its e roots get positive valuation,
@@ -286,10 +309,10 @@ class _Engine:
             # the shift hit a root to full working precision: that root is
             # certified (the separation bound rules out a second one), so
             # peel the linear factor t and continue with the cofactor
-            out.append(_rec(1, Fraction(0), 1, True))
+            out.append(_rec(1, _UNIT, 1, True))
             shifted, e = shifted[1:], e - 1
         inner = self._positive(shifted, e, depth - 1)
-        return out + [_reslope(r, Fraction(0)) for r in inner]
+        return out + [_reslope(r, _UNIT) for r in inner]
 
     def _phi_expand(self, g: list[int], phi: list[int], count: int) -> list[list[int]]:
         """The first count digits of g's phi-adic expansion, mod p^K."""
@@ -322,23 +345,23 @@ class _Engine:
                 # phi divides g to full working precision: that factor is
                 # certified (the separation bound rules out a second one), so
                 # peel it and continue with the cofactor, as _unit_power does
-                peeled.append(_rec(d, Fraction(0), d, True))
+                peeled.append(_rec(d, _UNIT, d, True))
                 g = self._red(IntPoly(g).divmod_monic(IntPoly(phi))[0].coeffs)
                 e -= 1
                 continue
             hull = lower_hull(pts)
             sides = [_side(digits, a, b, p, self.K, Fd) for a, b in zip(hull, hull[1:])]
             repeated = [
-                (slope.numerator, psi)
-                for slope, parts in sides
+                (h, psi)
+                for (h, den), parts in sides
                 for psi, m in parts
-                if m > 1 and fdeg(psi) == 1 and slope.denominator == 1
+                if m > 1 and fdeg(psi) == 1 and den == 1
             ]
             if not (budget and repeated):
                 return peeled + [
                     r
-                    for slope, parts in sides
-                    for r in _records(parts, Fraction(0), slope.denominator, d)
+                    for (_, den), parts in sides
+                    for r in _records(parts, _UNIT, den, d)
                 ]
             # refine phi by the lifted residual root c = -psi[0]: the
             # cluster's roots satisfy v(phi(rho)/p^h - c) > 0
@@ -386,17 +409,23 @@ def _profile(f: IntPoly, p: int, recs, vertices) -> PadicFactorProfile:
     """The profile of f from its factor records, sorted, with its slopes
     checked against the vertices of f's Newton polygon: walked from f's unit
     leading coefficient, each record goes left by its degree and up by its
-    constant valuation, and records of one slope make one side."""
-    factors = tuple(sorted(recs, key=lambda r: (r.slope, r.degree, not r.certified)))
+    constant valuation, and records of one slope make one side.  Records are
+    ordered by slope, then degree, certified first; a slope h/e is ordered
+    by the integer h * (scale // e), where scale is the lcm of the slopes'
+    denominators, which orders any slopes exactly as their fractions."""
+    keyed = [(r.slope.numerator, r.slope.denominator, r) for r in recs]
+    scale = lcm(*[e for _, e, _ in keyed])
+    keyed.sort(key=lambda t: (t[0] * (scale // t[1]), t[2].degree, not t[2].certified))
+    factors = tuple([r for _, _, r in keyed])
     profile = PadicFactorProfile(
         p=p, degree=f.degree, const_valuation=vp(f[0], p), factors=factors
     )
     walk, side = [(f.degree, 0)], None
-    for r in factors:
+    for h, e, r in keyed:
         x, y = walk[-1]
-        if side == (r.slope.numerator, r.slope.denominator):
+        if side == (h, e):
             walk.pop()
-        side = r.slope.numerator, r.slope.denominator
+        side = h, e
         walk.append((x - r.degree, y + r.const_valuation))
     if tuple(reversed(walk)) != vertices:
         raise ExactnessError("Q_p factor slopes differ from the Newton polygon")
@@ -482,15 +511,17 @@ def _profile_weil(chi: IntPoly, verdict: WeilVerdict, params: WeilParams, vertic
         except UncertifiedProfileError:
             return qp_factor_profile(chi, p)
         for r in inner.factors:
-            if 2 * r.slope.numerator < n * r.slope.denominator:
+            h, e = _pair(r)
+            if 2 * h < n * e:
                 if not r.certified:
                     return qp_factor_profile(chi, p)
-                recs += (r, _reslope(r, n - r.slope))
+                # gcd(n e - h, e) = gcd(h, e) = 1: the mirror is in lowest terms
+                recs += (r, _reslope(r, (n * e - h, e)))
     for start, end in zip(vertices, vertices[1:]):
         if 2 * (start[1] - end[1]) == n * (end[0] - start[0]):
             digits = [(c,) for c in chi.coeffs]
             slope, parts = _side(digits, start, end, p, start[1] + 1, PrimeField(p))
-            middle = _records(parts, slope, slope.denominator, 1)
+            middle = _records(parts, slope, slope[1], 1)
             if n % 2 == 0 and not all(r.certified for r in middle):
                 return qp_factor_profile(chi, p)
             recs += middle
@@ -516,11 +547,25 @@ def _profile_weil(chi: IntPoly, verdict: WeilVerdict, params: WeilParams, vertic
 
 def profile_has_root_of_valuation(profile: PadicFactorProfile, target) -> bool:
     target = Fraction(target)
+    return _has_root_of_valuation(profile, target.numerator, target.denominator)
+
+
+def _has_root_of_valuation(profile: PadicFactorProfile, h: int, e: int) -> bool:
+    """profile_has_root_of_valuation for the valuation h/e, e > 0, compared
+    with each slope by cross-multiplication."""
     for r in profile.factors:
-        if r.certified and r.degree == 1 and r.slope == target:
+        if (
+            r.certified
+            and r.degree == 1
+            and r.slope.numerator * e == h * r.slope.denominator
+        ):
             return True
     for r in profile.factors:
-        if not r.certified and r.slope == target and r.granularity == 1:
+        if (
+            not r.certified
+            and r.granularity == 1
+            and r.slope.numerator * e == h * r.slope.denominator
+        ):
             raise UncertifiedProfileError(
                 "an unresolved block could contain the queried root"
             )
@@ -535,14 +580,14 @@ def tate_condition_profile(profile: PadicFactorProfile, n: int) -> bool:
         else:
             # factor degrees in the block are multiples of granularity;
             # candidate constant valuations are k * granularity * slope
-            unit = r.granularity * r.slope
-            if unit.denominator != 1:
+            h, e = _pair(r)
+            if r.granularity * h % e:
                 raise UncertifiedProfileError(
                     "unresolved block with fractional valuation granularity"
                 )
-            if int(unit) % n == 0:
+            if r.granularity * h // e % n == 0:
                 continue  # every possible split passes
-            if (r.degree * r.slope) % n:
+            if r.const_valuation % n:
                 return False  # even the unsplit block fails
             raise UncertifiedProfileError(
                 "Tate divisibility depends on an unresolved block"

@@ -10,7 +10,7 @@ import pytest
 from weilpoly.cli import main
 from weilpoly.classify7 import _candidate_cases, classify, multiplicity_options, power_case
 from weilpoly.errors import StructuralError
-from weilpoly.newton import load_case_table
+from weilpoly.newton import case_by_id, load_case_table
 from weilpoly.padic import qp_factor_profile, tate_condition_profile
 from weilpoly.polynomial import IntPoly
 from weilpoly.weil import WeilParams, chi_from_a, is_weil
@@ -197,3 +197,45 @@ def test_degree14_witnesses(q, a, expected, code, capsys):
     and the inconclusive exit of chi's engine fallback."""
     assert main(["classify14", f"q={q}; a={a}"]) == code
     assert json.loads(capsys.readouterr().out)["classification"] == expected
+
+
+# The coverage matrix of the case table: 61 cells, every case `accepted`
+# and every case but 28 `rejected`, as (verdict, case ids).  The cells the
+# witness rows reach are pinned here; a new witness of an open cell moves
+# that cell from OPEN_CELLS to REACHED_CELLS.
+REACHED_CELLS = {
+    "accepted": (
+        2, 3, 6, 8, 9, 10, 11, 12, 14, 15, 16, 17,
+        18, 20, 21, 22, 23, 25, 26, 28, 29, 30, 31,
+    ),
+    "rejected": (6, 8, 11, 16, 17, 21),
+}
+OPEN_CELLS = {
+    "accepted": (1, 4, 5, 7, 13, 19, 24, 27),
+    "rejected": (
+        1, 2, 3, 4, 5, 7, 9, 10, 12, 13, 14, 15, 18,
+        19, 20, 22, 23, 24, 25, 26, 27, 29, 30, 31,
+    ),
+}
+
+
+def test_case_table_coverage_matrix():
+    """Every cell of the matrix is reached by a witness row or named open.
+    Case 28 has no side condition, so its table verdict is always true and
+    an input matching it is never `rejected`: that cell is not in the
+    matrix."""
+    rec28 = case_by_id(28)
+    assert not rec28.forbidden_valuations and not rec28.factor_conditions
+    cells = {(v, rec.case_id) for rec in load_case_table() for v in ("accepted", "rejected")}
+    cells.discard(("rejected", 28))
+    assert len(cells) == 61
+    reached = set()
+    for row in _witness_rows():
+        expected = row.values[2]
+        if expected["verdict"] in ("accepted", "rejected"):
+            reached.add((expected["verdict"], expected["case_id"]))
+    pinned = {(v, c) for v, ids in REACHED_CELLS.items() for c in ids}
+    named_open = {(v, c) for v, ids in OPEN_CELLS.items() for c in ids}
+    assert reached == pinned
+    assert cells - reached == named_open
+    assert (len(pinned), len(named_open)) == (29, 32)

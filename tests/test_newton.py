@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,8 @@ from weilpoly.errors import StructuralError
 from weilpoly.newton import (
     NoMatch,
     PolygonCaseId,
+    _match_vertices,
+    _points_and_vertices,
     case_by_id,
     lattice_vertex_check,
     left_half_signature,
@@ -177,3 +180,52 @@ def test_duality_with_profile(rng):
         prof = qp_factor_profile(f, p)
         assert prof.slope_multiset() == np_.valuation_multiset()
         done += 1
+
+
+WITNESSES = Path(__file__).parent / "data" / "g7_witnesses.txt"
+
+
+def _matcher_inputs():
+    """(f, params) pairs: every degree-14 witness row, a synthetic polygon of
+    each of the 31 cases at n = 1, 2 and 3, a polygon whose interior
+    vertices match no case, and one whose heights are off the n-grid."""
+    for line in WITNESSES.read_text().splitlines():
+        if line and not line.startswith("#"):
+            q, a = line.split("\t")[:2]
+            params = WeilParams.from_q(int(q))
+            yield chi_from_a(tuple(map(int, a.split(","))), params), params
+    for n in (1, 2, 3):
+        params = WeilParams(2, n)
+        for rec in load_case_table():
+            a = tuple(2**v for v in synthetic_valuations(rec, n))
+            yield chi_from_a(a, params), params
+    # vertices (0, 7), (3, 4), (5, 3), (14, 0): each interior vertex is some
+    # case's, the pair is none's
+    yield IntPoly([2**7, 0, 0, 2**4, 0, 2**3] + [0] * 8 + [1]), WeilParams(2, 1)
+    # the vertex (1, 1) is off the grid of n = 2
+    yield IntPoly([2**14, 2] + [0] * 12 + [1]), WeilParams(2, 2)
+
+
+def test_vertex_matcher_agrees_with_polygon_case_id():
+    """classify's matcher reads only the vertices, and gives polygon_case_id's
+    case id, text_ambiguous flag and NoMatch.nearest on every input."""
+    seen = set()
+    for f, params in _matcher_inputs():
+        full = polygon_case_id(newton_polygon(f, params.p), params)
+        fast = _match_vertices(_points_and_vertices(f, params.p)[1], params)
+        # records compare by class and every field
+        assert fast == full, (f, params)
+        seen.add(full.case_id if isinstance(full, PolygonCaseId) else full.nearest)
+    assert seen == set(range(1, 32)) | {(4, 10, 14), ()}
+
+
+def test_vertex_matcher_needs_degree_14():
+    """The degree is the last vertex's abscissa minus the first's, as the sum
+    of polygon_case_id's side lengths."""
+    f = IntPoly([2**6] + [0] * 11 + [1])
+    for match in (
+        lambda: polygon_case_id(newton_polygon(f, 2), WeilParams(2, 1)),
+        lambda: _match_vertices(_points_and_vertices(f, 2)[1], WeilParams(2, 1)),
+    ):
+        with pytest.raises(StructuralError, match="degree-14"):
+            match()

@@ -2,6 +2,7 @@ import collections
 import hashlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -675,6 +676,79 @@ def test_profile_slopes_must_match_the_newton_polygon(monkeypatch):
     monkeypatch.setattr(padic._Engine, "analyze", fake)
     with pytest.raises(ExactnessError, match="Newton polygon"):
         qp_factor_profile(IntPoly([-1, 1]) * IntPoly([-5, 1]), 5)
+
+
+def _slope_key(r):
+    return (r.slope, r.degree, not r.certified)
+
+
+@pytest.mark.parametrize("order", ["engine", "reversed", "shuffled"])
+def test_close_slopes_sort_as_fractions(order, monkeypatch):
+    """Slopes 0 < 1/17 < 3/50 < 2/33 < 1/16 < 1 < 2, with large and close
+    denominators, and unit records of degrees 1 and 2 tied on slope: the
+    profile orders them as a Fraction key orders them, whatever order the
+    engine returns its records in, and every slope is a Fraction in lowest
+    terms."""
+    f = (
+        T([-1, 1]) * T([1, 1, 1]) * T([-2, 1]) * T([-4, 1])
+        * T([-2] + [0] * 16 + [1]) * T([-2] + [0] * 15 + [1])
+        * T([-4] + [0] * 32 + [1]) * T([-8] + [0] * 49 + [1])
+    )
+    engine = padic._Engine.analyze
+    rng = random.Random(order)
+
+    def reordered(self, g, depth):
+        recs = engine(self, g, depth)
+        if order == "reversed":
+            recs.reverse()
+        elif order == "shuffled":
+            rng.shuffle(recs)
+        given.append(list(recs))
+        return recs
+
+    given = []
+    monkeypatch.setattr(padic._Engine, "analyze", reordered)
+    profile = qp_factor_profile(f, 2)
+    assert list(profile.factors) == sorted(given[0], key=_slope_key)
+    assert [(r.slope, r.degree) for r in profile.factors] == [
+        (Fraction(0), 1),
+        (Fraction(0), 2),
+        (Fraction(1, 17), 17),
+        (Fraction(3, 50), 50),
+        (Fraction(2, 33), 33),
+        (Fraction(1, 16), 16),
+        (Fraction(1), 1),
+        (Fraction(2), 1),
+    ]
+    for r in profile.factors:
+        assert type(r.slope) is Fraction
+        assert r.slope.denominator > 0 and gcd(r.slope.numerator, r.slope.denominator) == 1
+
+
+class _Degree:
+    """A stand-in for f in padic._profile, which reads only f's degree and
+    constant term."""
+
+    def __init__(self, degree, const):
+        self.degree, self.const = degree, const
+
+    def __getitem__(self, i):
+        assert i == 0
+        return self.const
+
+
+def test_profile_order_is_exact_past_float_precision():
+    """1/(b + 1) < 1/b for b = 10^18, although both are the same float:
+    _profile orders them exactly, and its walk meets the vertices."""
+    b = 10**18
+    recs = [
+        FactorRecord(b, Fraction(1, b), 1, 1, True),
+        FactorRecord(b + 1, Fraction(1, b + 1), 1, 1, True),
+    ]
+    assert float(recs[0].slope) == float(recs[1].slope)
+    vertices = ((0, 2), (b, 1), (2 * b + 1, 0))
+    profile = padic._profile(_Degree(2 * b + 1, 4), 2, recs, vertices)
+    assert list(profile.factors) == recs[::-1]
 
 
 def test_exhausted_precision_names_the_last_k_tried(monkeypatch, capsys):
