@@ -2,12 +2,13 @@
 
 enumerate_weil scans coefficient boxes lexicographically and streams records
 deterministically; shards over the leading free coefficient merge to the
-identical stream.  cross_check runs the module-level necessity/agreement
-properties over an enumeration and reports violations (which must be empty).
-The samplers generate genuine degree-12 Weil polynomials without real roots
-at scale, for the necessity property: products of integer-x quadratic blocks
-t^2 + x t + q and integer quartic blocks (from x-pairs with integer sum and
-product), plus a rejection-sampled stream over raw coefficient vectors.
+identical stream.  cross_check runs the exact Weil oracle and the
+module-level necessity/agreement properties over an enumeration and reports
+violations (which must be empty).  The samplers generate genuine degree-12
+Weil polynomials without real roots at scale, for the necessity property:
+products of integer-x quadratic blocks t^2 + x t + q and integer quartic
+blocks (from x-pairs with integer sum and product), plus a rejection-sampled
+stream over raw coefficient vectors.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .polynomial import IntPoly
 from .weil import WeilParams, chi_from_a, factor_weil, is_weil
 
 RECORD_CAP = 5_000_000
-NUMERIC_SAMPLE_RATE = 0.01  # cross_check's numeric-oracle share above degree 4
+ORACLE_SAMPLE_RATE = 0.01  # cross_check's weil_oracle share above degree 4
 
 
 def trivial_box(g: int, params: WeilParams) -> list[tuple[int, int]]:
@@ -228,9 +229,9 @@ def _rejection_box(q: int) -> list[tuple[int, int]]:
 def cross_check(spec: EnumerationSpec, seed: int = 1729) -> dict:
     """Run the enumeration and assert the module-level properties.
 
-    every degree: the numeric modulus oracle checks every Weil record at
-    degree <= 4 and, above it, a NUMERIC_SAMPLE_RATE share drawn from
-    random.Random(seed); where it certifies nothing, the exact oracle decides.
+    every degree: the exact modulus oracle (oracle.weil_oracle) must accept
+    every Weil record at degree <= 4 and, above it, an ORACLE_SAMPLE_RATE
+    share drawn from random.Random(seed).
     degree 12: every Weil instance without real roots must pass the
     corollary bounds and the trivial bounds (decisively).
     degree 14: the 31-case table verdict must agree with the Tate criterion
@@ -238,7 +239,7 @@ def cross_check(spec: EnumerationSpec, seed: int = 1729) -> dict:
     Any violation lands in report["violations"], which must stay empty.
     """
     # enumerate_weil needs none of these; the enumerate command skips them,
-    # each degree loads only its own checker, and the oracles load at the
+    # each degree loads only its own checker, and the oracle loads at the
     # first sampled record
     if spec.degree == 12:
         from .bounds12 import corollary_bounds, trivial_bounds
@@ -267,17 +268,10 @@ def cross_check(spec: EnumerationSpec, seed: int = 1729) -> dict:
     for rec in enumerate_weil(spec):
         counts["records"] = counts.get("records", 0) + 1
         chi = chi_from_a(rec.a, spec.params)
-        if rec.is_weil and (
-            spec.degree <= 4 or rng.random() < NUMERIC_SAMPLE_RATE
-        ):
-            from .oracle import numeric_modulus_verdict, weil_oracle
+        if rec.is_weil and (spec.degree <= 4 or rng.random() < ORACLE_SAMPLE_RATE):
+            from .oracle import weil_oracle
 
-            numeric = numeric_modulus_verdict(chi, spec.params)
-            if numeric is False:
-                report["violations"].append(
-                    {"a": list(rec.a), "property": "numeric modulus oracle"}
-                )
-            if numeric is None and not weil_oracle(chi, spec.params):
+            if not weil_oracle(chi, spec.params):
                 report["violations"].append(
                     {"a": list(rec.a), "property": "exact modulus oracle"}
                 )

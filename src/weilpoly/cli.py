@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=1729,
-        help="seed of cross-check's numeric-oracle sample",
+        help="seed of the records cross-check samples for the exact Weil oracle",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

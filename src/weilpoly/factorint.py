@@ -337,8 +337,11 @@ def _zassenhaus_monic(f: IntPoly, lc: int, disc: int) -> list[IntPoly]:
 
 
 def _monicize(f: IntPoly) -> IntPoly:
-    """lc^(n-1) f(t/lc), monic over Z: its roots are lc times f's."""
+    """lc^(n-1) f(t/lc), monic over Z: its roots are lc times f's.  A monic
+    f is returned as it is."""
     b, n = f.lc(), f.degree
+    if b == 1:
+        return f
     return IntPoly([c * b ** (n - 1 - i) for i, c in enumerate(f.coeffs[:-1])] + [1])
 
 

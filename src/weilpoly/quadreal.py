@@ -20,9 +20,9 @@ feed polynomial._prs, the primitive pseudo-remainder sequence behind every
 gcd and Sturm chain.  squarefree_part is memoised on the (immutable)
 instance, and the result is marked as its own squarefree part.
 
-Only the degree-12 lemma path, the oracle and the Sturm and interval code
-beneath them compute here, so the Z[t] layer (polynomial, weil) imports
-this module only inside the functions that need it.
+Only the degree-12 lemma path and the Sturm and interval code beneath it
+compute here, so the Z[t] layer (polynomial, weil) imports this module only
+inside the functions that need it.
 """
 
 from __future__ import annotations

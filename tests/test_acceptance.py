@@ -20,7 +20,7 @@ from weilpoly.cli import main as cli_main
 from weilpoly.factorint import poly_gcd
 from weilpoly.lmfdb import lmfdb_reconcile
 from weilpoly.newton import newton_polygon
-from weilpoly.oracle import numeric_modulus_verdict, weil_oracle
+from weilpoly.oracle import weil_oracle
 from weilpoly.padic import qp_factor_profile
 from weilpoly.polynomial import IntPoly
 from weilpoly.quadreal import QuadReal
@@ -38,12 +38,11 @@ def report(criterion, detail):
 
 
 def test_criterion_01_weil_oracle_equivalence():
-    """Exhaustive agreement between is_weil and the independent certified
+    """Exhaustive agreement between is_weil and the independent exact
     modulus oracle on monic symmetric polynomials of degree 2 and 4 with
     |a_i| <= 10, q in {2,3,4,5}; zero disagreements; under 2 minutes."""
     t0 = time.monotonic()
-    n = disagreements = numeric_contradictions = 0
-    rng = random.Random(1)
+    n = disagreements = 0
     for q in (2, 3, 4, 5):
         params = WeilParams.from_q(q)
         for a1 in range(-10, 11):
@@ -52,17 +51,9 @@ def test_criterion_01_weil_oracle_equivalence():
                 main = is_weil(chi, params).is_weil
                 if main != weil_oracle(chi, params):
                     disagreements += 1
-                if rng.random() < 0.05:
-                    numeric = numeric_modulus_verdict(chi, params)
-                    if main and numeric is False:
-                        numeric_contradictions += 1
-                    if not main and numeric is True:
-                        # one-sided check cannot certify truth; consistent
-                        pass
                 n += 1
     elapsed = time.monotonic() - t0
     assert disagreements == 0
-    assert numeric_contradictions == 0
     assert elapsed < 120, f"runtime {elapsed:.1f}s over the 2-minute budget"
     report(1, f"{n} instances, 0 disagreements, {elapsed:.1f}s")
 

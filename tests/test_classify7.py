@@ -192,8 +192,8 @@ def _witness_rows():
 @pytest.mark.parametrize("q, a, expected, code", _witness_rows())
 def test_degree14_witnesses(q, a, expected, code, capsys):
     """Each witness row reaches a branch of the degree-14 decision: the
-    acceptance of table cases 6, 8, 10, 12, 15, 17, 18, 23, 26 and 28-31,
-    the rejection of cases 6, 8, 11, 16, 17 and 21 on their side conditions,
+    acceptance of table cases 2, 3, 6, 8-12, 14-18, 20-23, 25, 26 and
+    28-31, the rejection of cases 6, 8, 11, 16, 17 and 21 on their side conditions,
     and the inconclusive exit of chi's engine fallback."""
     assert main(["classify14", f"q={q}; a={a}"]) == code
     assert json.loads(capsys.readouterr().out)["classification"] == expected

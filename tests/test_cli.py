@@ -202,6 +202,36 @@ def test_cross_check_violation_exit(tmp_path, capsys):
     assert code == 0
 
 
+def test_cross_check_reports_a_planted_oracle_rejection(monkeypatch, capsys):
+    """A weil_oracle that rejects every record: each Weil record of the
+    degree-2 box is listed as a violation, the report is not ok, and the
+    command exits 1."""
+    import weilpoly.oracle
+
+    monkeypatch.setattr(weilpoly.oracle, "weil_oracle", lambda chi, params: False)
+    assert main(["cross-check", "--degree", "2", "--q", "5", "--box", "-4:4"]) == 1
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["counts"] == {"records": 9}
+    assert report["violations"] == [{"a": [a], "property": "exact modulus oracle"} for a in range(-4, 5)]
+    assert report["ok"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cross-check", "--degree", "2", "--q", "2", "--box", "1"],  # no colon
+        ["cross-check", "--degree", "2", "--q", "2", "--box", "a:b"],
+        ["enumerate", "--degree", "6", "--q", "2", "--box", "-1:1,-1:1"],  # 2 of 3 ranges
+        ["enumerate", "--degree", "2", "--q", "2", "--filter", "bogus"],
+        ["enumerate", "--degree", "3", "--q", "2"],
+    ],
+)
+def test_parse_errors_exit_2_with_no_output(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and not out
+
+
 def test_seed_leaves_classify14_output_unchanged(capsys):
     """--seed is accepted before any command; classify14 reads no seed."""
     assert main(["--seed", "7", "classify14", "q=2; a=0,0,-1,0,0,0,0"]) == 0
@@ -209,8 +239,8 @@ def test_seed_leaves_classify14_output_unchanged(capsys):
 
 
 def test_seed_leaves_the_cross_check_report_unchanged(capsys):
-    """--seed picks cross-check's numeric-oracle sample, which adds no
-    output when every sampled instance passes."""
+    """--seed picks the records cross-check hands to the exact Weil oracle,
+    which add no output when every sampled record passes."""
     argv = ["cross-check", "--degree", "14", "--q", "2", "--box", "-1:1,0:0,0:0,-1:1,0:0,0:0,-1:1"]
     assert main(argv) == 0
     default = capsys.readouterr().out

@@ -25,6 +25,15 @@ def names(factors):
     return sorted((str(g), m) for g, m in factors)
 
 
+def test_monicize_returns_a_monic_input_itself():
+    """The Q_p profile monicizes every input, and on the degree-14 path every
+    input is monic already."""
+    f = IntPoly([2, 0, 3, 1])
+    assert factorint._monicize(f) is f
+    # 2t^2 + 3t + 1 has roots -1/2 and -1; the monic scaling has -1 and -2
+    assert factorint._monicize(IntPoly([1, 3, 2])) == IntPoly([2, 3, 1])
+
+
 def test_spec_examples():
     _, fac = factor_over_integers(IntPoly([4, 0, 3, 0, 1]))
     assert names(fac) == sorted([("t^2-t+2", 1), ("t^2+t+2", 1)])

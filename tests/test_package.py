@@ -152,6 +152,18 @@ def test_the_benchmark_tracer_finds_every_traced_name():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_the_oracle_loads_neither_quadreal_nor_sturm():
+    """weil_oracle decides over Z alone: a fresh import of the oracle
+    leaves the Q(sqrt q) and Sturm layers unloaded."""
+    proc = run_fresh(
+        "import sys\n"
+        "import weilpoly.oracle\n"
+        "print(sorted(m for m in ('weilpoly.quadreal', 'weilpoly.sturm') if m in sys.modules))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 LOADED = (
     "import contextlib, io, json, sys\n"
     "from weilpoly.cli import main\n"
@@ -202,8 +214,8 @@ def test_degree_2_cross_check_loads_no_degree_12_or_14_checker():
 
 def test_degree_14_cross_check_loads_the_oracles_only_for_a_sampled_record():
     """The cross-check command's degree-14 box draws 27 numbers from
-    Random(1729), all at least NUMERIC_SAMPLE_RATE, so no record is
-    sampled for the oracles and neither they nor quadreal load."""
+    Random(1729), all at least ORACLE_SAMPLE_RATE, so no record is
+    sampled for the oracle and neither it nor quadreal loads."""
     loaded = loaded_by("cross-check", "--degree", "14", "--q", "2", "--box", "-1:1,0:0,0:0,-1:1,0:0,0:0,-1:1")
     assert {"census", "classify7", "padic"} <= loaded
     assert not loaded & {"oracle", "quadreal"}, sorted(loaded)
