@@ -36,6 +36,7 @@ derivatives (proofs in its docstring).
 
 from __future__ import annotations
 
+import functools
 import operator
 from enum import Enum
 from math import comb
@@ -79,6 +80,17 @@ class ConditionResult:
     note: str = ""
 
 
+# Every note-less row of the ids corollary_bounds (1-9) and trivial_bounds
+# (a1-a6, at g = 6) emit, lemma_check's among them.  ConditionResult is immutable, so
+# reports share these; a row with a note is built per call, so this never
+# grows.
+_ROWS = {
+    (cond, ok): ConditionResult(cond, status)
+    for cond in (*"123456789", *(f"a{i}" for i in range(1, 7)))
+    for ok, status in _STATUS.items()
+}
+
+
 class BoundsReport:
     """The conditions decided so far, in order; add() appends one."""
 
@@ -94,7 +106,10 @@ class BoundsReport:
         return NotImplemented
 
     def add(self, cond: str, ok: bool | None, note: str = ""):
-        self.conditions.append(ConditionResult(cond, _STATUS[ok], note))
+        """Append cond's row: the shared one of _ROWS when it has no note,
+        else a new ConditionResult."""
+        row = None if note else _ROWS.get((cond, ok))
+        self.conditions.append(row or ConditionResult(cond, _STATUS[ok], note))
 
     @property
     def all_pass(self) -> bool:
@@ -362,16 +377,24 @@ def _cubic_real_rooted(cubic) -> bool:
     return disc >= 0
 
 
+# A degree-12 sweep meets g = 6 at a few q, and a command one (g, q), so 16
+# entries hold every table a run reads.
+_TRIVIAL_TABLE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_TRIVIAL_TABLE_SIZE)
+def _trivial_table(g: int, q: int) -> tuple[tuple[str, int], ...]:
+    """(id, C(2g, i)^2 q^i) for i = 1..g: trivial_bounds' rows at (g, q)."""
+    return tuple((f"a{i}", comb(2 * g, i) ** 2 * q ** i) for i in range(1, g + 1))
+
+
 def trivial_bounds(a, params: WeilParams) -> BoundsReport:
     """|a_i| < C(2g, i) q^(i/2), decided on squares; equality fails (it needs
     all roots real, excluded in the no-real-roots regime this feeds)."""
     a = _integers(a)
-    g = len(a)
-    q = params.q
     report = BoundsReport()
-    for i, ai in enumerate(a, start=1):
-        bound_sq = comb(2 * g, i) ** 2 * q ** i
-        report.add(f"a{i}", ai * ai < bound_sq)
+    for (cond, bound_sq), ai in zip(_trivial_table(len(a), params.q), a):
+        report.add(cond, ai * ai < bound_sq)
     return report
 
 

@@ -8,10 +8,11 @@ The module-level helpers work on plain coefficient sequences.  _prs, the
 primitive pseudo-remainder sequence that every gcd and Sturm chain of the
 package is built on, takes integers or Z[sqrt(q)] numerators alike, so
 quadreal.QuadPoly runs its gcds and Sturm chains on it too.  weil's
-integer Sturm chain runs the same sequence on _prem itself, so that it can
-stop at the first member that shows a non-real root.  Nothing here
-imports quadreal or fractions: a command that works in Z[t] alone loads
-neither.
+integer Sturm chain runs the same sequence itself, so that it can stop at
+the first member that shows a non-real root; it only ever divides by a
+member one degree lower, so it takes each pseudo-remainder in closed form
+(weil._sturm_step) rather than by _prem.  Nothing here imports quadreal or
+fractions: a command that works in Z[t] alone loads neither.
 """
 
 from __future__ import annotations
@@ -327,11 +328,6 @@ class IntPoly:
         if self.lc() < 0:
             g = -g
         return g, IntPoly([c // g for c in self.coeffs])
-
-    def to_quad(self, q: int | None = None) -> "QuadPoly":
-        from .quadreal import QuadPoly
-
-        return QuadPoly(self.coeffs, q=q)
 
 
 def int_list_from_string(text: str) -> tuple[int, ...]:

@@ -47,7 +47,7 @@ from math import comb, gcd, isqrt
 
 from .arith import _record, iroot, is_prime, is_square, surd_sign
 from .errors import ExactnessError, StructuralError
-from .polynomial import IntPoly, _div_exact, _divmod_monic, _prem, _variations_right
+from .polynomial import IntPoly, _div_exact, _divmod_monic, _variations_right
 
 
 def _perfect_power(q: int) -> tuple[int, int]:
@@ -178,12 +178,14 @@ def _sturm_chain(c) -> list[list[int]] | None:
     coefficients c, or None when it has a non-real root.
 
     The chain is the primitive pseudo-remainder sequence of (c, c'), each
-    member after c divided by its positive content as it is made.  It ends
-    in the primitive gcd(c, c') = g; when c has repeated roots every member
-    is divided by g, which leaves a Sturm chain of c / g: its second member
-    has the sign of the derivative of the first at each root of the first.
-    A negative leading coefficient is negated first, which keeps every
-    root.
+    member after c divided by its positive content as it is made.  A step
+    is taken only when the two members' degrees are one apart (a gap
+    returns None first), so _sturm_step gives each pseudo-remainder in
+    closed form, with no division loop.  The chain ends in the primitive
+    gcd(c, c') = g; when c has repeated roots every member is divided by g,
+    which leaves a Sturm chain of c / g: its second member has the sign of
+    the derivative of the first at each root of the first.  A negative
+    leading coefficient is negated first, which keeps every root.
 
     The sequence stops at the first member that shows a non-real root.  c
     has only real roots iff c / g does, and the distinct real roots of c / g
@@ -211,12 +213,32 @@ def _sturm_chain(c) -> list[list[int]] | None:
             break
         # with lc(b) > 0 the next Sturm member is -prem(a, b) over its
         # positive content
-        a, b = b, _prem(a, b)
+        a, b = b, _sturm_step(a, b)
         k = -gcd(*b)
     g = chain[-1]
     if len(g) > 1:
         chain = [_div_exact(p, g) for p in chain]
     return chain
+
+
+def _sturm_step(a, b) -> list[int]:
+    """polynomial._prem(a, b) in closed form for integer sequences with
+    deg a = deg b + 1 and deg b >= 1, the one shape _sturm_chain divides.
+
+    With n = deg b and lc = b_n, lc^2 a minus (s x + t) b, for s = lc a_(n+1)
+    and t = lc a_n - a_(n+1) b_(n-1), cancels at x^(n+1) and x^n; what is
+    left below x^n is the remainder, trimmed."""
+    n = len(b) - 1
+    lc, top = b[n], a[n + 1]
+    s = lc * top
+    t = lc * a[n] - top * b[n - 1]
+    lc2 = lc * lc
+    rem = [lc2 * a[0] - t * b[0]]
+    for i in range(1, n):
+        rem.append(lc2 * a[i] - t * b[i] - s * b[i - 1])
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
 
 
 def _real_root_divisors(q: int) -> list[tuple[tuple[int, ...], IntPoly, IntPoly]]:

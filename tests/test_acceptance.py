@@ -23,7 +23,7 @@ from weilpoly.newton import newton_polygon
 from weilpoly.oracle import weil_oracle
 from weilpoly.padic import qp_factor_profile
 from weilpoly.polynomial import IntPoly
-from weilpoly.quadreal import QuadReal
+from weilpoly.quadreal import QuadPoly, QuadReal
 from weilpoly.weil import (
     WeilParams,
     build_f_ftilde,
@@ -104,7 +104,7 @@ def test_criterion_04_transform_identity():
         a = tuple(rng.randint(-30, 30) for _ in range(6))
         h = companion_poly(chi_from_a(a, params), params)
         f, ft = build_f_ftilde(a, params)
-        hq = h.to_quad(f.q)
+        hq = QuadPoly(h.coeffs, q=f.q)
         two = QuadReal.sqrt(q) * 2
         assert hq.compose_linear(QuadReal(-1), two) == f
         assert hq.compose_linear(QuadReal(1), -two) == ft

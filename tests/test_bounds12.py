@@ -1,12 +1,16 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
+from math import isqrt
+from pathlib import Path
 
 import pytest
 
 from weilpoly import bounds12, weil
 from weilpoly.bounds12 import (
     BoundsReport,
+    ConditionResult,
     Status,
     _condition_r4,
     _condition_r5,
@@ -18,9 +22,17 @@ from weilpoly.bounds12 import (
 from weilpoly.census import sample_weil12_no_real_roots
 from weilpoly.cli import main
 from weilpoly.oracle import count_real_roots_descartes
-from weilpoly.polynomial import IntPoly
+from weilpoly.polynomial import IntPoly, _prem
 from weilpoly.quadreal import QuadPoly, QuadReal
-from weilpoly.weil import WeilParams, _from_companion, _sturm_chain, r_coefficients, symmetric_v
+from weilpoly.weil import (
+    WeilParams,
+    _from_companion,
+    _sturm_chain,
+    chi_from_a,
+    is_weil,
+    r_coefficients,
+    symmetric_v,
+)
 
 from conftest import r_vector_from_roots
 
@@ -29,6 +41,8 @@ P2 = WeilParams.from_q(2)
 SIX_POSITIVE = r_vector_from_roots([1, 2, 3, 4, 5, 6])
 
 PINNED_REPORT_DIGEST = "dbbd5c7f552ef9ffcd4ce5df7b69121dba977dd875f445685d4691d6972c1714"
+PINNED_STURM_DIGEST = "9b5196c19454f875723798423517cbf4b0646a2b4b8bed0f8ca13cc6f2045a05"
+PINNED_BOUNDS_DIGEST = "1b3976e0cf1d3736b8f79c4a06860f402ce2e0cd9442af247e4a18c6176551d4"
 
 
 def statuses(report):
@@ -117,6 +131,7 @@ def test_corollary_item9_value():
 
 NONREAL_QUARTIC = "critical points of g are not all real"
 NONREAL_CUBIC = "critical-point cubic has non-real roots"
+RADICAND_NEGATIVE = "radicand negative (condition 2 already fails)"
 
 # (q, a, failing conditions, note of condition 8).  Conditions 6 and 8 are
 # decided by certified comparisons here (real critical points), except where
@@ -321,6 +336,128 @@ def test_reports_match_parent_digest():
     assert report_digest(report_corpus()) == (330, PINNED_REPORT_DIGEST)
 
 
+DIGEST_QS = (2, 3, 4, 5, 7, 8, 9, 16, 25)
+
+
+def bounds_digest_corpus(rng: random.Random, per_q: int):
+    """(q, a) for every q in DIGEST_QS, per_q of each, in turn:
+      - the a_1..a_6 of chi = t^6 h(t + q/t), h a product of integer linear
+        factors x - u with u^2 <= 4q (a Weil block, with roots +-sqrt(q)
+        when u^2 = 4q) and monic integer quadratics;
+      - the same with one a_i moved by 1 or 2 times q^ceil(i/2);
+      - a vector drawn in the acceptance sampler's rejection box (|a_i| up
+        to 12r, 60q, 160qr, 240q^2, 192q^2 r, 64q^3 with r = isqrt(q) + 1).
+    """
+    for q in DIGEST_QS:
+        s, r = isqrt(4 * q), isqrt(q) + 1
+        box = (12 * r, 60 * q, 160 * q * r, 240 * q * q, 192 * q * q * r, 64 * q ** 3)
+        for k in range(per_q):
+            if k % 3 == 2:
+                yield q, tuple(rng.randint(-b, b) for b in box)
+                continue
+            h = IntPoly.one()
+            while h.degree < 6:
+                if h.degree == 5 or rng.random() < 0.7:
+                    h = h * IntPoly([rng.randint(-s, s), 1])
+                else:
+                    h = h * IntPoly([rng.randint(-2 * q, 4 * q), rng.randint(-s, s), 1])
+            chi = _from_companion(h, q)
+            a = [chi[12 - i] for i in range(1, 7)]
+            if k % 3 == 1:
+                i = rng.randrange(6)
+                a[i] += rng.choice((-2, -1, 1, 2)) * q ** ((i + 2) // 2)
+            yield q, tuple(a)
+
+
+def test_bounds_and_verdicts_match_the_pinned_digest():
+    """corollary_bounds and trivial_bounds as JSON, and is_weil's verdict, on
+    a seeded corpus at nine q, pinned as one digest computed before the
+    reports shared their rows and before _sturm_chain took its steps in
+    closed form."""
+    digest = hashlib.sha256()
+    notes, verdicts = set(), set()
+    for q, a in bounds_digest_corpus(random.Random(39), 90):
+        P = WeilParams.from_q(q)
+        cor = corollary_bounds(a, P).to_dict()
+        triv = trivial_bounds(a, P).to_dict()
+        v = is_weil(chi_from_a(a, P), P)
+        row = [q, a, cor, triv, v.is_weil, v.real_roots, v.companion.coeffs, v.reason]
+        digest.update((json.dumps(row, sort_keys=True) + "\n").encode())
+        notes.update(c["note"] for c in cor["conditions"])
+        verdicts.add((v.is_weil, bool(v.real_roots)))
+    assert notes == {"", NONREAL_CUBIC, NONREAL_QUARTIC, RADICAND_NEGATIVE}
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+    assert digest.hexdigest() == PINNED_BOUNDS_DIGEST
+
+
+OK_OF = {Status.PASS: True, Status.FAIL: False, Status.INDETERMINATE: None}
+
+
+def test_note_less_rows_are_shared():
+    """Two reports on one input hold the same row instances, those of the
+    row table."""
+    for bounds in (corollary_bounds, trivial_bounds):
+        first, second = bounds((0, 0, 0, 0, 0, 0), P2), bounds((0, 0, 0, 0, 0, 0), P2)
+        assert len(first.conditions) in (6, 9)
+        for x, y in zip(first.conditions, second.conditions, strict=True):
+            assert x is y is bounds12._ROWS[(x.cond, True)]
+
+
+@pytest.mark.parametrize(
+    "a, cond, note",
+    [
+        ((0, 12, 0, 0, 0, 0), "8", NONREAL_QUARTIC),
+        ((0, 8, -6, 31, 10, 76), "6", NONREAL_CUBIC),
+        ((0, 40, 0, 0, 0, 0), "4", RADICAND_NEGATIVE),
+    ],
+)
+def test_rows_with_a_note_are_built_per_call(a, cond, note):
+    first, second = (
+        next(c for c in corollary_bounds(a, P2).conditions if c.cond == cond) for _ in range(2)
+    )
+    assert first == second == ConditionResult(cond, Status.FAIL, note)
+    assert first is not second
+    assert all(first is not row for row in bounds12._ROWS.values())
+
+
+def test_the_row_table_never_grows(monkeypatch, capsys):
+    """10,000 mixed calls leave the row table as it was: corollary_bounds,
+    trivial_bounds, lemma_check (some with the precision cap below
+    START_BITS, so that its notes carry the exception's text) and add() with
+    ids outside the table.  Every note-less row of a table id is the
+    table's, every row with a note a fresh one.  The bounds12_zero golden
+    output stays byte-identical before and after."""
+    golden = (Path(__file__).parent / "golden" / "bounds12_zero.golden").read_text()
+    argv = ["bounds12", "--q", "2", "--a", "0,0,0,0,0,0"]
+    assert main(argv) == 0 and capsys.readouterr().out == golden
+    rows = dict(bounds12._ROWS)
+    corpus = list(bounds_digest_corpus(random.Random(40), 30))
+    full, capped = bounds12.MAX_BITS, bounds12.START_BITS // 2
+    capped_notes = 0
+    for k in range(10_000):
+        q, a = corpus[k % len(corpus)]
+        P = WeilParams.from_q(q)
+        if k % 100 == 0:
+            monkeypatch.setattr(bounds12, "MAX_BITS", capped if k % 200 else full)
+            rep = lemma_check(r_coefficients(a, P, tilde=k % 300 == 0))
+        elif k % 100 == 1:
+            rep = BoundsReport()
+            rep.add(f"x{k}", k % 3 == 0)
+            rep.add("1", True, f"note {k}")
+        else:
+            rep = (corollary_bounds if k % 2 else trivial_bounds)(a, P)
+        for c in rep.conditions:
+            shared = rows.get((c.cond, OK_OF[c.status]))
+            if c.note or shared is None:
+                assert c is not shared and c == ConditionResult(c.cond, c.status, c.note)
+            else:
+                assert c is shared
+            capped_notes += c.note.startswith(f"comparison undecided at {capped} bits")
+    assert capped_notes > 0
+    assert bounds12._ROWS == rows
+    assert main(argv) == 0 and capsys.readouterr().out == golden
+
+
 def lemma_route(a, P):
     """(status, note) of corollary conditions 6 and 8 as lemma conditions
     (4) and (5) on both transforms: both sides must pass, an Indeterminate
@@ -489,19 +626,79 @@ def test_sturm_chain_keeps_the_roots_of_a_negative_leading_coefficient(c):
 
 
 def test_sturm_chain_stops_at_the_first_member_that_breaks_real_rootedness(monkeypatch):
-    calls, prem = [], weil._prem
+    calls, prem = [], weil._sturm_step
 
     def counting(a, b):
         calls.append((a, b))
         return prem(a, b)
 
-    monkeypatch.setattr(weil, "_prem", counting)
+    monkeypatch.setattr(weil, "_sturm_step", counting)
     assert _sturm_chain((0, 1, 0, 1)) is None  # x^3 + x: its third member is -x
     assert len(calls) == 1
     del calls[:]
     quintic = (IntPoly([-1, 1]) * IntPoly([-2, 1]) * IntPoly([1, 1]) * IntPoly([3, 1]) * IntPoly([-5, 2])).coeffs
     assert len(_sturm_chain(quintic)) == 6
     assert len(calls) == 4
+
+
+def sturm_digest_corpus(rng: random.Random, n: int) -> list[list[int]]:
+    """Integer polynomials of degree 1-9 with either sign of the leading
+    coefficient: products of integer linear and quadratic factors, each to
+    the power 1-3 (so roots repeat), and dense polynomials with coefficients
+    up to 1000 in absolute value."""
+    out = []
+    while len(out) < n:
+        d = rng.randint(1, 9)
+        if rng.random() < 0.25:
+            lead = rng.choice((-1, 1)) * rng.randint(1, 50)
+            out.append([rng.randint(-1000, 1000) for _ in range(d)] + [lead])
+            continue
+        p = IntPoly([rng.choice((-6, -2, -1, 1, 1, 3))])
+        while p.degree < d:
+            if rng.random() < 0.6:
+                factor = IntPoly([rng.randint(-5, 5), rng.choice((1, 1, 2, 3))])
+            else:
+                factor = IntPoly([rng.randint(-3, 9), rng.randint(-6, 6), 1])
+            p = p * factor ** rng.randint(1, 3)
+        if p.degree <= 9:
+            out.append(list(p.coeffs))
+    return out
+
+
+def test_sturm_chains_match_the_pinned_digest():
+    """_sturm_chain on a seeded corpus, pinned as one digest computed with the
+    general pseudo-remainder loop, before the chain took its steps in closed
+    form."""
+    digest = hashlib.sha256()
+    degrees, signs, outcomes = set(), set(), set()
+    for c in sturm_digest_corpus(random.Random(37), 3000):
+        chain = _sturm_chain(c)
+        digest.update(f"{c}|{chain}\n".encode())
+        degrees.add(len(c) - 1)
+        signs.add(c[-1] > 0)
+        # None, real-rooted and squarefree, or real-rooted with repeated roots
+        outcomes.add(None if chain is None else len(chain[0]) == len(c))
+    assert degrees == set(range(1, 10)) and signs == {True, False}
+    assert outcomes == {None, True, False}
+    assert digest.hexdigest() == PINNED_STURM_DIGEST
+
+
+def test_sturm_step_is_the_pseudo_remainder():
+    """The chain's closed-form step against polynomial._prem on seeded pairs
+    with deg a = deg b + 1 >= 2, among them pairs where b divides a."""
+    rng = random.Random(38)
+    zero = 0
+    for _ in range(3000):
+        n = rng.randint(1, 8)
+        b = [rng.randint(-30, 30) for _ in range(n)] + [rng.choice((-1, 1)) * rng.randint(1, 9)]
+        if rng.random() < 0.2:
+            a = list((IntPoly(b) * IntPoly([rng.randint(-9, 9), rng.randint(1, 5)])).coeffs)
+        else:
+            a = [rng.randint(-30, 30) for _ in range(n + 1)] + [rng.choice((-1, 1)) * rng.randint(1, 9)]
+        want = _prem(a, b)
+        assert weil._sturm_step(a, b) == want, (a, b)
+        zero += not want
+    assert zero > 500
 
 
 # One input per outcome class of conditions 6 and 8, with the Sturm chains

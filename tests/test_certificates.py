@@ -111,7 +111,7 @@ def test_companion_is_certified_by_expansion(monkeypatch):
 def test_sturm_chain_gcd_division_checks_the_leading_coefficient(monkeypatch):
     # x^3 + x^2: a planted zero remainder makes 3x^2 + 2x the "gcd", whose
     # leading coefficient does not divide x^3's
-    monkeypatch.setattr(weil, "_prem", lambda a, b: [])
+    monkeypatch.setattr(weil, "_sturm_step", lambda a, b: [])
     with pytest.raises(ExactnessError, match="^division was not exact$"):
         weil._sturm_chain((0, 0, 1, 1))
 
@@ -119,7 +119,7 @@ def test_sturm_chain_gcd_division_checks_the_leading_coefficient(monkeypatch):
 def test_sturm_chain_gcd_division_checks_the_remainder(monkeypatch):
     # x^3 + 3x: a planted zero remainder makes x^2 + 1 the "gcd", which
     # leaves the remainder 2x
-    monkeypatch.setattr(weil, "_prem", lambda a, b: [])
+    monkeypatch.setattr(weil, "_sturm_step", lambda a, b: [])
     with pytest.raises(ExactnessError, match="^division was not exact$"):
         weil._sturm_chain((0, 3, 0, 1))
 

@@ -248,6 +248,25 @@ def test_seed_leaves_the_cross_check_report_unchanged(capsys):
     assert capsys.readouterr().out == default
 
 
+def test_cross_check_lists_a_real_inconclusive_record_as_indeterminate(capsys):
+    """A point box holding one real q=2 Weil input, a = -1,0,0,0,2,0,0, which
+    matches case 4 with one open block that classify cannot split: cross-check
+    lists it under indeterminate and counts it inconclusive, and the report
+    stays ok with exit 0, while classify14 on the same input exits 3.
+    ROADMAP item 13 (deciding over every shape an open block allows) is
+    expected to change this verdict, and with it this test."""
+    box = "-1:-1,0:0,0:0,0:0,2:2,0:0,0:0"
+    assert main(["cross-check", "--degree", "14", "--q", "2", "--box", box]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    detail = "an unresolved block could contain degree-2 factors"
+    assert report["indeterminate"] == [{"a": [-1, 0, 0, 0, 2, 0, 0], "detail": detail}]
+    assert report["counts"] == {"inconclusive": 1, "records": 1}
+    assert report["ok"] is True
+    assert main(["classify14", "q=2; a=-1,0,0,0,2,0,0"]) == 3
+    classification = json.loads(capsys.readouterr().out)["classification"]
+    assert (classification["verdict"], classification["detail"]) == ("inconclusive", detail)
+
+
 def test_classify_inconclusive_paths(capsys):
     # a non-symmetric input is a definite negative, exit 1
     coeffs = ",".join(["1"] + ["0"] * 13 + ["1"])

@@ -15,7 +15,7 @@ from weilpoly.errors import ExactnessError, StructuralError
 from weilpoly.factorint import factor_over_integers
 from weilpoly.oracle import weil_oracle
 from weilpoly.polynomial import IntPoly
-from weilpoly.quadreal import QuadReal
+from weilpoly.quadreal import QuadPoly, QuadReal
 from weilpoly.weil import (
     WeilParams,
     build_f_ftilde,
@@ -127,7 +127,7 @@ def test_transform_identity(a, q):
     P = WeilParams.from_q(q)
     h = companion_poly(chi_from_a(a, P), P)
     f, ft = build_f_ftilde(a, P)
-    hq = h.to_quad(f.q)
+    hq = QuadPoly(h.coeffs, q=f.q)
     two = QuadReal.sqrt(q) * 2
     assert hq.compose_linear(QuadReal(-1), two) == f
     assert hq.compose_linear(QuadReal(1), -two) == ft
