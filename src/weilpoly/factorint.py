@@ -17,6 +17,12 @@ mapped back), which keeps the Hensel machinery monic-only:
     fpoly.factor's memo, which the Q_p engine fills with the same residues.
     An empty intersection inside 2..n-2 proves the cofactor irreducible,
     with no further work;
+  * inside the sieve, after the read at 2 and before the first odd read,
+    one prime value (_prime_value): when |f(x)| / d is a prime for an x
+    beyond every root by more than 1 + d, d the fixed divisor of the
+    cofactor f, f is irreducible (Brillhart, Filaseta and Odlyzko, 1981),
+    and the walk ends there.  It settles 86% of the irreducible cofactors
+    of scan14's companions that reach it, and no reducible one can pass;
   * otherwise equal-degree splitting at the sieve prime with the fewest
     factors, Hensel lifting past the Mignotte bound, and subset
     recombination by increasing cardinality, skipping subsets whose degree
@@ -43,7 +49,7 @@ import random
 from itertools import combinations
 from math import gcd, isqrt
 
-from .arith import is_prime
+from .arith import _MR_EXACT_BELOW, is_prime
 from .errors import ExactnessError
 from . import fpoly
 from .fpoly import DEFAULT_SEED, PrimeField, equal_degree, fdeg, fmul
@@ -53,16 +59,31 @@ from .polynomial import IntPoly, _div_exact, _homogeneous_horner, _mul, _prem, _
 # Odd primes the degree sieve reads, besides 2.  A walk the sieve cannot
 # settle splits, Hensel-lifts and recombines: on one core of a 2-core
 # x86-64 host (Python 3.11) that took 0.8-1.0 ms, a settled walk 0.11-0.15
-# ms and one odd read 0.07-0.10 ms.  On the 3,474 companions that scan14
-# seeds 1-6 factor, 3, 4, 5 and 6 odd primes lift 280, 146, 103 and 74
-# walks, of which 228, 94, 51 and 22 find the cofactor irreducible after
-# all, for 4,064, 4,344, 4,490 and 4,593 odd reads; on the 1,595 Weil
-# candidates of the q=2 box, 3 and 5 lift 124 and 47 walks, for 1,854 and
-# 2,041 odd reads.  Factoring those 3,474 companions took 0.63, 0.60, 0.59
-# and 0.59 s (best of 7), and scan14 seeds 201-210 gave 2,902, 2,923 and
-# 2,978 ops/s at 4, 5 and 6, with no pair of them apart by more than the
-# host's noise, so five, the middle, it is.
+# ms and one odd read 0.04-0.13 ms (10th to 90th percentile).  On the 3,474
+# companions that scan14 seeds 1-6 factor, with _prime_value tried before
+# the odd reads, 3, 4, 5 and 6 odd primes lift 96, 71, 56 and 52 walks, of
+# which 44, 19, 4 and 0 find the cofactor irreducible after all, for 729,
+# 825, 896 and 952 odd reads; the other 52 are the reducible cofactors,
+# which every count lifts.  Without the certificate they lifted 280, 146,
+# 103 and 74 walks for 4,064 to 4,593 odd reads.  On the 1,595 Weil
+# candidates of the q=2 box, 3 to 6 lift 44, 34, 28 and 26 walks.
+# Factoring those 3,474 companions, as the ratio of a pass to perfbench's
+# calibration kernel timed around it (median of 15 interleaved passes),
+# gave 389, 407 and 416 at 4, 5 and 6, inside each other's quartiles
+# (about +-10%), and 580 at 5 without the certificate, so five, the
+# middle, stays.
 _SIEVE_PRIMES = 5
+
+# Values _prime_value tries at each sign.  Of those 3,474 walks, 2,282
+# reach it: 52 reducible cofactors, which it cannot certify, and 2,230
+# irreducible ones, of which 8, 16 and 32 tries certify 1,502, 1,922 and
+# 2,119 (67%, 86% and 95%).  A certificate took 56-64 us on average,
+# mostly the Miller-Rabin rounds that prove its prime, and a failure 40,
+# 62 and 103 us.  The factoring ratio above was 436, 407 and 406 at 8, 16
+# and 32, and scan14 seeds 3201-3206 had a median op_ms_p90 of 0.533 ms
+# without the certificate and 0.478, 0.456 and 0.454 ms at 8, 16 and 32:
+# 32 gains nothing measurable on 16 and doubles the cost of a failure.
+_PRIME_VALUE_TRIES = 16
 
 
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -227,6 +248,43 @@ def distinct_degree(F: PrimeField, f: list[int]) -> list[tuple[list[int], int]]:
     return parts
 
 
+def _root_bound(coeffs) -> int:
+    """R = 2 * max_k 2^ceil(bitlen(a_(m-k)) / k), k = 1..m, for the
+    coefficients of a monic polynomial of degree m >= 1.  Each |a_(m-k)| <
+    (R/2)^k, so sum_(i<m) |a_i| R^i < R^m sum_k 2^-k < R^m: every root z
+    has |z| < R."""
+    m = len(coeffs) - 1
+    return 2 << max(-(-abs(coeffs[m - k]).bit_length() // k) for k in range(1, m + 1))
+
+
+def _prime_value(f: IntPoly) -> bool:
+    """True when one value of the monic f, of degree m >= 1, proves f
+    irreducible over Z (Brillhart, Filaseta and Odlyzko, Canad. J. Math. 33,
+    1981; Murty, Amer. Math. Monthly 109, 2002); False decides nothing.
+
+    Every root z of f has |z| < R = _root_bound(f), and d = gcd(f(0), ...,
+    f(m)) is f's fixed divisor, which divides f(x) at every integer x.  The
+    values tried are at x = +-(R + 1 + d + i), i < _PRIME_VALUE_TRIES, and
+    one proves f irreducible when P = |f(x)| / d is a prime below
+    arith._MR_EXACT_BELOW, where is_prime is exact and never raises; larger
+    values are skipped.
+
+    Proof.  Suppose f = g h with g, h monic of positive degree.  Every root
+    z of g has |x - z| > |x| - R >= 1 + d, so |g(x)| > (1 + d)^(deg g) > d,
+    and likewise |h(x)| > d.  The prime P divides g(x) h(x) = +-d P, so it
+    divides one of them, say g(x) = +-u P with u >= 1; then |h(x)| = d / u
+    <= d, a contradiction.
+    """
+    d = gcd(*(f.evaluate(x) for x in range(f.degree + 1)))
+    start = _root_bound(f.coeffs) + 1 + d
+    for x in range(start, start + _PRIME_VALUE_TRIES):
+        for value in (f.evaluate(x), f.evaluate(-x)):
+            P = abs(value) // d
+            if P < _MR_EXACT_BELOW and is_prime(P):
+                return True
+    return False
+
+
 def _sieve(f: IntPoly, lc: int, disc: int):
     """f's integer roots, then distinct-degree data of the cofactor at the
     primes p that keep f squarefree mod p, with the set of degrees a proper
@@ -247,8 +305,11 @@ def _sieve(f: IntPoly, lc: int, disc: int):
     degree is a subset sum of their degrees at every such prime; the
     returned bitmask (bit d for degree d) is the intersection of those
     subset sums with 2..n-2, and 0 proves the cofactor irreducible (or 1).
-    The walk stops there.  It returns the linear factors, the cofactor, the
-    bitmask and the reductions.
+    The walk stops there.  Once, past the roots and the read at 2 and before
+    the first odd read, _prime_value tries to prove the cofactor
+    irreducible by one prime value; when it does, the walk stops with the
+    bitmask 0.  It returns the linear factors, the cofactor, the bitmask and
+    the reductions.
     """
     linear: list[IntPoly] = []
     allowed = -1  # no bit is cleared before the roots are divided out
@@ -272,6 +333,11 @@ def _sieve(f: IntPoly, lc: int, disc: int):
             if linear:
                 disc = discriminant(f)
             fp = [c % p for c in f.coeffs]
+        # no odd prime is read yet exactly when the reads to come are all
+        # _SIEVE_PRIMES of them
+        if p != 2 and len(reductions) + _SIEVE_PRIMES == wanted and _prime_value(f):
+            allowed = 0
+            break
         parts = distinct_degree(F, fp)
         sums = 1
         for g, d in parts:

@@ -579,7 +579,12 @@ def tate_condition_profile(profile: PadicFactorProfile, n: int) -> bool:
                 return False
         else:
             # factor degrees in the block are multiples of granularity;
-            # candidate constant valuations are k * granularity * slope
+            # candidate constant valuations are k * granularity * slope.  The
+            # engine never builds a block that fails the next test: _records
+            # gives each one the granularity e d deg psi, a multiple of its
+            # slope denominator e, the _unit_power depth cap has slope 0, and
+            # _reslope keeps e (or moves a unit cluster's slope to 0).  Only
+            # a planted record reaches the raise.
             h, e = _pair(r)
             if r.granularity * h % e:
                 raise UncertifiedProfileError(

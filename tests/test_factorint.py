@@ -216,9 +216,10 @@ EXITS = [
     # a q=2 scan companion: degrees {1,2,4} mod 3, {3,4} mod 5 and
     # {2,5} mod 7 share no proper subset sum
     (companion_poly(chi_from_a((0, 0, -1, 0, 0, 0, 0), P2), P2), set()),
-    # Swinnerton-Dyer polynomials split at every prime
-    (T([1, 0, -10, 0, 1]), {"lift"}),
-    (T([576, 0, -960, 0, 352, 0, -40, 0, 1]), {"lift"}),
+    # Swinnerton-Dyer polynomials split at every prime, so the sieve
+    # cannot settle them; a prime value proves them irreducible instead
+    (T([1, 0, -10, 0, 1]), set()),
+    (T([576, 0, -960, 0, 352, 0, -40, 0, 1]), set()),
     (_product(*(T([-k, 1]) for k in range(1, 8))), {"roots"}),
     (_product(cyclotomic(4), cyclotomic(8), cyclotomic(11)), {"lift"}),
     # squarefree, but not mod 3, 5 or 7 (each divides some n, so the
@@ -262,7 +263,8 @@ def test_each_exit_matches_sympy(f, stages, monkeypatch):
     """factor_over_integers equals sympy.factor_list, and f passes through
     the named stages: integer roots divided out first ("roots"), Hensel
     lifting and recombination ("lift"), Yun's decomposition first ("yun");
-    none of them when the degree sieve proves f irreducible."""
+    none of them when the degree sieve or a prime value proves f
+    irreducible."""
     got, seen = ours_with_stages(f, monkeypatch)
     assert got == sympy_factorization(f)
     assert seen == stages
@@ -415,9 +417,10 @@ def test_input_not_squarefree_mod_2_still_reads_five_odd_primes(monkeypatch):
 
 def test_the_q2_box_lifts_only_walks_the_sieve_left_open(monkeypatch):
     """The companions of the 1,595 Weil candidates in the q=2 box
-    |a_i| <= 1 make 1,595 sieve walks; 47 of them reach Hensel lifting
-    (124 when the sieve read three odd primes), and each of those read
-    all _SIEVE_PRIMES odd primes first, so no walk lifts early."""
+    |a_i| <= 1 make 1,595 sieve walks; 28 of them reach Hensel lifting
+    (47 without the prime-value certificate, 124 without it at three odd
+    primes), and each of those read all _SIEVE_PRIMES odd primes first, so
+    no walk lifts early."""
     walks = []
 
     def sieve_spy(*args, _orig=factorint._sieve):
@@ -440,8 +443,104 @@ def test_the_q2_box_lifts_only_walks_the_sieve_left_open(monkeypatch):
         if verdict.is_weil:
             factor_over_integers(verdict.companion)
     lifted = [reads for reads, lift in walks if lift]
-    assert len(walks) == 1595 and len(lifted) == 47
+    assert len(walks) == 1595 and len(lifted) == 28
     assert set(lifted) == {factorint._SIEVE_PRIMES}
+
+
+def prime_value_of(f: IntPoly) -> bool:
+    """_prime_value on f as the sieve sees it: primitive and monicized."""
+    return factorint._prime_value(factorint._monicize(f.primitive()[1]))
+
+
+def is_prime_args(monkeypatch) -> list[int]:
+    """Every n factorint passes to is_prime, from now on."""
+    args = []
+
+    def spy(n, _orig=factorint.is_prime):
+        args.append(n)
+        return _orig(n)
+
+    monkeypatch.setattr(factorint, "is_prime", spy)
+    return args
+
+
+def random_factor(rng, degree: int, monic: bool) -> IntPoly:
+    lc = 1 if monic else rng.choice([2, 3, -5, 6])
+    return IntPoly([rng.randint(-9, 9) for _ in range(degree)] + [lc])
+
+
+def test_a_prime_value_never_certifies_a_reducible_input(monkeypatch):
+    """Seeded products g k of degrees 1-7, monic and not, and products
+    with a fixed divisor (every value of t(t+1) and of t^2+t+2 is even):
+    none is certified, and is_prime never sees a number the certificate
+    cannot prove.  With the root bound taken as 0, the values tried come
+    near the roots, and the same products do give false certificates."""
+    rng = random.Random(20261021)
+    fixed = [T([0, 1, 1]), T([2, 1, 1]), T([0, 1]) * T([2, 1, 1])]
+    products = []
+    for _ in range(300):
+        monic = rng.random() < 0.5
+        g = random_factor(rng, rng.randint(1, 7), monic)
+        k = random_factor(rng, rng.randint(1, 7), monic)
+        products += [g * k, rng.choice(fixed) * g]
+    args = is_prime_args(monkeypatch)
+    for f in products:
+        assert not prime_value_of(f), f
+    assert args and max(args) < arith._MR_EXACT_BELOW
+    monkeypatch.setattr(factorint, "_root_bound", lambda coeffs: 0)
+    assert sum(map(prime_value_of, products)) > 10
+
+
+@pytest.mark.parametrize(
+    "f",
+    [T([1, 0, -10, 0, 1]), T([576, 0, -960, 0, 352, 0, -40, 0, 1])],
+    ids=["sd4", "sd8"],
+)
+def test_a_prime_value_proves_the_swinnerton_dyer_rows_irreducible(f, monkeypatch):
+    """t^4 - 10t^2 + 1 and its degree-8 sibling split mod every prime, so no
+    degree sieve settles them; one prime value does, before the first odd
+    read, and the walk reads no prime at all past the root step (2 divides
+    both discriminants)."""
+    assert factorint._prime_value(f)
+    read = sieve_reads(monkeypatch)
+    assert ours(f) == (1, [(tuple(f.coeffs), 1)])
+    assert read == []
+
+
+def test_a_prime_value_divides_out_the_fixed_divisor():
+    """Every value of t^2 + t + 2 is even, so no value is prime: the
+    certificate proves it irreducible by a value over its fixed divisor 2."""
+    f = T([2, 1, 1])
+    assert all(f.evaluate(x) % 2 == 0 for x in range(-50, 50))
+    assert factorint._prime_value(f)
+
+
+def test_the_root_bound_dominates_the_coefficients(rng):
+    """sum_(i<m) |a_i| R^i < R^m on random monic inputs of degree 1-14,
+    with coefficients up to 2^40, so every root z has |z| < R."""
+    for _ in range(500):
+        m = rng.randint(1, 14)
+        bits = rng.randint(0, 40)
+        coeffs = [rng.randint(-(1 << bits), 1 << bits) for _ in range(m)] + [1]
+        R = factorint._root_bound(coeffs)
+        assert sum(abs(a) * R ** i for i, a in enumerate(coeffs[:-1])) < R ** m, coeffs
+
+
+def test_a_prime_value_declines_values_past_the_exact_primality_bound(monkeypatch):
+    """t^7 + 10^4 t^6 + 1 has root bound 2^15, so every value tried is above
+    arith._MR_EXACT_BELOW: the certificate declines without asking is_prime
+    about any of them (which could raise UnprovenPrimeError), and the
+    degree sieve then decides the input."""
+    f = T([1, 0, 0, 0, 0, 0, 10**4, 1])
+    R = factorint._root_bound(f.coeffs)
+    assert R == 1 << 15 and (R + 1) ** 6 > arith._MR_EXACT_BELOW
+    args = is_prime_args(monkeypatch)
+    assert not factorint._prime_value(f)
+    assert args == []
+    read = sieve_reads(monkeypatch)
+    assert ours(f) == sympy_factorization(f)
+    assert [p for p in read if p != 2]
+    assert max(args) < arith._MR_EXACT_BELOW  # only the sieve's primes
 
 
 def squarefree_mod(f: IntPoly, p: int) -> bool:

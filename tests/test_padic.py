@@ -271,6 +271,36 @@ def test_tate_condition_examples():
     assert not tate_ok(IntPoly([2, 1, 1]), P4)  # v = 1 not divisible by 2
 
 
+def test_a_block_of_fractional_valuation_granularity_is_inconclusive(monkeypatch):
+    """Planted: the engine never builds an uncertified block whose factor
+    degrees could carry a fractional constant valuation, since _records
+    gives every block the granularity e d deg psi, a multiple of its slope
+    denominator e.  A=(-1,-1,0,1,1,0,0) at q=2 holds such a block of slope
+    1/2 and granularity 2 and is accepted; with the granularity planted as
+    1, tate_condition_profile raises, and classify reports it as
+    inconclusive instead of a verdict."""
+    chi = chi_from_a((-1, -1, 0, 1, 1, 0, 0), P2)
+    verdict = is_weil(chi, P2)
+    profile = profile_weil(chi, verdict, P2)
+    assert FactorRecord(4, Fraction(1, 2), 2, None, False, 2) in profile.factors
+    assert tate_condition_profile(profile, P2.n)
+    assert classify(chi, P2).verdict == "accepted"
+    records = padic._records
+
+    def planted(parts, slope, e, d):
+        return [
+            r if r.certified else padic._rec(r.degree, slope, None, False, r.granularity // e)
+            for r in records(parts, slope, e, d)
+        ]
+
+    monkeypatch.setattr(padic, "_records", planted)
+    message = "^unresolved block with fractional valuation granularity$"
+    with pytest.raises(UncertifiedProfileError, match=message):
+        tate_condition_profile(profile_weil(chi, verdict, P2), P2.n)
+    c = classify(chi, P2)
+    assert (c.verdict, c.detail) == ("inconclusive", message[1:-1])
+
+
 def test_not_squarefree_rejected():
     f = IntPoly([1, 1]) ** 2
     with pytest.raises(StructuralError, match="squarefree"):
