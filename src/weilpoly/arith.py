@@ -1,7 +1,7 @@
 """Primitives shared across the package: primality, prime factors, integer
-roots, p-adic valuations, the sign of a + b*sqrt(q), and the record
-decorator.  No import but the exception types, so every module can depend
-on it.
+roots, p-adic valuations, the sign of a + b*sqrt(q), square-and-multiply
+powers in any ring (_power), and the record decorator.  No import but the
+exception types, so every module can depend on it.
 """
 
 from __future__ import annotations
@@ -113,6 +113,20 @@ def surd_sign(a, b, q) -> int:
         return sb
     d = a * a - q * b * b
     return sa if d > 0 else sb if d < 0 else 0
+
+
+def _power(x, n: int, one, mul):
+    """x^n for n >= 0 by square-and-multiply from the low bit of n, with the
+    ring given by its one and its product mul; x is squared only while
+    higher bits of n remain."""
+    out = one
+    while True:
+        if n & 1:
+            out = mul(out, x)
+        n >>= 1
+        if not n:
+            return out
+        x = mul(x, x)
 
 
 def _immutable(self, name, *value):

@@ -23,8 +23,9 @@ mapped back), which keeps the Hensel machinery monic-only:
     cofactor f, f is irreducible (Brillhart, Filaseta and Odlyzko, 1981),
     and the walk ends there.  It settles 86% of the irreducible cofactors
     of scan14's companions that reach it, and no reducible one can pass;
-  * otherwise equal-degree splitting at the sieve prime with the fewest
-    factors, Hensel lifting past the Mignotte bound, and subset
+  * otherwise the irreducible factors mod the sieve prime with the fewest
+    factors, read from fpoly.factor (a memo hit at p = 2, where the sieve
+    read them already), Hensel lifting past the Mignotte bound, and subset
     recombination by increasing cardinality, skipping subsets whose degree
     the sieve excluded.  Degrees in this package stay <= 14, so
     recombination scans at most 2^14 subsets.
@@ -45,14 +46,13 @@ from __future__ import annotations
 
 import functools
 import operator
-import random
 from itertools import combinations
 from math import gcd, isqrt
 
 from .arith import _MR_EXACT_BELOW, is_prime
 from .errors import ExactnessError
 from . import fpoly
-from .fpoly import DEFAULT_SEED, PrimeField, equal_degree, fdeg, fmul
+from .fpoly import PrimeField, fdeg, fmul
 from .hensel import hensel_lift_multi, _trunc
 from .polynomial import IntPoly, _div_exact, _homogeneous_horner, _mul, _prem, _prs
 
@@ -100,25 +100,18 @@ def squarefree_decomposition(f: IntPoly) -> list[tuple[IntPoly, int]]:
     if f.degree <= 0:
         return []
     out = []
-    g = poly_gcd(f, f.derivative())
-    w = _exact_div(f, g)
-    c = _exact_div(f.derivative(), g) - w.derivative()
+    g = poly_gcd(f, f.derivative()).coeffs
+    w = IntPoly(_div_exact(f.coeffs, g))
+    c = IntPoly(_div_exact(f.derivative().coeffs, g)) - w.derivative()
     i = 1
     while w.degree > 0:
         y = poly_gcd(w, c)
         if y.degree > 0:
             out.append((y, i))
-        w = _exact_div(w, y)
-        c = _exact_div(c, y) - w.derivative()
+        w = IntPoly(_div_exact(w.coeffs, y.coeffs))
+        c = IntPoly(_div_exact(c.coeffs, y.coeffs)) - w.derivative()
         i += 1
     return out
-
-
-def _exact_div(f: IntPoly, g: IntPoly) -> IntPoly:
-    """f / g when g divides f in Z[t]; raises ExactnessError otherwise."""
-    if g.is_zero():
-        raise ZeroDivisionError
-    return IntPoly(_div_exact(f.coeffs, g.coeffs))
 
 
 def discriminant(f: IntPoly) -> int:
@@ -357,10 +350,8 @@ def _zassenhaus_monic(f: IntPoly, lc: int, disc: int) -> list[IntPoly]:
     if not allowed:
         return out + [cofactor] if cofactor.degree else out
     # split and lift at the prime with the fewest factors
-    p, parts = min(reductions, key=lambda r: sum(fdeg(g) // d for g, d in r[1]))
-    F = PrimeField(p)
-    rng = random.Random(DEFAULT_SEED)
-    factors_mod = [irr for g, d in parts for irr in equal_degree(F, g, d, rng)]
+    p, _ = min(reductions, key=lambda r: sum(fdeg(g) // d for g, d in r[1]))
+    factors_mod = [g for g, _ in fpoly.factor(PrimeField(p), cofactor.coeffs)[1]]
     B = 2 * _mignotte_bound(cofactor) + 1
     k = 1
     while p ** k < B:

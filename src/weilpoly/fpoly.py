@@ -8,10 +8,12 @@ fadd, fsub, fscale, fmul, fdivmod, frem and fmulmod work on the int lists
 directly and reduce each coefficient once with % p.  frem and fmulmod share
 one in-place reduction that builds no quotient, needs no inverse for a
 monic divisor, and leaves a product unreduced until it is reduced modulo
-the divisor.  fgcd, fmonic, fpow_mod (square-and-multiply from the top bit
-of the exponent, starting at the base) and the factorization stages inherit
+the divisor.  fgcd, fmonic, fpow_mod and the factorization stages inherit
 that path; fgcd's Euclid loop runs straight on that reduction.  ExtField
-elements go through the field's add/sub/mul calls.
+elements go through the field's add/sub/mul calls.  Products share one
+dense kernel and powers one square-and-multiply: fmul over F_p and
+ExtField.mul are polynomial._mul, reduced afterwards, and ExtField.pow and
+fpow_mod are arith._power.
 
 Factorization is the classical pipeline: squarefree decomposition (with the
 char-p p-th-root step), distinct-degree splitting by Frobenius powers
@@ -27,8 +29,11 @@ not split, so the random generator is made only for a block that splits.
 factor over F_p reduces its input mod p, then memoizes the answer per
 (p, coefficients) in a bounded LRU cache: the Q_p engine factors the same
 small residues over and over, and factorint's degree sieve reads its split
-mod 2 from the same answers.  The cache holds tuples and each call gets
-fresh lists.  ExtField calls are not memoized.
+mod 2 from the same answers.  factor is the package's only splitter over
+F_p: factorint Hensel-lifts the irreducible factors it returns at the
+sieve prime with the fewest, a memo hit when that prime is 2.  The cache
+holds tuples and each call gets fresh lists.  ExtField calls are not
+memoized.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 import functools
 import random
 
-from .arith import prime_factors
+from .arith import _power, prime_factors
 from .polynomial import _mul
 
 DEFAULT_SEED = 1729
@@ -132,27 +137,13 @@ class ExtField:
         return tuple((-x) % p for x in a)
 
     def mul(self, a, b):
-        p, d = self.p, self.d
-        prod = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        return self.of_poly(prod)
+        return self.of_poly(_mul(a, b))
 
     def inv(self, a):
         return self.pow(a, self.order - 2)
 
     def pow(self, a, n):
-        out = self.one
-        base = a
-        while True:
-            if n & 1:
-                out = self.mul(out, base)
-            n >>= 1
-            if not n:
-                return out
-            base = self.mul(base, base)
+        return _power(a, n, self.one, self.mul)
 
     def is_zero(self, a) -> bool:
         return all(x == 0 for x in a)
@@ -335,16 +326,8 @@ def _gcd(p, a, b):
 
 
 def fpow_mod(F, f, n, m):
-    """f^n mod m, squaring from the most significant bit of n down."""
-    if n == 0:
-        return [F.one]
-    base = frem(F, f, m)
-    out = base
-    for bit in bin(n)[3:]:
-        out = fmulmod(F, out, out, m)
-        if bit == "1":
-            out = fmulmod(F, out, base, m)
-    return out
+    """f^n mod m, by arith._power on fmulmod."""
+    return _power(frem(F, f, m), n, [F.one], lambda a, b: fmulmod(F, a, b, m))
 
 
 def fdiff(F, f):

@@ -1,13 +1,14 @@
 """Quadratic Hensel lifting of coprime factorizations in Z[t].
 
-The single step follows the textbook scheme in two halves: given f = g*h
-(mod m) with Bezout cofactors s*g + t*h = 1 (mod m), it lifts the factors
-to f = G*H (mod m^2), then the Bezout pair to S*G + T*H = 1 (mod m^2).
-Lifting to p^k iterates the step ceil(log2 k) times, and the last step
-lifts only the factors, since no later step reads the Bezout pair; a
-multifactor lift splits the factor list in halves on a binary tree.  The
-lifted product is checked against f mod p^k, so a bad seed fails loudly
-rather than corrupting results.
+Each step follows the textbook scheme in two halves: given f = g*h
+(mod m) with Bezout cofactors s*g + t*h = 1 (mod m), _lift_factors lifts
+the factors to f = G*H (mod m^2), then _lift_bezout the Bezout pair to
+S*G + T*H = 1 (mod m^2).  Lifting to p^k takes ceil(log2 k) steps, and
+the last one lifts only the factors, since no later step reads the Bezout
+pair; a multifactor lift splits the factor list in halves on a binary
+tree.  Products over Z are polynomial._mul's and the arithmetic mod p is
+fpoly's.  The lifted product is checked against f mod p^k, so a bad seed
+fails loudly rather than corrupting results.
 """
 
 from __future__ import annotations
@@ -45,17 +46,9 @@ def _sub(f, g):
     ]
 
 
-def hensel_step(m: int, f, g, h, s, t):
-    """Lift f = g*h (mod m), s*g + t*h = 1 (mod m) to modulus m^2.
-
-    h must be monic.  Returns (G, H, S, T) mod m^2 with H monic.
-    """
-    G, H = _lift_factors(m, f, g, h, s, t)
-    return (G, H, *_lift_bezout(m * m, s, t, G, H))
-
-
 def _lift_factors(m: int, f, g, h, s, t):
-    """hensel_step's first half: (G, H) mod m^2, H monic."""
+    """Lift f = g*h (mod m), with h monic and s*g + t*h = 1 (mod m), to
+    f = G*H (mod m^2): (G, H) mod m^2, H monic."""
     M = m * m
     e = _trunc(_sub(f, _mul(g, h)), M)
     q, r = _divmod_monic(_trunc(_mul(s, e), M), h)
@@ -66,8 +59,9 @@ def _lift_factors(m: int, f, g, h, s, t):
 
 
 def _lift_bezout(M: int, s, t, G, H):
-    """hensel_step's second half: (S, T) with S*G + T*H = 1 mod M = m^2,
-    from the pair (s, t) mod m and the lifted factors (G, H)."""
+    """Lift the Bezout pair: (S, T) with S*G + T*H = 1 mod M = m^2, from
+    the pair (s, t) mod m and the factors (G, H) that _lift_factors lifted
+    to M, H monic."""
     b = _trunc(_sub(_add(_mul(s, G), _mul(t, H)), [1]), M)
     c, d = _divmod_monic(_trunc(_mul(s, b), M), H)
     c = _trunc(c, M)

@@ -21,6 +21,7 @@ import operator
 from math import gcd, lcm
 from typing import Iterable
 
+from .arith import _power
 from .errors import ExactnessError, StructuralError
 
 
@@ -283,15 +284,7 @@ class IntPoly:
     def __pow__(self, n: int) -> "IntPoly":
         if n < 0:
             raise ValueError("a polynomial has no negative powers in Z[t]")
-        out = IntPoly.one()
-        base = self
-        while True:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if not n:
-                return out
-            base = base * base
+        return _power(self, n, IntPoly.one(), operator.mul)
 
     def derivative(self) -> "IntPoly":
         return IntPoly([i * self.coeffs[i] for i in range(1, len(self.coeffs))])
@@ -315,10 +308,7 @@ class IntPoly:
         return IntPoly(quot), IntPoly(rem)
 
     def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, abs(c))
-        return g
+        return gcd(*self.coeffs)
 
     def primitive(self) -> tuple[int, "IntPoly"]:
         """(content with the sign of lc, primitive part)."""

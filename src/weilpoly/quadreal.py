@@ -32,9 +32,9 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
-from .arith import surd_sign
+from .arith import _power, surd_sign
 from .errors import DomainMismatchError
-from .polynomial import _compose_linear, _homogeneous_horner, _primitive, _prs, _trim
+from .polynomial import _compose_linear, _homogeneous_horner, _mul, _primitive, _prs, _trim
 
 
 @lru_cache(maxsize=256)
@@ -176,15 +176,7 @@ class QuadReal:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = QuadReal(1)
-        base = self
-        while True:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if not n:
-                return out
-            base = base * base
+        return _power(self, n, QuadReal(1), QuadReal.__mul__)
 
     # -- exact decisions --------------------------------------------------------
 
@@ -388,28 +380,12 @@ class QuadPoly:
     def __repr__(self):
         return f"QuadPoly([{', '.join(str(c) for c in self.coeffs)}])"
 
-    def _join(self, other: "QuadPoly") -> int | None:
-        if self.q is None:
-            return other.q
-        if other.q is None or other.q == self.q:
-            return self.q
-        raise DomainMismatchError(f"mixed radicands {self.q} and {other.q}")
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QuadReal)):
             return QuadPoly([c * other for c in self.coeffs], q=self.q)
         if not isinstance(other, QuadPoly):
             return NotImplemented
-        q = self._join(other)
-        if self.is_zero() or other.is_zero():
-            return QuadPoly([], q=q)
-        out = [QuadReal(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return QuadPoly(out, q=q)
+        return QuadPoly(_mul(self.coeffs, other.coeffs), q=_join(self.q, other.q))
 
     __rmul__ = __mul__
 
@@ -491,7 +467,7 @@ class QuadPoly:
     def gcd(self, other: "QuadPoly") -> "QuadPoly":
         """The gcd: the last member of the primitive pseudo-remainder
         sequence of the numerators, normalized."""
-        q = self._join(other)
+        q = _join(self.q, other.q)
         a, b = self.numerators(), other.numerators()
         if len(a) < len(b):
             a, b = b, a

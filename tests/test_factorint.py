@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -445,6 +446,34 @@ def test_the_q2_box_lifts_only_walks_the_sieve_left_open(monkeypatch):
     lifted = [reads for reads, lift in walks if lift]
     assert len(walks) == 1595 and len(lifted) == 28
     assert set(lifted) == {factorint._SIEVE_PRIMES}
+
+
+def test_the_lift_takes_fpoly_factors_irreducibles(monkeypatch):
+    """On the q=2 box, every walk that reaches Hensel lifting hands it
+    exactly fpoly.factor's irreducible factors of the cofactor at the lift
+    prime, and factorint never runs an equal-degree split of its own."""
+    lifts = []
+
+    def lift_spy(f, factors, p, k, _orig=factorint.hensel_lift_multi):
+        lifts.append((f, factors, p))
+        return _orig(f, factors, p, k)
+
+    def equal_degree_spy(*args, _orig=fpoly.equal_degree):
+        assert sys._getframe(1).f_globals["__name__"] != factorint.__name__
+        return _orig(*args)
+
+    monkeypatch.setattr(factorint, "hensel_lift_multi", lift_spy)
+    monkeypatch.setattr(fpoly, "equal_degree", equal_degree_spy)
+    monkeypatch.setattr(factorint, "equal_degree", equal_degree_spy, raising=False)
+    for a in itertools.product((-1, 0, 1), repeat=7):
+        verdict = weil.is_weil(chi_from_a(a, P2), P2)
+        if verdict.is_weil:
+            factor_over_integers(verdict.companion)
+    assert len(lifts) == 28
+    for f, factors, p in lifts:
+        irreducibles = fpoly.factor(fpoly.PrimeField(p), f.coeffs)[1]
+        assert factors == [g for g, _ in irreducibles], (f, p)
+        assert {e for _, e in irreducibles} == {1}
 
 
 def prime_value_of(f: IntPoly) -> bool:

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilpoly import polynomial
+from weilpoly import fpoly, polynomial
 from weilpoly.errors import StructuralError
-from weilpoly.fpoly import ExtField
+from weilpoly.fpoly import ExtField, PrimeField, fmulmod, fpow_mod
 from weilpoly.polynomial import (
     IntPoly,
     poly_from_string,
@@ -124,22 +124,29 @@ def test_content_primitive():
 
 
 def test_pow_squares_only_while_bits_remain(monkeypatch):
-    """IntPoly, QuadReal and ExtField powers match repeated products,
-    square-and-multiply stops squaring after the top bit, and an IntPoly
-    refuses a negative power instead of looping."""
+    """IntPoly, QuadReal, ExtField and fpow_mod powers match repeated
+    products, square-and-multiply stops squaring after the top bit, a
+    negative QuadReal power is the inverse of the positive one, and an
+    IntPoly refuses a negative power instead of looping."""
     g, x = IntPoly([1, -2, 3]), QuadReal(1, 2, 3)
     F = ExtField(3, [2, 2, 1])
     e = (1, 2)
-    by_g, by_x, by_e = IntPoly.one(), QuadReal(1), F.one
+    Fp, h, m = PrimeField(5), [3, 1, 4], [2, 0, 1, 1]
+    by_g, by_x, by_e, by_h = IntPoly.one(), QuadReal(1), F.one, [1]
     for n in range(7):
         assert (g ** n, x ** n, F.pow(e, n)) == (by_g, by_x, by_e)
+        assert fpow_mod(Fp, h, n, m) == by_h
+        assert x ** -n == (x ** n).inverse()
         by_g, by_x, by_e = by_g * g, by_x * x, F.mul(by_e, e)
+        by_h = fmulmod(Fp, by_h, h, m)
     with pytest.raises(ValueError):
         g ** -1
     calls = []
-    mul = polynomial._mul
-    monkeypatch.setattr(polynomial, "_mul", lambda f, h: calls.append(1) or mul(f, h))
+    for module in (polynomial, fpoly):
+        mul = module._mul
+        monkeypatch.setattr(module, "_mul", lambda a, b, mul=mul: calls.append(1) or mul(a, b))
     for n, products in ((1, 1), (4, 3)):
-        calls.clear()
-        g ** n
-        assert len(calls) == products
+        for power in (lambda: g ** n, lambda: fpow_mod(Fp, h, n, m)):
+            calls.clear()
+            power()
+            assert len(calls) == products
