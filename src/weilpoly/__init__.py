@@ -16,7 +16,7 @@ its names, or the submodule itself, is first read from the package
 
 from importlib import import_module as _import_module
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 _EXPORTS = {
     "bounds12": (
@@ -28,7 +28,7 @@ _EXPORTS = {
         "trivial_bounds",
     ),
     "census": ("EnumerationSpec", "cross_check", "enumerate_weil"),
-    "classify7": ("Classification", "classify", "multiplicity_options", "power_case"),
+    "classify7": ("Classification", "classify", "power_case"),
     "errors": (
         "DomainMismatchError",
         "ExactnessError",

@@ -128,15 +128,6 @@ def _is_irreducible(chi: IntPoly, verdict, params: WeilParams) -> bool:
     return len(fac) == 1 and fac[0][1] == 1
 
 
-def count_degree2_weil(params: WeilParams, bound: int) -> int:
-    """Number of a in [-bound, bound] with t^2 + a t + q a Weil polynomial."""
-    return sum(
-        1
-        for a in range(-bound, bound + 1)
-        if is_weil(chi_from_a((a,), params), params).is_weil
-    )
-
-
 # -- samplers for the degree-12 necessity property -------------------------------
 
 

@@ -7,7 +7,11 @@ companion (weil.factor_weil), any other input by Zassenhaus on f itself.
 The verdicts keep their order: when every multiplicity is divisible by 7, f
 is the seventh power of the quadratic prod g^(m/7) read off the
 factorization and routes to the multiplicity-7 criterion; any other
-reducible input is terminal; only then is a non-Weil input rejected.  The
+reducible input is terminal; only then is a non-Weil input rejected.  That
+routing rests on the theorem that the Frobenius polynomial of a simple
+abelian variety of prime dimension g >= 3 is m^e, m irreducible, with e in
+{1, g}: at g = 7 a simple variety's f is irreducible or the seventh power
+of a quadratic, so any other factorization gets the verdict reducible.  The
 irreducible Weil f left has no real root.  Last come the Newton-polygon
 case table, matched from the polygon's vertices alone, and the Tate
 divisibility criterion, evaluated independently and cross-checked.  Both
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .arith import _record, is_prime, vp
+from .arith import _record, vp
 from .errors import StructuralError, UncertifiedProfileError
 from .factorint import factor_over_integers
 from .newton import (
@@ -73,13 +77,6 @@ class Classification:
         if self.detail:
             out["detail"] = self.detail
         return out
-
-
-def multiplicity_options(g: int) -> set[int]:
-    """Admissible multiplicities e with chi = m^e for simple prime dimension g >= 3."""
-    if g < 3 or not is_prime(g):
-        raise StructuralError("multiplicity result needs a prime dimension >= 3")
-    return {1, g}
 
 
 def power_case(a: int, b: int, g: int, params: WeilParams) -> bool:

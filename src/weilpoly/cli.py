@@ -89,9 +89,24 @@ def parse_poly_input(text: str, q: str | None):
     return poly, params
 
 
+def _dumps(doc: dict) -> str:
+    """doc as one line of sorted-key JSON.  An integer of any size is written
+    in full: the interpreter's limit on int-to-str digits (4,300 by default,
+    where sys has set_int_max_str_digits) is lifted while json.dumps runs
+    and restored after.  Input parsing keeps the limit, so a coefficient
+    of more digits is still a usage error."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return json.dumps(doc, sort_keys=True) + "\n"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(doc, sort_keys=True) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def emit(doc: dict) -> None:
-    doc = {"schema_version": SCHEMA_VERSION, **doc}
-    sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
+    sys.stdout.write(_dumps({"schema_version": SCHEMA_VERSION, **doc}))
 
 
 def cmd_check_weil(args) -> int:
@@ -266,7 +281,7 @@ def cmd_enumerate(args) -> int:
                 "count": len(rows),
                 "rows": [{"a": list(r.a), "is_weil": r.is_weil} for r in rows],
             }
-            out.write(json.dumps(doc, sort_keys=True) + "\n")
+            out.write(_dumps(doc))
     finally:
         if out is not sys.stdout:
             out.close()

@@ -141,19 +141,18 @@ def _discriminant(coeffs: tuple[int, ...]) -> int:
 
 
 def _resultant(a, b) -> int:
-    """Res(a, b) for nonzero integer coefficient sequences, by Collins'
-    subresultant pseudo-remainder sequence (Cohen, Algorithm 3.3.7): each
-    division by g * h^delta and by h^(delta - 1) is exact in Z."""
+    """Res(a, b) for nonzero integer coefficient sequences with
+    deg a > deg b >= 0, by Collins' subresultant pseudo-remainder sequence
+    (Cohen, Algorithm 3.3.7): each division by g * h^delta and by
+    h^(delta - 1) is exact in Z.  Its one caller, _discriminant, passes f
+    and f' for f of degree >= 1, so no degree swap is needed, and the degree
+    of a stays >= 1 to the end."""
     da, db = len(a) - 1, len(b) - 1
     ca, cb = gcd(*a), gcd(*b)
     t = ca ** db * cb ** da
     a = [x // ca for x in a]
     b = [x // cb for x in b]
     s = 1
-    if da < db:
-        a, b, da, db = b, a, db, da
-        if da % 2 and db % 2:
-            s = -1
     g = h = 1
     while db > 0:
         delta = da - db
@@ -168,8 +167,6 @@ def _resultant(a, b) -> int:
         g = a[-1]
         if delta:
             h = g ** delta // h ** (delta - 1)
-    if da == 0:
-        return s * t
     return s * t * (b[0] ** da // h ** (da - 1))
 
 
@@ -343,8 +340,6 @@ def _zassenhaus_monic(f: IntPoly, lc: int, disc: int) -> list[IntPoly]:
             for i in S:
                 prod = _trunc(_mul(prod, list(lifted[i].coeffs)), pl)
             cand = IntPoly(prod)
-            if not cand.is_monic():
-                continue
             if cand[0] != 0 and current[0] % cand[0] != 0:
                 continue
             quot, rem = current.divmod_monic(cand)

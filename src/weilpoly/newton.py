@@ -186,14 +186,9 @@ def case_by_id(case_id: int) -> CaseRecord:
     raise KeyError(case_id)
 
 
-def left_half_signature(np_: NewtonPolygon, n: int) -> tuple | None:
-    """Interior vertices with index 1..7 as (index, height/n); None if some
-    height is not divisible by n (no Frobenius case can match)."""
-    return _signature(np_.vertices, n)
-
-
 def _signature(vertices, n: int) -> tuple | None:
-    """left_half_signature, given the polygon's vertices."""
+    """A polygon's vertices with index 1..7 as (index, height/n); None if
+    some height is not divisible by n (no Frobenius case can match)."""
     sig = []
     for i, y in vertices:
         if 1 <= i <= 7:
@@ -227,40 +222,3 @@ def _match_vertices(vertices, params: WeilParams):
         key=lambda rec: -len(set(rec.vertices) & set(sig)),
     )
     return NoMatch(tuple(r.case_id for r in scored[:3]))
-
-
-def synthetic_valuations(rec: CaseRecord, n: int) -> list[int]:
-    """A valuation vector (v_p(a_1)..v_p(a_7)) whose polygon realizes the case.
-
-    Vertex equalities are taken exactly; everything else sits at the
-    smallest integer valuation strictly compatible with the hull (ceil,
-    +1 when the hull value is an exact integer at a non-vertex index so the
-    point cannot create a vertex or collinear tie at fractional-height
-    positions).
-    """
-    verts = [(0, 7 * n)] + [(i, h * n) for i, h in rec.vertices]
-    if verts[-1][0] != 7:
-        # complete to the midpoint: the hull runs straight from the last left
-        # vertex to its mirror (14-i, y+(i-7)n), and 7 is their midpoint
-        i_last, y_last = verts[-1]
-        mirror_y = y_last + (i_last - 7) * n
-        verts.append((7, Fraction(y_last + mirror_y, 2)))
-
-    def hull_height(i: int) -> Fraction:
-        for (x1, y1), (x2, y2) in zip(verts, verts[1:]):
-            if x1 <= i <= x2:
-                return Fraction(y1) + Fraction(y2 - y1, x2 - x1) * (i - x1)
-        return Fraction(verts[-1][1])
-
-    vertex_idx = {i for i, _ in rec.vertices}
-    out = []
-    for k in range(1, 8):
-        h = hull_height(k)
-        if k in vertex_idx:
-            coeff_v = int(h) - (7 - k) * n
-        else:
-            # strictly above the hull keeps the vertex set canonical
-            floor_h = h.numerator // h.denominator
-            coeff_v = floor_h + 1 - (7 - k) * n
-        out.append(max(coeff_v, 0))
-    return out

@@ -545,14 +545,11 @@ def _profile_weil(chi: IntPoly, verdict: WeilVerdict, params: WeilParams, vertic
 # -- queries -------------------------------------------------------------------
 
 
-def profile_has_root_of_valuation(profile: PadicFactorProfile, target) -> bool:
-    target = Fraction(target)
-    return _has_root_of_valuation(profile, target.numerator, target.denominator)
-
-
 def _has_root_of_valuation(profile: PadicFactorProfile, h: int, e: int) -> bool:
-    """profile_has_root_of_valuation for the valuation h/e, e > 0, compared
-    with each slope by cross-multiplication."""
+    """Does the profile certify a Q_p root of valuation h/e, e > 0?  Each
+    slope is compared with h/e by cross-multiplication.  An unresolved block
+    of granularity 1 at that slope could hold such a root, so it raises
+    UncertifiedProfileError unless a certified root answers first."""
     for r in profile.factors:
         if (
             r.certified

@@ -70,12 +70,6 @@ def _integer(name: str, value) -> int:
         raise StructuralError(f"{name} must be an integer, got {value!r}") from None
 
 
-def factor_prime_power(q: int) -> tuple[int, int]:
-    """q = p^n with p prime; raises StructuralError otherwise."""
-    params = WeilParams.from_q(q)
-    return params.p, params.n
-
-
 @_record
 class WeilParams:
     """Ground field size q = p^n."""

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from weilpoly.bounds12 import corollary_bounds, trivial_bounds
-from weilpoly.census import count_degree2_weil, sample_weil12_no_real_roots
+from weilpoly.census import EnumerationSpec, enumerate_weil, sample_weil12_no_real_roots
 from weilpoly.classify7 import classify, power_case
 from weilpoly.cli import main as cli_main
 from weilpoly.factorint import poly_gcd
@@ -60,11 +60,14 @@ def test_criterion_01_weil_oracle_equivalence():
 
 def test_criterion_02_degree2_counts():
     """Degree-2 Weil counts: q=2 -> 5, q=3 -> 7, q=4 -> 9."""
-    got = (
-        count_degree2_weil(WeilParams.from_q(2), 3),
-        count_degree2_weil(WeilParams.from_q(3), 4),
-        count_degree2_weil(WeilParams.from_q(4), 4),
-    )
+
+    def count(q, bound):
+        spec = EnumerationSpec(
+            degree=2, params=WeilParams.from_q(q), box=((-bound, bound),), weil_only=True
+        )
+        return sum(1 for _ in enumerate_weil(spec))
+
+    got = (count(2, 3), count(3, 4), count(4, 4))
     assert got == (5, 7, 9)
     report(2, f"counts {got} match (5, 7, 9)")
 

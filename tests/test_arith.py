@@ -5,7 +5,7 @@ import pytest
 from weilpoly import weil
 from weilpoly.arith import _MR_EXACT_BELOW, iroot, is_prime, prime_factors, vp
 from weilpoly.errors import StructuralError, UnprovenPrimeError
-from weilpoly.weil import WeilParams, factor_prime_power
+from weilpoly.weil import WeilParams
 
 N = range(501)
 
@@ -43,10 +43,10 @@ def test_against_brute_force(primitive):
         for q in N:
             ps = brute_prime_factors(q)
             if len(ps) == 1:
-                assert factor_prime_power(q) == (ps[0], brute_vp(q, ps[0])), q
+                assert WeilParams.from_q(q) == WeilParams(ps[0], brute_vp(q, ps[0])), q
             else:
                 with pytest.raises(StructuralError):
-                    factor_prime_power(q)
+                    WeilParams.from_q(q)
                 rejected.add(q)
         assert {0, 1, 6, 12, 100} <= rejected
 
@@ -73,18 +73,20 @@ def test_iroot():
 
 
 def test_factor_prime_power_agrees_with_prime_factors():
+    """WeilParams.from_q splits a prime power q into p^n as prime_factors
+    and vp do, and refuses every other q."""
     for q in range(2, 5001):
         ps = prime_factors(q)
         if len(ps) == 1:
-            assert factor_prime_power(q) == (ps[0], vp(q, ps[0])), q
+            assert WeilParams.from_q(q) == WeilParams(ps[0], vp(q, ps[0])), q
         else:
             with pytest.raises(StructuralError):
-                factor_prime_power(q)
+                WeilParams.from_q(q)
     big = 2**61 - 1
-    assert factor_prime_power(big) == (big, 1)
-    assert factor_prime_power(big**3) == (big, 3)
+    assert WeilParams.from_q(big) == WeilParams(big, 1)
+    assert WeilParams.from_q(big**3) == WeilParams(big, 3)
     with pytest.raises(StructuralError):
-        factor_prime_power(big * 3)
+        WeilParams.from_q(big * 3)
 
 
 def test_above_the_exact_bound_primality_is_unproven_not_slow(monkeypatch):

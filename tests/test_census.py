@@ -2,7 +2,6 @@ import pytest
 
 from weilpoly.census import (
     EnumerationSpec,
-    count_degree2_weil,
     cross_check,
     enumerate_weil,
     sample_weil12_no_real_roots,
@@ -19,9 +18,11 @@ def spec2(q, bound, **kw):
 
 
 def test_degree2_counts():
-    assert count_degree2_weil(WeilParams.from_q(2), 3) == 5
-    assert count_degree2_weil(WeilParams.from_q(3), 4) == 7
-    assert count_degree2_weil(WeilParams.from_q(4), 4) == 9
+    """The is_weil flags of an unfiltered degree-2 enumeration count the
+    a in [-bound, bound] with t^2 + a t + q a Weil polynomial."""
+    assert sum(r.is_weil for r in enumerate_weil(spec2(2, 3))) == 5
+    assert sum(r.is_weil for r in enumerate_weil(spec2(3, 4))) == 7
+    assert sum(r.is_weil for r in enumerate_weil(spec2(4, 4))) == 9
 
 
 def test_enumeration_examples():

@@ -8,8 +8,7 @@ from pathlib import Path
 import pytest
 
 from weilpoly.cli import main
-from weilpoly.classify7 import _candidate_cases, classify, multiplicity_options, power_case
-from weilpoly.errors import StructuralError
+from weilpoly.classify7 import _candidate_cases, classify, power_case
 from weilpoly.newton import case_by_id, load_case_table
 from weilpoly.padic import qp_factor_profile, tate_condition_profile
 from weilpoly.polynomial import IntPoly
@@ -17,13 +16,6 @@ from weilpoly.weil import WeilParams, chi_from_a, is_weil
 
 P2 = WeilParams.from_q(2)
 P128 = WeilParams.from_q(128)
-
-
-def test_multiplicity_options():
-    assert multiplicity_options(7) == {1, 7}
-    assert multiplicity_options(5) == {1, 5}
-    with pytest.raises(StructuralError):
-        multiplicity_options(4)
 
 
 def test_power_case_instances():
@@ -62,6 +54,18 @@ def test_classify_reducible():
     out = classify(IntPoly([128] + [0] * 13 + [1]), P2)
     assert out.verdict == "reducible"
     assert any("t^2+2" in f for f in out.factors)
+
+
+def test_a_reducible_verdict_prints_each_multiplicity(capsys):
+    """(t^2 + 2)^2 (t^2 + t + 2)^5 at q = 2: each factor is printed with its
+    multiplicity, the square's as well as the fifth power's."""
+    a = (5, 24, 70, 189, 381, 710, 1044)
+    assert chi_from_a(a, P2) == IntPoly([2, 0, 1]) ** 2 * IntPoly([2, 1, 1]) ** 5
+    assert main(["classify14", "q=2; a=" + ",".join(map(str, a))]) == 1
+    assert json.loads(capsys.readouterr().out)["classification"] == {
+        "factors": ["t^2+2^2", "t^2+t+2^5"],
+        "verdict": "reducible",
+    }
 
 
 def test_classify_rejects_malformed():

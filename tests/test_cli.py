@@ -156,6 +156,38 @@ def test_unprovable_prime_is_inconclusive_not_a_hang(argv, capsys):
     assert err.startswith("inconclusive:") and "3317044064679887385961981" in err
 
 
+BIG_Q = 2**20000  # 6,021 digits, past the default int-to-str limit of 4,300
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["check-weil", "--q", "2^20000", "1,0,1"], 1),
+        (["classify14", "--q", "2^20000", ",".join(["1"] + ["0"] * 13 + ["1"])], 1),
+        (["enumerate", "--degree", "2", "--q", "2^20000", "--box", "0:0"], 0),
+    ],
+    ids=["check-weil", "classify14", "enumerate"],
+)
+def test_an_integer_past_the_digit_limit_is_printed_in_full(argv, code, capsys):
+    """q = 2^20000 is written to the JSON in full, with the interpreter's
+    int-to-str limit as it was before and after; reading it back needs the
+    limit lifted here too."""
+    limit = sys.get_int_max_str_digits()
+    assert main(argv) == code
+    assert sys.get_int_max_str_digits() == limit
+    out, err = capsys.readouterr()
+    assert not err
+    sys.set_int_max_str_digits(0)
+    try:
+        doc = json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert doc["q"] == BIG_Q
+
+
 def test_exit_code_negative_verdict(capsys):
     assert main(["check-weil", "--q", "2", "2,3,1"]) == 1
     capsys.readouterr()

@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 import time
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -539,6 +540,29 @@ def test_a_prime_value_divides_out_the_fixed_divisor():
     f = T([2, 1, 1])
     assert all(f.evaluate(x) % 2 == 0 for x in range(-50, 50))
     assert factorint._prime_value(f)
+
+
+def test_a_prime_value_is_tried_only_past_the_proofs_margin(monkeypatch):
+    """After f(0), ..., f(m), which give the fixed divisor d, every point x
+    that _prime_value evaluates has |x| >= R + 1 + d, R = _root_bound: the
+    margin its proof needs.  The inputs have fixed divisors 1 and 2, and
+    the last has no prime value, so every point is tried."""
+    points = []
+
+    def evaluate_spy(self, x, _orig=IntPoly.evaluate):
+        points.append(x)
+        return _orig(self, x)
+
+    monkeypatch.setattr(IntPoly, "evaluate", evaluate_spy)
+    for f in (T([1, 0, -10, 0, 1]), T([2, 1, 1]), T([1, 0, 0, 0, 0, 0, 10**4, 1])):
+        points.clear()
+        factorint._prime_value(f)
+        m = f.degree
+        fixed, tried = points[: m + 1], points[m + 1 :]
+        assert fixed == list(range(m + 1))
+        d = gcd(*(f.evaluate(x) for x in fixed))
+        margin = factorint._root_bound(f.coeffs) + 1 + d
+        assert tried and all(abs(x) >= margin for x in tried), (f, margin, tried)
 
 
 def test_the_root_bound_dominates_the_coefficients(rng):

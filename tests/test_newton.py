@@ -9,16 +9,17 @@ from weilpoly.newton import (
     PolygonCaseId,
     _match_vertices,
     _points_and_vertices,
+    _signature,
     case_by_id,
     lattice_vertex_check,
-    left_half_signature,
     load_case_table,
     newton_polygon,
     polygon_case_id,
-    synthetic_valuations,
 )
 from weilpoly.polynomial import IntPoly
 from weilpoly.weil import WeilParams, chi_from_a
+
+from conftest import synthetic_valuations
 
 
 def seg_data(np_):
@@ -154,7 +155,7 @@ def test_no_match_for_off_grid_polygon():
     params = WeilParams(2, 2)
     chi = chi_from_a((2, 0, 0, 0, 0, 0, 0), params)  # v(a_1) = 1, off-grid at n=2
     np_ = newton_polygon(chi, 2)
-    sig = left_half_signature(np_, 2)
+    sig = _signature(np_.vertices, 2)
     if sig is None:
         res = polygon_case_id(np_, params)
         assert isinstance(res, NoMatch)

@@ -31,7 +31,7 @@ EXPORTED = {
         "trivial_bounds",
     ],
     "census": ["EnumerationSpec", "cross_check", "enumerate_weil"],
-    "classify7": ["Classification", "classify", "multiplicity_options", "power_case"],
+    "classify7": ["Classification", "classify", "power_case"],
     "errors": [
         "DomainMismatchError",
         "ExactnessError",
@@ -83,7 +83,7 @@ def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
 
 
 def test_all_is_the_pinned_list():
-    assert len(ALL_NAMES) == 48
+    assert len(ALL_NAMES) == 47
     assert sorted(weilpoly.__all__) == ALL_NAMES
 
 

@@ -17,7 +17,7 @@ from weilpoly.hensel import hensel_lift_pair
 from weilpoly.padic import (
     FactorRecord,
     PadicFactorProfile,
-    profile_has_root_of_valuation,
+    _has_root_of_valuation,
     profile_weil,
     qp_factor_profile,
     tate_condition_profile,
@@ -228,7 +228,8 @@ def test_root_of_valuation():
     p = 5
 
     def has_root(f, v):
-        return profile_has_root_of_valuation(qp_factor_profile(f, p), v)
+        v = Fraction(v)
+        return _has_root_of_valuation(qp_factor_profile(f, p), v.numerator, v.denominator)
 
     assert not has_root(IntPoly([-p, 0, 1]), Fraction(1, 2))
     f = IntPoly([-p, 1]) * IntPoly([-1, 1])

@@ -20,7 +20,7 @@ from weilpoly.errors import UncertifiedProfileError
 from weilpoly.padic import (
     FactorRecord,
     PadicFactorProfile,
-    profile_has_root_of_valuation,
+    _has_root_of_valuation,
     tate_condition_profile,
 )
 from weilpoly.weil import WeilParams, chi_from_a
@@ -165,14 +165,14 @@ def test_an_unresolved_block_at_the_queried_valuation_is_inconclusive():
     block = FactorRecord(2, Fraction(1, 2), 1, None, False, 1)
     profile = PadicFactorProfile(2, 2, 1, (block,))
     with pytest.raises(UncertifiedProfileError, match="^an unresolved block could contain the queried root$"):
-        profile_has_root_of_valuation(profile, Fraction(1, 2))
-    assert profile_has_root_of_valuation(profile, 0) is False
+        _has_root_of_valuation(profile, 1, 2)
+    assert _has_root_of_valuation(profile, 0, 1) is False
     unit_root = FactorRecord(1, Fraction(0), 0, 1, True)
     unit_block = FactorRecord(2, Fraction(0), 0, None, False, 1)
     with_root = PadicFactorProfile(2, 3, 0, (unit_block, unit_root))
-    assert profile_has_root_of_valuation(with_root, 0) is True
+    assert _has_root_of_valuation(with_root, 0, 1) is True
     with pytest.raises(UncertifiedProfileError):
-        profile_has_root_of_valuation(PadicFactorProfile(2, 2, 0, (unit_block,)), 0)
+        _has_root_of_valuation(PadicFactorProfile(2, 2, 0, (unit_block,)), 0, 1)
 
 
 def test_an_unresolved_block_whose_unsplit_valuation_fails_tate_fails_it():
